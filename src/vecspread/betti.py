@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
-from typing import Iterator, Optional
+from typing import Optional
 
 from .ideals import MonomialIdeal, require_strongly_stable
 from .koszul import CycleLabel, homology_basis_labels, koszul_cycle, koszul_differential
-from .linalg import _clear_row, rank_int
+from .linalg import FiniteComplex, integer_column, multidegrees
 from .monomials import SpreadVector, free_indices
 
 
@@ -156,26 +156,13 @@ def poincare_pd_reg(ideal: MonomialIdeal, t) -> tuple[list[int], int, int]:
 # -- multidegree blocks of the Koszul complex ---------------------------------
 
 
-@dataclass
-class _Block:
-    """Koszul data of one exponent vector: wedge bases, matrices, ranks."""
-
-    support: tuple[int, ...]
-    bases: list[list[tuple[int, ...]]]          # bases[i]: wedge tuples, |tau| = i
-    index: list[dict[tuple[int, ...], int]]
-    ranks: list[int]                            # ranks[i] = rank of d_i, i = 0..s+1
-    mats: list[list[list[int]]]
-
-    def kernel_dim(self, i: int) -> int:
-        return len(self.bases[i]) - self.ranks[i]
-
-    def homology(self, i: int) -> int:
-        return self.kernel_dim(i) - self.ranks[i + 1]
+_Block = tuple[FiniteComplex, list[dict[tuple[int, ...], int]]]
 
 
-def _build_block(ideal: MonomialIdeal, a: tuple[int, ...]) -> Optional[_Block]:
-    """Block of the Koszul complex in multidegree a, or None when it needs no
-    elimination (zero block, or the exact full-simplex block with a != 0)."""
+def _koszul_block(ideal: MonomialIdeal, a: tuple[int, ...]) -> Optional[_Block]:
+    """Koszul complex in multidegree a with its wedge index (wedge -> basis
+    position, per degree), or None when it needs no elimination (zero block,
+    or the exact full-simplex block with a != 0)."""
     n = ideal.ambient_n
     support = tuple(k for k in range(n) if a[k] > 0)  # 0-based here
     s = len(support)
@@ -189,7 +176,6 @@ def _build_block(ideal: MonomialIdeal, a: tuple[int, ...]) -> Optional[_Block]:
     if not ideal.contains_exponents(a):
         return None  # all residues survive: full simplex, exact everywhere
 
-    bases: list[list[tuple[int, ...]]] = [[] for _ in range(s + 1)]
     index: list[dict[tuple[int, ...], int]] = [dict() for _ in range(s + 1)]
     for mask in range(1 << s):
         tau = tuple(support[p] for p in range(s) if mask >> p & 1)
@@ -198,33 +184,19 @@ def _build_block(ideal: MonomialIdeal, a: tuple[int, ...]) -> Optional[_Block]:
             exps[k] -= 1
         if not ideal.contains_exponents(tuple(exps)):
             wedge = tuple(k + 1 for k in tau)  # back to 1-based variable labels
-            index[len(tau)][wedge] = len(bases[len(tau)])
-            bases[len(tau)].append(wedge)
+            index[len(tau)][wedge] = len(index[len(tau)])
 
-    mats: list[list[list[int]]] = [[] for _ in range(s + 2)]
-    ranks = [0] * (s + 2)
+    mats = []
     for i in range(1, s + 1):
-        rows, cols = index[i - 1], bases[i]
-        if not rows or not cols:
-            continue
+        rows, cols = index[i - 1], index[i]
         mat = [[0] * len(cols) for _ in rows]
         for c, tau in enumerate(cols):
             for pos in range(i):
                 r = rows.get(tau[:pos] + tau[pos + 1:])
                 if r is not None:
                     mat[r][c] = -1 if pos % 2 else 1
-        mats[i] = mat
-        ranks[i] = rank_int(mat)
-    return _Block(support, bases, index, ranks, mats)
-
-
-def _multidegrees(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _multidegrees(total - first, parts - 1):
-            yield (first,) + rest
+        mats.append(mat)
+    return FiniteComplex([len(ix) for ix in index], mats), index
 
 
 def homology_dimensions(ideal: MonomialIdeal, max_degree: int) -> dict[tuple[int, int], int]:
@@ -238,12 +210,13 @@ def homology_dimensions(ideal: MonomialIdeal, max_degree: int) -> dict[tuple[int
     if not ideal.is_unit:
         dims[(0, 0)] = 1  # H_0 = K in multidegree zero
     for q in range(1, max_degree + 1):
-        for a in _multidegrees(q, n):
-            block = _build_block(ideal, a)
+        for a in multidegrees(q, n):
+            block = _koszul_block(ideal, a)
             if block is None:
                 continue
-            for i in range(len(block.bases)):
-                h = block.homology(i)
+            cx = block[0]
+            for i in range(len(cx.sizes)):
+                h = cx.homology(i)
                 if h:
                     dims[(i, q)] = dims.get((i, q), 0) + h
     return dims
@@ -266,15 +239,15 @@ class BasisCheckReport:
                 + "; ".join(self.failures[:4]))
 
 
-def _cycle_column(block: _Block, i: int, chain) -> Optional[list]:
-    """Coordinates of a chain over the block's degree-i wedge basis."""
-    col = [0] * len(block.bases[i])
-    lookup = block.index[i]
-    for wedge, mono, coeff in chain.terms():
-        r = lookup.get(wedge)
-        if r is None:
-            return None
-        col[r] = coeff
+def _cycle_column(index: dict[tuple[int, ...], int], chain) -> Optional[list[int]]:
+    """Integer coordinates of a chain over a block's wedge basis, or None when
+    a term falls outside it."""
+    terms = [(index.get(wedge), coeff) for wedge, _, coeff in chain.terms()]
+    if any(r is None for r, _ in terms):
+        return None
+    col = [0] * len(index)
+    for r, value in integer_column(terms):
+        col[r] = value
     return col
 
 
@@ -331,8 +304,8 @@ def _sweep(ideal: MonomialIdeal, t, degrees: list[int],
             by_mdeg.setdefault(mdeg, []).append((label, chain))
 
     for q in sorted(degree_set):
-        for a in _multidegrees(q, n):
-            block = _build_block(ideal, a)
+        for a in multidegrees(q, n):
+            block = _koszul_block(ideal, a)
             here = by_mdeg.get(a, [])
             if block is None:
                 if here:
@@ -340,39 +313,33 @@ def _sweep(ideal: MonomialIdeal, t, degrees: list[int],
                         f"labels {[str(l) for l, _ in here]} land in a "
                         f"homology-free multidegree {a}")
                 continue
-            s = len(block.support)
+            cx, index = block
             for i in hom_range:
-                if i > s + 1:
+                # a label (u, sigma) of degree i has sigma and max(u) inside
+                # supp(a): past the block's top there are no labels, no homology
+                if i >= len(cx.sizes):
                     continue
-                cycles = [(label, ch) for label, ch in here
-                          if label.hom_degree == i]
                 cols = []
-                for label, ch in cycles:
-                    col = _cycle_column(block, i, ch)
+                for label, ch in here:
+                    if label.hom_degree != i:
+                        continue
+                    col = _cycle_column(index[i], ch)
                     if col is None:
                         failures.append(f"cycle {label} leaves its block")
                         continue
                     cols.append(col)
-                h = block.homology(i) if i <= s else 0
+                h = cx.homology(i)
                 if h:
                     key = (i, q)
                     homology_counts[key] = homology_counts.get(key, 0) + h
-                if not cols and (i > s or not block.bases[i]):
+                if not cols and not cx.sizes[i]:
                     continue
-                boundary = block.mats[i + 1] if i + 1 <= s else []
-                nrows = len(block.bases[i]) if i <= s else 0
-                rows = [list(r) for r in boundary] if boundary else \
-                       [[] for _ in range(nrows)]
-                for col in cols:
-                    for r in range(nrows):
-                        rows[r].append(col[r])
-                aug_rank = rank_int(_clear_row(r) for r in rows) if rows else 0
-                b_rank = block.ranks[i + 1] if i + 1 <= s else 0
-                if aug_rank != b_rank + len(cols):
+                b_rank = cx.ranks[i + 1]
+                if cx.augmented_rank(i, cols) != b_rank + len(cols):
                     failures.append(
                         f"cycles at multidegree {a}, i={i} are dependent "
                         f"modulo boundaries")
-                kernel = block.kernel_dim(i) if i <= s else 0
+                kernel = cx.sizes[i] - cx.ranks[i]
                 if kernel != b_rank + len(cols):
                     failures.append(
                         f"cycles at multidegree {a}, i={i} do not span: "

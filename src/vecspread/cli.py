@@ -41,13 +41,14 @@ from .resolution import build_resolution, verify_resolution
 
 
 def _env_int(name: str, default: int) -> int:
+    """An integer environment override; read only by the subcommand using it."""
     raw = os.environ.get(name)
     if raw is None:
         return default
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(f"error: {name} must be an integer, got {raw!r}")
+        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
 
 
 def _parse_t(text: str) -> SpreadVector:
@@ -171,7 +172,8 @@ def _cmd_resolution(args) -> int:
     text = res.ascii()
     code = 0
     if args.verify:
-        bound = args.max_degree
+        bound = (args.max_degree if args.max_degree is not None
+                 else _env_int("VECSPREAD_MAX_DEGREE", 8))
         report = verify_resolution(res, bound)
         payload["verification"] = {
             "ok": report.ok,
@@ -190,7 +192,9 @@ def _cmd_resolution(args) -> int:
 def _cmd_gin(args) -> int:
     ideal, _ = parse_ideal_file(args.ideal)
     seed = args.seed if args.seed is not None else random.randrange(2 ** 32)
-    result = gin(ideal, seed=seed, bound=args.bound)
+    bound = (args.bound if args.bound is not None
+             else _env_int("VECSPREAD_GIN_BOUND", 100))
+    result = gin(ideal, seed=seed, bound=bound)
     payload = ideal_to_dict(result)
     payload["t"] = []
     payload["seed"] = seed
@@ -204,10 +208,14 @@ def _cmd_shift(args) -> int:
     ideal, _ = parse_ideal_file(args.ideal)
     t = _parse_t(args.t)
     seed = args.seed if args.seed is not None else random.randrange(2 ** 32)
+    bound = (args.bound if args.bound is not None
+             else _env_int("VECSPREAD_GIN_BOUND", 100))
     code = 0
     if args.verify:
-        report = verify_shift_properties(ideal, t, max_degree=args.max_degree,
-                                         seed=seed, bound=args.bound)
+        max_degree = (args.max_degree if args.max_degree is not None
+                      else _env_int("VECSPREAD_MAX_DEGREE", 0) or None)
+        report = verify_shift_properties(ideal, t, max_degree=max_degree,
+                                         seed=seed, bound=bound)
         result = report.shifted
         payload = ideal_to_dict(result, t)
         payload["seed"] = seed
@@ -219,7 +227,7 @@ def _cmd_shift(args) -> int:
                 print(line, file=sys.stderr)
             code = 1
     else:
-        result = shift(ideal, t, seed=seed, bound=args.bound)
+        result = shift(ideal, t, seed=seed, bound=bound)
         payload = ideal_to_dict(result, t)
         payload["seed"] = seed
         text = "\n".join([format_monomial(g) for g in result.generators]
@@ -274,16 +282,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("resolution", help="labelled minimal free resolution")
     p.add_argument("--ideal", required=True)
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--max-degree", type=int,
-                   default=_env_int("VECSPREAD_MAX_DEGREE", 8))
+    p.add_argument("--max-degree", type=int)
     add_format(p)
     p.set_defaults(func=_cmd_resolution)
 
     p = sub.add_parser("gin", help="generic initial ideal (degrevlex)")
     p.add_argument("--ideal", required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--bound", type=int,
-                   default=_env_int("VECSPREAD_GIN_BOUND", 100))
+    p.add_argument("--bound", type=int)
     add_format(p, default="json")
     p.set_defaults(func=_cmd_gin)
 
@@ -291,11 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ideal", required=True)
     p.add_argument("--t", required=True, help="target spread, comma-separated")
     p.add_argument("--seed", type=int)
-    p.add_argument("--bound", type=int,
-                   default=_env_int("VECSPREAD_GIN_BOUND", 100))
+    p.add_argument("--bound", type=int)
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--max-degree", type=int,
-                   default=_env_int("VECSPREAD_MAX_DEGREE", 0) or None)
+    p.add_argument("--max-degree", type=int)
     add_format(p, default="json")
     p.set_defaults(func=_cmd_shift)
 

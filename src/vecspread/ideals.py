@@ -394,8 +394,13 @@ def ideal_from_dict(payload: dict) -> tuple[MonomialIdeal, Optional[SpreadVector
         raw_gens = payload["generators"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"ideal record must have n, t, generators: {exc}") from None
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"invalid ambient size {n!r}")
+    if not isinstance(raw_t, list):
+        raise ValueError(f"t must be a list of integers, got {raw_t!r}")
+    if not (isinstance(raw_gens, list)
+            and all(isinstance(g, str) for g in raw_gens)):
+        raise ValueError(f"generators must be a list of strings, got {raw_gens!r}")
     t = SpreadVector(tuple(raw_t)) if raw_t else None
     gens = [parse_monomial(s, n) for s in raw_gens]
     ideal = MonomialIdeal.from_generators(gens, n, t)

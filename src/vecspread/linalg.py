@@ -1,27 +1,22 @@
-"""Exact linear algebra over the rationals.
+"""Exact integer linear algebra and the shared multidegree engine.
 
-Ranks are computed by fraction-free (Bareiss) elimination on integer rows
-after clearing denominators, so no floating point is involved anywhere.
+Ranks are computed by fraction-free (Bareiss) elimination on integer rows,
+so no floating point and no rational arithmetic is involved anywhere.
+
+The Koszul complex of a monomial quotient and a multigraded free resolution
+both split into finitely many strands, one per exponent vector a, and each
+strand is a finite complex of vector spaces whose boundary matrices are
+scalar (for the Koszul side it is the upper Koszul simplicial complex of a,
+Miller-Sturmfels, Combinatorial Commutative Algebra, Thm 1.34).  The rank
+oracle, the cycle-basis sweep and the resolution verifier all walk the
+multidegrees with `multidegrees` and measure each strand as a
+`FiniteComplex`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
-from typing import Iterable, Sequence
-
-
-def _clear_row(row: Sequence[Fraction]) -> list[int]:
-    denom = 1
-    for x in row:
-        d = Fraction(x).denominator
-        denom = denom * d // gcd(denom, d)
-    out = []
-    for x in row:
-        f = Fraction(x) * denom
-        out.append(int(f))
-    return out
-
+from math import lcm
+from typing import Iterable, Iterator, Sequence
 
 def rank_int(rows: Iterable[Sequence[int]]) -> int:
     """Rank of an integer matrix by fraction-free Gaussian elimination."""
@@ -81,38 +76,46 @@ def determinant_int(matrix: Sequence[Sequence[int]]) -> int:
     return sign * work[n - 1][n - 1]
 
 
-class RationalMatrix:
-    """A dense rational matrix with exact rank."""
+def integer_column(entries: Iterable[tuple[int, object]]) -> list[tuple[int, int]]:
+    """(row, rational) pairs times the lcm of their denominators.
 
-    def __init__(self, rows: Iterable[Iterable[Fraction]]):
-        self.rows = [[Fraction(x) for x in row] for row in rows]
-        widths = {len(r) for r in self.rows}
-        if len(widths) > 1:
-            raise ValueError("ragged rows")
-        self.nrows = len(self.rows)
-        self.ncols = widths.pop() if widths else 0
+    A non-zero multiple of a column spans the same line, so every rank taken
+    with it is unchanged; coefficients may be int or rational.
+    """
+    entries = list(entries)
+    scale = lcm(*(value.denominator for _, value in entries))
+    return [(r, value.numerator * (scale // value.denominator))
+            for r, value in entries]
 
-    @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "RationalMatrix":
-        return cls([[Fraction(0)] * ncols for _ in range(nrows)])
 
-    def rank(self) -> int:
-        return rank_int(_clear_row(r) for r in self.rows)
+def multidegrees(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Every exponent vector of length parts summing to total."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in multidegrees(total - first, parts - 1):
+            yield (first,) + rest
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.rows for x in row)
 
-    def column(self, j: int) -> list[Fraction]:
-        return [row[j] for row in self.rows]
+class FiniteComplex:
+    """A complex 0 -> C_top -> ... -> C_1 -> C_0 -> 0 of based Q-spaces.
 
-    def augment(self, extra_cols: Iterable[Sequence[Fraction]]) -> "RationalMatrix":
-        """New matrix with extra columns appended on the right."""
-        cols = [list(c) for c in extra_cols]
-        for c in cols:
-            if len(c) != self.nrows:
-                raise ValueError("augment column has wrong height")
-        return RationalMatrix(
-            [row + [c[i] for c in cols] for i, row in enumerate(self.rows)])
+    sizes[i] = dim C_i, and the i-th given matrix (i >= 1) is d_i as
+    sizes[i - 1] dense int rows of length sizes[i].  mats[i] is d_i for
+    i = 0..top+1, the two ends being zero maps, and ranks[i] its rank.
+    """
 
-    def __repr__(self) -> str:
-        return f"RationalMatrix({self.nrows}x{self.ncols})"
+    def __init__(self, sizes: Sequence[int], mats: Sequence[list[list[int]]]):
+        self.sizes = list(sizes)
+        self.mats = [[], *mats, [[] for _ in range(self.sizes[-1])]]
+        self.ranks = [rank_int(m) if m and m[0] else 0 for m in self.mats]
+
+    def homology(self, i: int) -> int:
+        """dim H_i = dim ker d_i - rank d_{i+1}, for 0 <= i <= top."""
+        return self.sizes[i] - self.ranks[i] - self.ranks[i + 1]
+
+    def augmented_rank(self, i: int, columns: Sequence[Sequence[int]]) -> int:
+        """Rank of d_{i+1} with dense columns over the basis of C_i appended."""
+        return rank_int([row + [col[r] for col in columns]
+                         for r, row in enumerate(self.mats[i + 1])])

@@ -208,8 +208,7 @@ def plex_key(m: Monomial):
     return m.exponents
 
 
-def lex_key(m: Monomial):
-    return m.exponents
+lex_key = plex_key
 
 
 def degrevlex_key(m: Monomial):
@@ -247,6 +246,8 @@ class SpreadVector:
         object.__setattr__(self, "entries", entries)
         if len(entries) < 1:
             raise ValueError("spread vector needs at least one entry (d >= 2)")
+        if any(not isinstance(e, int) or isinstance(e, bool) for e in entries):
+            raise ValueError(f"spread entries must be integers, got {entries}")
         if any(e < 0 for e in entries):
             raise ValueError(f"spread entries must be non-negative, got {entries}")
 

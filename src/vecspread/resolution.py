@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Optional
 
 from .ideals import (
     MonomialIdeal,
@@ -31,7 +31,7 @@ from .ideals import (
     require_strongly_stable,
 )
 from .koszul import CycleLabel, homology_basis_labels
-from .linalg import _clear_row, rank_int
+from .linalg import FiniteComplex, integer_column, multidegrees
 from .monomials import (
     Monomial,
     SpreadVector,
@@ -105,11 +105,12 @@ class MonomialMatrix:
             raise ValueError(
                 f"cannot compose {self.nrows}x{self.ncols} with "
                 f"{other.nrows}x{other.ncols}")
+        by_row: dict[int, list[tuple[int, Poly]]] = {}
+        for (m, c), q in other.entries.items():
+            by_row.setdefault(m, []).append((c, q))
         out = MonomialMatrix(self.nrows, other.ncols)
         for (r, m), p in self.entries.items():
-            for (m2, c), q in other.entries.items():
-                if m2 != m:
-                    continue
+            for c, q in by_row.get(m, ()):
                 for mono1, c1 in p.items():
                     for mono2, c2 in q.items():
                         out.add_to_entry(r, c, mono1.mul(mono2), c1 * c2)
@@ -270,15 +271,6 @@ class ResolutionReport:
         return out
 
 
-def _multidegrees(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _multidegrees(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def verify_resolution(res: Resolution, max_degree: int) -> ResolutionReport:
     """Check the complex property, minimality, graded exactness and ranks.
 
@@ -320,11 +312,10 @@ def verify_resolution(res: Resolution, max_degree: int) -> ResolutionReport:
     mdegs: list[list[tuple[int, ...]]] = [[(0,) * n]]
     for labels in res.bases:
         mdegs.append([lab.multidegree() for lab in labels])
-    scalars: list[dict[tuple[int, int], Fraction]] = []
+    columns: list[list[list[tuple[int, int]]]] = []  # scalar d_i, by column
     for i in range(1, res.length + 1):
-        d = res.differential(i)
-        block: dict[tuple[int, int], Fraction] = {}
-        for (r, c), poly in d.entries.items():
+        cols = [[] for _ in mdegs[i]]
+        for (r, c), poly in res.differential(i).entries.items():
             want = tuple(a - b for a, b in zip(mdegs[i][c], mdegs[i - 1][r]))
             for mono, coeff in poly.items():
                 if mono.exponents != want:
@@ -333,45 +324,48 @@ def verify_resolution(res: Resolution, max_degree: int) -> ResolutionReport:
                         f"d{i} entry ({r},{c}) term {format_monomial(mono)} "
                         f"breaks the multigrading")
                 else:
-                    block[(r, c)] = coeff
-        scalars.append(block)
+                    cols[c].append((r, coeff))
+        columns.append([integer_column(col) for col in cols])
     checks["multigraded"] = ok
 
     ok = True
     if checks["multigraded"]:
+        # a label's multidegree is a multiple of its generator's, so only the
+        # labels of generators dividing x^a can lie in the strand at a
+        groups: dict[tuple[int, ...], list[tuple[int, int, tuple[int, ...]]]] = {}
+        for i, labels in enumerate(res.bases, start=1):
+            for c, lab in enumerate(labels):
+                groups.setdefault(lab.generator.exponents, []).append(
+                    (i, c, mdegs[i][c]))
         hf = hilbert_function(ideal, max_degree)
         for q in range(max_degree + 1):
             coker_total = 0
-            for a in _multidegrees(q, n):
-                if not ideal.contains_exponents(a):
-                    coker_total += 1  # no label divides a; all blocks vanish
-                    continue
-                active = [[0]]  # position 0: the single basis element of S
+            for a in multidegrees(q, n):
+                # position 0 is S itself: its one basis element lies in every strand
+                active: list[list[int]] = [[0]] + [[] for _ in res.bases]
+                for g, members in groups.items():
+                    if all(x <= y for x, y in zip(g, a)):
+                        for i, c, m in members:
+                            if all(x <= y for x, y in zip(m, a)):
+                                active[i].append(c)
+                strand = []
                 for i in range(1, res.length + 1):
-                    active.append([c for c, m in enumerate(mdegs[i])
-                                   if all(x <= y for x, y in zip(m, a))])
-                ranks = [0] * (res.length + 2)
+                    rlook = {r: p for p, r in enumerate(active[i - 1])}
+                    mat = [[0] * len(active[i]) for _ in rlook]
+                    for p, c in enumerate(active[i]):
+                        for r, value in columns[i - 1][c]:
+                            if r in rlook:
+                                mat[rlook[r]][p] = value
+                    strand.append(mat)
+                cx = FiniteComplex([len(x) for x in active], strand)
+                coker_total += cx.homology(0)
                 for i in range(1, res.length + 1):
-                    rows, cols = active[i - 1], active[i]
-                    if not rows or not cols:
-                        continue
-                    rlook = {m: p for p, m in enumerate(rows)}
-                    mat = [[Fraction(0)] * len(cols) for _ in rows]
-                    for ci, c in enumerate(cols):
-                        for r in range(len(mdegs[i - 1])):
-                            coeff = scalars[i - 1].get((r, c))
-                            if coeff and r in rlook:
-                                mat[rlook[r]][ci] = coeff
-                    ranks[i] = rank_int(_clear_row(row) for row in mat)
-                coker_total += 1 - ranks[1]
-                for i in range(1, res.length + 1):
-                    kernel = len(active[i]) - ranks[i]
-                    if kernel != ranks[i + 1]:
+                    if cx.homology(i):
                         ok = False
                         failures.append(
                             f"not exact at position {i}, degree {q}, "
-                            f"multidegree {a}: kernel {kernel}, next image "
-                            f"{ranks[i + 1]}")
+                            f"multidegree {a}: kernel {cx.sizes[i] - cx.ranks[i]}, "
+                            f"next image {cx.ranks[i + 1]}")
             if coker_total != hf[q]:
                 ok = False
                 failures.append(

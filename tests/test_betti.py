@@ -185,6 +185,19 @@ def test_oracle_matches_formula_random():
         done += 1
 
 
+@pytest.mark.parametrize("fixture", [ex_spread_ideal, ex_resolution_ideal])
+def test_oracle_never_calls_the_formula(monkeypatch, fixture):
+    ideal, _ = fixture()
+    expected = homology_dimensions(ideal, 6)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle must not use the formula side")
+
+    for name in ("betti_table", "free_indices", "homology_basis_labels"):
+        monkeypatch.setattr(f"vecspread.betti.{name}", forbidden)
+    assert homology_dimensions(ideal, 6) == expected
+
+
 # -- basis verification -----------------------------------------------------------
 
 

@@ -281,10 +281,25 @@ def test_malformed_json(capsys, tmp_path):
     assert "not valid JSON" in capsys.readouterr().err
 
 
-def test_bad_generator_token(capsys, write_ideal):
-    path = write_ideal({"n": 3, "t": [1], "generators": ["y2"]})
+@pytest.mark.parametrize("record, needle", [
+    pytest.param({"n": 3, "t": [1], "generators": ["y2"]}, "y2", id="y2"),
+    pytest.param({"n": True, "t": [1], "generators": ["x1"]}, "ambient size",
+                 id="n-bool"),
+    pytest.param({"n": 3, "t": "1", "generators": ["x1"]}, "t must be",
+                 id="t-string"),
+    pytest.param({"n": 3, "t": [1.5], "generators": ["x1"]}, "integers",
+                 id="t-float"),
+    pytest.param({"n": 3, "t": [1], "generators": [1]}, "generators",
+                 id="generator-int"),
+    pytest.param({"n": 3, "t": [1], "generators": "x1"}, "generators",
+                 id="generators-string"),
+])
+def test_bad_generator_token(capsys, write_ideal, record, needle):
+    path = write_ideal(record)
     assert main(["betti", "--ideal", path]) == 2
-    assert "y2" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert needle in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_non_spread_generator_rejected(capsys, write_ideal):
@@ -310,5 +325,7 @@ def test_env_var_max_degree(capsys, write_ideal, monkeypatch):
     path = write_ideal(FIX_B)
     assert main(["resolution", "--ideal", path, "--verify"]) == 0
     monkeypatch.setenv("VECSPREAD_MAX_DEGREE", "six")
-    with pytest.raises(SystemExit):
-        main(["resolution", "--ideal", path, "--verify"])
+    assert main(["resolution", "--ideal", path, "--verify"]) == 2
+    assert "VECSPREAD_MAX_DEGREE" in capsys.readouterr().err
+    # a subcommand that never reads the variable is unaffected by it
+    assert main(["enumerate", "--n", "3", "--deg", "2", "--t", "1"]) == 0

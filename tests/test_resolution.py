@@ -125,6 +125,33 @@ def test_verify_detects_rank_drop():
     assert rep.checks["exactness"] is False
 
 
+def test_verify_rescaled_basis_element():
+    # replacing basis element c of F2 by half of it halves column c of d2
+    # and doubles row c of d3: still a minimal resolution, with non-integral
+    # coefficients that must not be truncated
+    ideal, t = ex_resolution_ideal()
+    res = build_resolution(ideal, t)
+    c = 1
+    for (_, col), poly in res.differential(2).entries.items():
+        if col == c:
+            for mono in poly:
+                poly[mono] *= Fraction(1, 2)
+    for (row, _), poly in res.differential(3).entries.items():
+        if row == c:
+            for mono in poly:
+                poly[mono] *= 2
+    rep = verify_resolution(res, 6)
+    assert rep.ok, rep.failures
+    assert all(rep.checks.values())
+
+    poly = res.differential(2).entries[(0, 0)]
+    for mono in poly:
+        poly[mono] *= 3
+    rep = verify_resolution(res, 6)
+    assert rep.checks["complex"] is False
+    assert rep.checks["exactness"] is False
+
+
 # -- structural properties ------------------------------------------------------
 
 
