@@ -1,11 +1,16 @@
 """Generic initial ideals (degrevlex, characteristic zero) and spread shifting.
 
-Genericity is sampled, not certified: generators are pushed through a random
-integer coordinate change (exact determinant check), a reduced Groebner basis
-is computed over the rationals, and the leading terms are read off.  Two
-independent runs must agree, and the result must be strongly stable in the
-classical (0-spread) sense; otherwise the coefficient bound doubles and the
-whole procedure retries before giving up.
+Genericity is sampled, not certified: the ideal is pushed through a random
+integer coordinate change g (exact determinant check) and the leading terms
+of g(I) are read off.  Two independent runs must agree, and the result must
+be strongly stable in the classical (0-spread) sense; otherwise the
+coefficient bound doubles and the whole procedure retries before giving up.
+
+Every input is a monomial ideal I, so (gI)_d is spanned by the images g(m)
+of the monomials m of I_d, and in(gI)_d is the set of leading monomials of
+an integer echelon form of that Macaulay matrix (Lazard 1983): no S-pairs,
+no reduction and no rational arithmetic.  The degree loop stops on an exact
+certificate, the Hilbert-function test argued in `initial_ideal`.
 
 Shifting composes this with a spread operator: the t-shift of I is the image
 of Gin(I) under the map that re-spaces 0-spread monomials into t-spread ones.
@@ -15,173 +20,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 from .ideals import MonomialIdeal, hilbert_function, is_strongly_stable
-from .linalg import determinant_int
-from .monomials import Monomial, SpreadVector
+from .linalg import determinant_int, multidegrees, pivot_columns
+from .monomials import Monomial, SpreadVector, exponents_degrevlex_key
 from .spreadmaps import SpreadMap, apply_spread_map_ideal
 
 Exps = tuple[int, ...]
-Poly = dict[Exps, Fraction]
 
 
 class GenericityError(RuntimeError):
     """Raised when repeated random coordinate changes never agree."""
-
-
-# -- polynomial arithmetic on exponent dictionaries ---------------------------
-
-
-def _drl_key(e: Exps):
-    return (sum(e), tuple(-x for x in reversed(e)))
-
-
-def poly_add(p: Poly, q: Poly) -> Poly:
-    out = dict(p)
-    for e, c in q.items():
-        new = out.get(e, Fraction(0)) + c
-        if new == 0:
-            out.pop(e, None)
-        else:
-            out[e] = new
-    return out
-
-
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    out: Poly = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            new = out.get(e, Fraction(0)) + c1 * c2
-            if new == 0:
-                out.pop(e, None)
-            else:
-                out[e] = new
-    return out
-
-
-def _leading(p: Poly) -> Exps:
-    return max(p, key=_drl_key)
-
-
-def _monic(p: Poly) -> Poly:
-    lead = p[_leading(p)]
-    return {e: c / lead for e, c in p.items()}
-
-
-def _divides_exps(a: Exps, b: Exps) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def normal_form(p: Poly, basis: Sequence[tuple[Exps, Poly]]) -> Poly:
-    """Fully reduce p modulo the basis (list of (leading exponent, poly))."""
-    out: Poly = {}
-    work = dict(p)
-    while work:
-        e = max(work, key=_drl_key)
-        c = work.pop(e)
-        hit = None
-        for lt, g in basis:
-            if _divides_exps(lt, e):
-                hit = (lt, g)
-                break
-        if hit is None:
-            out[e] = c
-            continue
-        lt, g = hit
-        shift = tuple(a - b for a, b in zip(e, lt))
-        factor = c / g[lt]
-        for e2, c2 in g.items():
-            if e2 == lt:
-                continue
-            key = tuple(a + b for a, b in zip(e2, shift))
-            new = work.get(key, Fraction(0)) - factor * c2
-            if new == 0:
-                work.pop(key, None)
-            else:
-                work[key] = new
-    return out
-
-
-def buchberger(polys: Iterable[Poly]) -> list[Poly]:
-    """Reduced Groebner basis under degrevlex, exact coefficients.
-
-    Normal selection strategy, with the coprimality and chain criteria to
-    discard useless S-pairs.  Monomial inputs pass straight through to their
-    minimal generators.
-    """
-    basis: list[tuple[Exps, Poly]] = []
-    for p in polys:
-        if p:
-            p = _monic(p)
-            basis.append((_leading(p), p))
-
-    def lcm(a: Exps, b: Exps) -> Exps:
-        return tuple(max(x, y) for x, y in zip(a, b))
-
-    pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
-    while pairs:
-        i, j = min(pairs, key=lambda ij: _drl_key(lcm(basis[ij[0]][0],
-                                                      basis[ij[1]][0])))
-        pairs.discard((i, j))
-        lt_i, lt_j = basis[i][0], basis[j][0]
-        degs = lcm(lt_i, lt_j)
-        if all(x + y == z for x, y, z in zip(lt_i, lt_j, degs)):
-            continue  # coprime leading terms reduce to zero
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if _divides_exps(basis[k][0], degs) and \
-                    (min(i, k), max(i, k)) not in pairs and \
-                    (min(j, k), max(j, k)) not in pairs:
-                skip = True
-                break
-        if skip:
-            continue
-        p_i, p_j = basis[i][1], basis[j][1]
-        left = {tuple(a + d - b for a, b, d in zip(e, lt_i, degs)): c
-                for e, c in p_i.items()}
-        right = {tuple(a + d - b for a, b, d in zip(e, lt_j, degs)): c
-                 for e, c in p_j.items()}
-        s = poly_add(left, {e: -c for e, c in right.items()})
-        r = normal_form(s, basis)
-        if r:
-            r = _monic(r)
-            new = len(basis)
-            basis.append((_leading(r), r))
-            pairs.update((k, new) for k in range(new))
-
-    # interreduce: drop redundant leading terms, then tail-reduce
-    keep = []
-    for idx, (lt, g) in enumerate(basis):
-        if any(_divides_exps(lt2, lt) for k2, (lt2, _) in enumerate(basis)
-               if k2 != idx and (k2 < idx or lt2 != lt)):
-            continue
-        keep.append((lt, g))
-    reduced = []
-    for idx, (lt, g) in enumerate(keep):
-        others = keep[:idx] + keep[idx + 1:]
-        r = normal_form(g, others)
-        if r:
-            reduced.append(_monic(r))
-    reduced.sort(key=lambda p: _drl_key(_leading(p)))
-    return reduced
-
-
-def initial_ideal(polys: Iterable[Poly], n: int) -> MonomialIdeal:
-    """Degrevlex initial ideal of the ideal generated by the polynomials."""
-    gb = buchberger(polys)
-    gens = []
-    for p in gb:
-        exps = _leading(p)
-        indices = [k + 1 for k, e in enumerate(exps) for _ in range(e)]
-        gens.append(Monomial(indices, n))
-    if not gens:
-        return MonomialIdeal.zero(n)
-    return MonomialIdeal.from_generators(gens, n)
 
 
 # -- generic coordinates -------------------------------------------------------
@@ -205,19 +55,75 @@ class CoordinateChange:
     def n(self) -> int:
         return len(self.matrix)
 
-    def monomial_image(self, u: Monomial) -> Poly:
+    def monomial_image(self, u: Monomial) -> dict[Exps, int]:
         """Expand the product of linear forms replacing each variable of u."""
-        n = self.n
-        zero = (0,) * n
-        out: Poly = {zero: Fraction(1)}
+        out: dict[Exps, int] = {(0,) * self.n: 1}
         for j in u.indices:
             row = self.matrix[j - 1]
-            form: Poly = {}
-            for k, a in enumerate(row):
-                if a:
-                    form[zero[:k] + (1,) + zero[k + 1:]] = Fraction(a)
-            out = poly_mul(out, form)
+            product: dict[Exps, int] = {}
+            for e, c in out.items():
+                for k, a in enumerate(row):
+                    if a:
+                        key = e[:k] + (e[k] + 1,) + e[k + 1:]
+                        product[key] = product.get(key, 0) + c * a
+            out = {e: c for e, c in product.items() if c}
         return out
+
+
+def _monomial(exps: Exps, n: int) -> Monomial:
+    return Monomial([k + 1 for k, e in enumerate(exps) for _ in range(e)], n)
+
+
+def _lcm_degree(ideal: MonomialIdeal) -> int:
+    return sum(map(max, zip(*(g.exponents for g in ideal.generators))))
+
+
+def initial_ideal(ideal: MonomialIdeal, change: CoordinateChange) -> MonomialIdeal:
+    """Degrevlex initial ideal in(gI) of a monomial ideal I under a change g.
+
+    For each degree d, the rows g(m) for the monomials m of I_d span (gI)_d;
+    with the columns in descending degrevlex order, the pivot columns of the
+    matrix are exactly the leading monomials in(gI)_d.  Those not yet in the
+    ideal J of the leading monomials found so far are new generators of J.
+
+    Once d reaches the top degree of I, the loop stops when S/J and S/I have
+    the same Hilbert function up to L = max(deg lcm(gens I), deg lcm(gens J)).
+    This certifies J = in(gI):
+    - J is contained in in(gI), and in(gI) has the Hilbert series of I;
+    - by the Taylor resolution, both Hilbert-series numerators have degree
+      at most L, and values through L fix such a numerator;
+    - so the two series are equal, and a contained ideal with the same
+      Hilbert series is the whole ideal.
+    """
+    n = ideal.ambient_n
+    if change.n != n:
+        raise ValueError(f"coordinate change on {change.n} variables applied "
+                         f"to an ideal in {n}")
+    if ideal.is_zero:
+        return MonomialIdeal.zero(n)
+    top = max(g.degree for g in ideal.generators)
+    found = MonomialIdeal.zero(n)
+    d = min(g.degree for g in ideal.generators)
+    while True:
+        columns = sorted(multidegrees(d, n), key=exponents_degrevlex_key,
+                         reverse=True)
+        position = {e: j for j, e in enumerate(columns)}
+        rows = []
+        for e in columns:
+            if ideal.contains_exponents(e):
+                row = [0] * len(columns)
+                for image, c in change.monomial_image(_monomial(e, n)).items():
+                    row[position[image]] = c
+                rows.append(row)
+        new = [_monomial(columns[j], n) for j in pivot_columns(rows)
+               if not found.contains_exponents(columns[j])]
+        if new:
+            found = MonomialIdeal(found.generators + tuple(new), n)
+        if d >= top:
+            last = max(_lcm_degree(ideal), _lcm_degree(found))
+            if hilbert_function(found, last) == hilbert_function(ideal, last):
+                return found
+        d += 1
 
 
 def random_coordinate_change(n: int, rng: random.Random, bound: int) -> CoordinateChange:
@@ -237,8 +143,7 @@ def _classic_spread(ideal: MonomialIdeal) -> SpreadVector:
 
 def _gin_once(ideal: MonomialIdeal, rng: random.Random, bound: int) -> MonomialIdeal:
     change = random_coordinate_change(ideal.ambient_n, rng, bound)
-    polys = [change.monomial_image(g) for g in ideal.generators]
-    return initial_ideal(polys, ideal.ambient_n)
+    return initial_ideal(ideal, change)
 
 
 def gin(ideal: MonomialIdeal, *, seed: Optional[int] = None, bound: int = 100,

@@ -18,12 +18,19 @@ from __future__ import annotations
 from math import lcm
 from typing import Iterable, Iterator, Sequence
 
-def rank_int(rows: Iterable[Sequence[int]]) -> int:
-    """Rank of an integer matrix by fraction-free Gaussian elimination."""
+def pivot_columns(rows: Iterable[Sequence[int]]) -> list[int]:
+    """Pivot columns of a row echelon form, by fraction-free elimination.
+
+    Column j is a pivot exactly when it is not in the span of the columns
+    before it, so the pivots depend only on the row space and the column
+    order: with columns in descending monomial order they are the leading
+    monomials of the row space.
+    """
     work = [list(r) for r in rows if any(r)]
     if not work:
-        return 0
+        return []
     ncols = len(work[0])
+    pivots: list[int] = []
     rank = 0
     prev = 1
     for col in range(ncols):
@@ -44,10 +51,16 @@ def rank_int(rows: Iterable[Sequence[int]]) -> int:
             for c in range(col, ncols):
                 row[c] = (pivot * row[c] - factor * top[c]) // prev
         prev = pivot
+        pivots.append(col)
         rank += 1
         if rank == len(work):
             break
-    return rank
+    return pivots
+
+
+def rank_int(rows: Iterable[Sequence[int]]) -> int:
+    """Rank of an integer matrix by fraction-free Gaussian elimination."""
+    return len(pivot_columns(rows))
 
 
 def determinant_int(matrix: Sequence[Sequence[int]]) -> int:

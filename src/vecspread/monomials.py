@@ -211,8 +211,13 @@ def plex_key(m: Monomial):
 lex_key = plex_key
 
 
+def exponents_degrevlex_key(exps: tuple[int, ...]):
+    """The degrevlex key of a raw exponent vector."""
+    return (sum(exps), tuple(-e for e in reversed(exps)))
+
+
 def degrevlex_key(m: Monomial):
-    return (m.degree, tuple(-e for e in reversed(m.exponents)))
+    return exponents_degrevlex_key(m.exponents)
 
 
 _ORDER_KEYS = {"lex": lex_key, "plex": plex_key, "degrevlex": degrevlex_key}

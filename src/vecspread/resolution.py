@@ -20,7 +20,7 @@ at a time, against the independently counted Hilbert function.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from numbers import Rational
 from typing import Optional
 
 from .ideals import (
@@ -41,11 +41,11 @@ from .monomials import (
     variable,
 )
 
-Poly = dict[Monomial, Fraction]
+Poly = dict[Monomial, Rational]
 
 
-def _poly_add(dst: Poly, mono: Monomial, coeff: Fraction) -> None:
-    new = dst.get(mono, Fraction(0)) + coeff
+def _poly_add(dst: Poly, mono: Monomial, coeff: Rational) -> None:
+    new = dst.get(mono, 0) + coeff
     if new == 0:
         dst.pop(mono, None)
     else:
@@ -69,7 +69,10 @@ def format_poly(poly: Poly) -> str:
 
 
 class MonomialMatrix:
-    """A sparse matrix whose entries are polynomials with exact coefficients."""
+    """A sparse matrix whose entries are polynomials with exact coefficients.
+
+    Coefficients are kept as given: int, or Fraction in a hand-built matrix.
+    """
 
     def __init__(self, nrows: int, ncols: int,
                  entries: Optional[dict[tuple[int, int], Poly]] = None):
@@ -88,7 +91,7 @@ class MonomialMatrix:
 
     def add_to_entry(self, r: int, c: int, mono: Monomial, coeff) -> None:
         poly = self.entries.setdefault((r, c), {})
-        _poly_add(poly, mono, Fraction(coeff))
+        _poly_add(poly, mono, coeff)
         if not poly:
             del self.entries[(r, c)]
 

@@ -270,6 +270,35 @@ def test_acceptance_8_shift_properties():
     done()
 
 
+# 7b. gin theorem on the ROADMAP workloads W7 and W8
+
+
+def roadmap_workload(seed, sizes, max_gens):
+    """The last of successive strongly stable draws for t = (1,1,0)."""
+    rng = random.Random(seed)
+    t = SpreadVector((1, 1, 0))
+    for n in sizes:
+        ideal = random_strongly_stable_ideal(rng, n, t, max_gens=max_gens)
+    return ideal, t
+
+
+def test_acceptance_7b_gin_roadmap_workloads():
+    done = timed(60)
+    w7 = roadmap_workload(9, (6, 7), 2)
+    w8 = roadmap_workload(1, (6, 8), 3)
+    assert (w7[0].ambient_n, len(w7[0].generators)) == (7, 30)
+    assert (w8[0].ambient_n, len(w8[0].generators)) == (8, 63)
+    for name, (ideal, t), budget in (("W7", w7, 3), ("W8", w8, None)):
+        start = time.monotonic()
+        got = gin(ideal, seed=0)
+        elapsed = time.monotonic() - start
+        assert budget is None or elapsed < budget, \
+            f"{name} gin took {elapsed:.1f}s, budget {budget}s"
+        assert got == apply_spread_map_ideal(SpreadMap.to_zero(t), ideal,
+                                             ambient_n=ideal.ambient_n)
+    done()
+
+
 # 9. Betti numbers are invariant under spread re-spacing
 
 

@@ -1,9 +1,8 @@
-"""Generic initial ideals over the rationals and the spread shift."""
+"""Generic initial ideals by integer echelon and the spread shift."""
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -14,115 +13,75 @@ from vecspread import (
     SpreadMap,
     SpreadVector,
     apply_spread_map_ideal,
-    buchberger,
     gin,
     hilbert_function,
     initial_ideal,
     is_strongly_stable,
-    normal_form,
     parse_monomial,
-    poly_add,
-    poly_mul,
     random_coordinate_change,
     shift,
     verify_shift_properties,
 )
 
-from util import ex_resolution_ideal, ex_spread_ideal, random_strongly_stable_ideal
+from vecspread.linalg import pivot_columns, rank_int
+
+from util import (
+    ex_resolution_ideal,
+    ex_spread_ideal,
+    random_monomial_ideal,
+    random_strongly_stable_ideal,
+)
 
 
 def P(*terms):
-    """Poly from (exps, coeff) pairs."""
+    """Integer polynomial from (exps, coeff) pairs."""
     out = {}
     for exps, coeff in terms:
-        out[tuple(exps)] = out.get(tuple(exps), Fraction(0)) + Fraction(coeff)
+        out[tuple(exps)] = out.get(tuple(exps), 0) + coeff
     return {k: v for k, v in out.items() if v}
 
 
-# -- polynomial arithmetic ------------------------------------------------------
+# -- linear algebra and initial ideals ---------------------------------------------
 
 
-def test_poly_add_cancels():
-    p = P(((1, 0), 1), ((0, 1), 2))
-    q = P(((1, 0), -1))
-    assert poly_add(p, q) == P(((0, 1), 2))
-
-
-def test_poly_mul():
-    p = P(((1, 0), 1), ((0, 1), 1))     # x + y
-    q = P(((1, 0), 1), ((0, 1), -1))    # x - y
-    assert poly_mul(p, q) == P(((2, 0), 1), ((0, 2), -1))
-
-
-def test_normal_form_full_reduction():
-    # reduce x^2 against x^2 - y: every occurrence rewrites
-    basis = [((2, 0), P(((2, 0), 1), ((0, 1), -1)))]
-    assert normal_form(P(((2, 0), 1)), basis) == P(((0, 1), 1))
-    # irreducible input passes through
-    assert normal_form(P(((0, 1), 1)), basis) == P(((0, 1), 1))
-    assert normal_form({}, basis) == {}
-
-
-# -- Groebner bases ---------------------------------------------------------------
-
-
-def lead_terms(gb):
-    return sorted(max(p, key=lambda e: (sum(e), tuple(-x for x in reversed(e))))
-                  for p in gb)
-
-
-def test_buchberger_single_generator():
-    gb = buchberger([P(((1, 0), 3))])
-    assert gb == [P(((1, 0), 1))]  # monic
-
-
-def test_buchberger_monomial_input_interreduces():
-    gb = buchberger([P(((1, 1), 1)), P(((1, 2), 1)), P(((0, 3), 2))])
-    assert lead_terms(gb) == [(0, 3), (1, 1)]
-
-
-def test_buchberger_binomial_golden():
-    # x^2 - y and xy - 1 close up with y^2 - x
-    x2_y = P(((2, 0), 1), ((0, 1), -1))
-    xy_1 = P(((1, 1), 1), ((0, 0), -1))
-    gb = buchberger([x2_y, xy_1])
-    assert sorted(lead_terms(gb)) == [(0, 2), (1, 1), (2, 0)]
-    y2_x = P(((0, 2), 1), ((1, 0), -1))
-    assert any(p == y2_x for p in gb)
-
-
-def test_buchberger_output_is_groebner():
-    # every S-polynomial of the output reduces to zero
-    rng = random.Random(19)
-    for _ in range(10):
-        polys = []
-        for _ in range(rng.randint(1, 3)):
-            terms = [(tuple(rng.randint(0, 2) for _ in range(3)),
-                      rng.randint(-3, 3)) for _ in range(rng.randint(1, 3))]
-            p = P(*terms)
-            if p:
-                polys.append(p)
-        if not polys:
-            continue
-        gb = buchberger(polys)
-        pairs = [(p, q) for i, p in enumerate(gb) for q in gb[i + 1:]]
-        basis = [(max(p, key=lambda e: (sum(e), tuple(-x for x in reversed(e)))), p)
-                 for p in gb]
-        for p, q in pairs:
-            lp, lq = basis[gb.index(p)][0], basis[gb.index(q)][0]
-            lcm = tuple(max(a, b) for a, b in zip(lp, lq))
-            cp = {tuple(l - a for l, a in zip(lcm, lp)): Fraction(1) / p[lp]}
-            cq = {tuple(l - a for l, a in zip(lcm, lq)): Fraction(1) / q[lq]}
-            s = poly_add(poly_mul(cp, p), {k: -v for k, v in poly_mul(cq, q).items()})
-            assert normal_form(s, basis) == {}
+def test_pivot_columns_skip_dependent_column():
+    rows = [[2, 4, 1, 0], [1, 2, 0, 1], [3, 6, 1, 1]]
+    # column 1 is twice column 0, and the third row is the sum of the others
+    assert pivot_columns(rows) == [0, 2]
+    assert pivot_columns([[0, 0], [0, 0]]) == []
+    for m in (rows, [[0, 1, 1], [0, 2, 2]], [[1, 0], [0, 1], [1, 1]], []):
+        assert rank_int(m) == len(pivot_columns(m))
 
 
 def test_initial_ideal_golden():
-    x2_y = P(((2, 0), 1), ((0, 1), -1))
-    xy_1 = P(((1, 1), 1), ((0, 0), -1))
-    ini = initial_ideal([x2_y, xy_1], 2)
-    assert {str(g) for g in ini.generators} == {"x1^2", "x1*x2", "x2^2"}
-    assert initial_ideal([], 3).is_zero
+    # g: x1 -> x1 + x2, x2 -> x1 - x2.  (gI)_2 = <x1^2 + x2^2, x1*x2>, and
+    # in(gI) needs x2^3, one degree above the input, to close up
+    ideal = MonomialIdeal([parse_monomial(s, 2) for s in ("x1^2", "x2^2")], 2)
+    change = CoordinateChange(((1, 1), (1, -1)), 1)
+    ini = initial_ideal(ideal, change)
+    assert {str(g) for g in ini.generators} == {"x1^2", "x1*x2", "x2^3"}
+
+
+def test_initial_ideal_zero_ideal():
+    change = CoordinateChange(((1, 1, 0), (0, 1, 0), (2, 0, 1)), 2)
+    assert initial_ideal(MonomialIdeal.zero(3), change).is_zero
+
+
+def lcm_degree(ideal):
+    return sum(map(max, zip(*(u.exponents for u in ideal.generators))))
+
+
+def test_gin_of_non_stable_ideals():
+    # arbitrary monomial ideals: gin is classically strongly stable and keeps
+    # the Hilbert function up to the lcm degree, which fixes the whole series
+    rng = random.Random(101)
+    for _ in range(12):
+        ideal = random_monomial_ideal(rng, rng.randint(2, 4))
+        g = gin(ideal, seed=rng.randrange(2 ** 32))
+        top = max(u.degree for u in g.generators)
+        assert is_strongly_stable(g, SpreadVector.zero(max(2, top)))
+        last = max(lcm_degree(ideal), lcm_degree(g))
+        assert hilbert_function(g, last) == hilbert_function(ideal, last)
 
 
 # -- coordinate changes ------------------------------------------------------------
