@@ -9,10 +9,14 @@ routes cross-check each other.
 Both the oracle and the basis verifier work one multidegree at a time.  The
 Koszul complex of a monomial quotient splits into finitely many blocks, one
 per exponent vector a, with wedge subsets tau drawn from the support of a
-and residues x^(a - 1_tau).  Two block shapes are dispatched without any
-elimination: if even the residue at the full support lies in the ideal the
-block is zero, and if x^a itself survives then every residue does and the
-block is the (exact) simplicial chain complex of a full simplex.
+and residues x^(a - 1_tau).  A block is read off the generators g dividing
+x^a (Miller-Sturmfels, Combinatorial Commutative Algebra, Thm 1.34): the
+tight set of g is {k in supp a : g_k = a_k}, and x^(a - 1_tau) lies in the
+ideal exactly when tau misses some tight set, so the surviving wedges are
+the tau meeting every tight set.  Two shapes need no elimination: with no
+divisor every residue survives and the block is the (exact) chain complex
+of a full simplex; when some tight set is empty every residue lies in the
+ideal and the block is zero.
 """
 
 from __future__ import annotations
@@ -161,30 +165,26 @@ _Block = tuple[FiniteComplex, list[dict[tuple[int, ...], int]]]
 
 def _koszul_block(ideal: MonomialIdeal, a: tuple[int, ...]) -> Optional[_Block]:
     """Koszul complex in multidegree a with its wedge index (wedge -> basis
-    position, per degree), or None when it needs no elimination (zero block,
-    or the exact full-simplex block with a != 0)."""
-    n = ideal.ambient_n
-    support = tuple(k for k in range(n) if a[k] > 0)  # 0-based here
+    position, per degree), or None when it needs no elimination.
+
+    Each generator dividing x^a gives the bitmask of its tight set over the
+    support positions; the wedges kept are those meeting every mask.  No
+    divisor means the full simplex (exact for a != 0, H_0 = K at a = 0,
+    which callers count themselves); an empty mask means the zero block.
+    """
+    support = [k for k in range(len(a)) if a[k]]  # 0-based here
     s = len(support)
-    if s == 0:
-        return None  # handled by callers: only H_0 at a = 0
-    top = list(a)
-    for k in support:
-        top[k] -= 1
-    if ideal.contains_exponents(tuple(top)):
-        return None  # every residue lies in the ideal
-    if not ideal.contains_exponents(a):
-        return None  # all residues survive: full simplex, exact everywhere
+    masks = {sum(1 << p for p, k in enumerate(support) if g[k] == a[k])
+             for g in ideal.generators_dividing(a)}
+    if not masks or 0 in masks:
+        return None
 
     index: list[dict[tuple[int, ...], int]] = [dict() for _ in range(s + 1)]
-    for mask in range(1 << s):
-        tau = tuple(support[p] for p in range(s) if mask >> p & 1)
-        exps = list(a)
-        for k in tau:
-            exps[k] -= 1
-        if not ideal.contains_exponents(tuple(exps)):
-            wedge = tuple(k + 1 for k in tau)  # back to 1-based variable labels
-            index[len(tau)][wedge] = len(index[len(tau)])
+    for tau in range(1 << s):
+        if all(tau & m for m in masks):
+            # back to 1-based variable labels
+            wedge = tuple(support[p] + 1 for p in range(s) if tau >> p & 1)
+            index[len(wedge)][wedge] = len(index[len(wedge)])
 
     mats = []
     for i in range(1, s + 1):
@@ -299,9 +299,7 @@ def _sweep(ideal: MonomialIdeal, t, degrees: list[int],
             if not koszul_differential(chain).is_zero:
                 failures.append(f"differential of cycle {label} is non-zero")
                 continue
-            mdeg = label.multidegree()
-            mdeg = mdeg + (0,) * (n - len(mdeg))
-            by_mdeg.setdefault(mdeg, []).append((label, chain))
+            by_mdeg.setdefault(label.multidegree(), []).append((label, chain))
 
     for q in sorted(degree_set):
         for a in multidegrees(q, n):

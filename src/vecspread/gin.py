@@ -1,7 +1,7 @@
 """Generic initial ideals (degrevlex, characteristic zero) and spread shifting.
 
 Genericity is sampled, not certified: the ideal is pushed through a random
-integer coordinate change g (exact determinant check) and the leading terms
+integer coordinate change g (exact rank check) and the leading terms
 of g(I) are read off.  Two independent runs must agree, and the result must
 be strongly stable in the classical (0-spread) sense; otherwise the
 coefficient bound doubles and the whole procedure retries before giving up.
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .ideals import MonomialIdeal, hilbert_function, is_strongly_stable
-from .linalg import determinant_int, multidegrees, pivot_columns
+from .linalg import multidegrees, pivot_columns, rank_int
 from .monomials import Monomial, SpreadVector, exponents_degrevlex_key
 from .spreadmaps import SpreadMap, apply_spread_map_ideal
 
@@ -48,7 +48,7 @@ class CoordinateChange:
         n = len(self.matrix)
         if any(len(row) != n for row in self.matrix):
             raise ValueError("coordinate change must be square")
-        if determinant_int(self.matrix) == 0:
+        if rank_int(self.matrix) != n:
             raise ValueError("coordinate change must be invertible")
 
     @property
@@ -68,10 +68,6 @@ class CoordinateChange:
                         product[key] = product.get(key, 0) + c * a
             out = {e: c for e, c in product.items() if c}
         return out
-
-
-def _monomial(exps: Exps, n: int) -> Monomial:
-    return Monomial([k + 1 for k, e in enumerate(exps) for _ in range(e)], n)
 
 
 def _lcm_degree(ideal: MonomialIdeal) -> int:
@@ -112,10 +108,10 @@ def initial_ideal(ideal: MonomialIdeal, change: CoordinateChange) -> MonomialIde
         for e in columns:
             if ideal.contains_exponents(e):
                 row = [0] * len(columns)
-                for image, c in change.monomial_image(_monomial(e, n)).items():
+                for image, c in change.monomial_image(Monomial.from_exponents(e)).items():
                     row[position[image]] = c
                 rows.append(row)
-        new = [_monomial(columns[j], n) for j in pivot_columns(rows)
+        new = [Monomial.from_exponents(columns[j]) for j in pivot_columns(rows)
                if not found.contains_exponents(columns[j])]
         if new:
             found = MonomialIdeal(found.generators + tuple(new), n)
@@ -132,8 +128,10 @@ def random_coordinate_change(n: int, rng: random.Random, bound: int) -> Coordina
     while True:
         matrix = tuple(tuple(rng.randint(-bound, bound) for _ in range(n))
                        for _ in range(n))
-        if determinant_int(matrix) != 0:
+        try:
             return CoordinateChange(matrix, bound)
+        except ValueError:
+            continue  # singular draw: draw again
 
 
 def _classic_spread(ideal: MonomialIdeal) -> SpreadVector:

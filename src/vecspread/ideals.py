@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Optional
+from operator import le
+from typing import Iterable, Iterator, Optional
 
 from .monomials import (
     Monomial,
@@ -48,8 +49,6 @@ class MonomialIdeal:
         self.generators = gens
         self.ambient_n = ambient_n
         self.spread_type = SpreadVector.coerce(spread_type) if spread_type is not None else None
-        self._member_cache: dict[tuple[int, ...], bool] = {}
-        # separate cache: exponent vectors and index tuples can collide as keys
         self._exp_cache: dict[tuple[int, ...], bool] = {}
         self._gen_exps = [g.exponents for g in gens]
 
@@ -77,29 +76,24 @@ class MonomialIdeal:
     def is_unit(self) -> bool:
         return len(self.generators) == 1 and self.generators[0].is_unit
 
-    def contains(self, w: Monomial) -> bool:
-        key = w.indices
-        hit = self._member_cache.get(key)
-        if hit is None:
-            hit = any(g.divides(w) for g in self.generators)
-            self._member_cache[key] = hit
-        return hit
+    def generators_dividing(self, exps: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        """The exponent vectors of the generators dividing x^exps (exps of
+        length ambient_n), lazily and in the stored descending plex order,
+        so the first one is the plex-largest divisor."""
+        return (g for g in self._gen_exps if all(map(le, g, exps)))
 
     def contains_exponents(self, exps: tuple[int, ...]) -> bool:
         """Membership test on a raw exponent vector of length ambient_n."""
         hit = self._exp_cache.get(exps)
-        if hit is not None:
-            return hit
-        result = False
-        for ge in self._gen_exps:
-            for a, b in zip(ge, exps):
-                if a > b:
-                    break
-            else:
-                result = True
-                break
-        self._exp_cache[exps] = result
-        return result
+        if hit is None:
+            hit = next(self.generators_dividing(exps), None) is not None
+            self._exp_cache[exps] = hit
+        return hit
+
+    def contains(self, w: Monomial) -> bool:
+        # variables past ambient_n divide no generator, so they cannot
+        # decide membership: w may be read in any ambient
+        return self.contains_exponents(w.exponents_over(self.ambient_n))
 
     def degreewise_members(self, t, degree: int) -> list[Monomial]:
         """U_degree = members of the ideal among t-spread monomials."""
@@ -281,25 +275,31 @@ def strongly_stable_closure(monomials: Iterable[Monomial], t,
 # -- standard factorization -------------------------------------------------
 
 
+def _first_divisor(ideal: MonomialIdeal, w: Monomial) -> Monomial:
+    """The first generator in stored order dividing w: the plex-largest."""
+    for g in ideal.generators_dividing(w.exponents_over(ideal.ambient_n)):
+        return Monomial.from_exponents(g)
+    raise ValueError(f"{w} is not in the ideal")
+
+
 def standard_factorization(ideal: MonomialIdeal, t, w: Monomial) -> tuple[Monomial, Monomial]:
     """Split w in I as u*v with u a minimal generator and max(u) <= min(v).
 
-    The generator is cut from the leading indices of w at the smallest degree
-    of any generator dividing w; for strongly stable ideals this is the
-    unique such splitting.
+    u is the plex-largest generator dividing w.  When some generator is a
+    leading segment of w's indices, no other divisor beats it in plex (one
+    that ties it below max(u) and is not smaller at max(u) is a multiple of
+    it), so for strongly stable ideals u is that segment and the splitting
+    is the unique one.
     """
     t = SpreadVector.coerce(t)
     if not is_spread(w, t):
         raise ValueError(f"{w} is not {t}-spread")
-    if not ideal.contains(w):
-        raise ValueError(f"{w} is not in the ideal")
+    g = _first_divisor(ideal, w)
     require_strongly_stable(ideal, t)
-    cut = min(g.degree for g in ideal.generators if g.divides(w))
-    u = Monomial(w.indices[:cut], w.ambient_n)
-    v = Monomial(w.indices[cut:], w.ambient_n)
-    if not any(g.indices == u.indices for g in ideal.generators):
+    u = Monomial(w.indices[:g.degree], w.ambient_n)
+    if u != g:
         raise AssertionError(f"leading factor {u} of {w} is not a generator")
-    return u, v
+    return u, Monomial(w.indices[g.degree:], w.ambient_n)
 
 
 def admissible_shape(t) -> bool:
@@ -319,10 +319,7 @@ def decomposition_function(ideal: MonomialIdeal, t, w: Monomial) -> Monomial:
     t = SpreadVector.coerce(t)
     if not admissible_shape(t):
         raise ValueError(f"spread vector {t} is not of the form (1,..,1,0,..,0)")
-    if not ideal.contains(w):
-        raise ValueError(f"{w} is not in the ideal")
-    divisors = [g for g in ideal.generators if g.divides(w)]
-    return max(divisors, key=plex_key)
+    return _first_divisor(ideal, w)
 
 
 # -- Hilbert function -------------------------------------------------------
@@ -339,7 +336,6 @@ def hilbert_function(ideal: MonomialIdeal, max_degree: int) -> list[int]:
         raise ValueError("max_degree must be non-negative")
     n = ideal.ambient_n
     counts = [0] * (max_degree + 1)
-    gens = [g.exponents for g in ideal.generators]
 
     def free_count(assigned: int, degree: int) -> None:
         # no generator can divide any completion: count the whole subtree
@@ -370,7 +366,7 @@ def hilbert_function(ideal: MonomialIdeal, max_degree: int) -> list[int]:
             if not dominated:
                 walk(var + 1, nxt, degree + e)
 
-    walk(0, gens, 0)
+    walk(0, ideal._gen_exps, 0)
     return counts
 
 

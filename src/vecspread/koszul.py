@@ -169,13 +169,6 @@ class KoszulChain:
             out.add_term((k,) + tup, mono, coeff)
         return out
 
-    def wedge(self, other: "KoszulChain") -> "KoszulChain":
-        out = KoszulChain(self.ideal, self.hom_degree + other.hom_degree)
-        for (tup1, m1), c1 in self._terms.items():
-            for (tup2, m2), c2 in other._terms.items():
-                out.add_term(tup1 + tup2, m1.mul(m2), c1 * c2)
-        return out
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, KoszulChain):
             return NotImplemented
@@ -255,12 +248,15 @@ def homology_basis_labels(ideal: MonomialIdeal, t, hom_degree: int) -> list[Cycl
     """All labels (u, sigma) with |sigma| = hom_degree - 1.
 
     Ordered by generator (descending plex, the stored order) and then by
-    descending wedge order on sigma.
+    descending wedge order on sigma.  The unit ideal has none: S/S = 0 has
+    no Koszul homology.
     """
     t = SpreadVector.coerce(t)
     require_strongly_stable(ideal, t)
     if hom_degree < 1:
         raise ValueError("homological degree must be at least 1")
+    if ideal.is_unit:
+        return []
     labels = []
     for g in ideal.generators:
         allowed = free_indices(g, t)

@@ -63,32 +63,6 @@ def rank_int(rows: Iterable[Sequence[int]]) -> int:
     return len(pivot_columns(rows))
 
 
-def determinant_int(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by Bareiss elimination."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    work = [list(r) for r in matrix]
-    if any(len(r) != n for r in work):
-        raise ValueError("determinant needs a square matrix")
-    sign = 1
-    prev = 1
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if work[r][col]), None)
-        if pivot_row is None:
-            return 0
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            sign = -sign
-        pivot = work[col][col]
-        for r in range(col + 1, n):
-            factor = work[r][col]
-            for c in range(col, n):
-                work[r][c] = (pivot * work[r][c] - factor * work[col][c]) // prev
-        prev = pivot
-    return sign * work[n - 1][n - 1]
-
-
 def integer_column(entries: Iterable[tuple[int, object]]) -> list[tuple[int, int]]:
     """(row, rational) pairs times the lcm of their denominators.
 

@@ -66,11 +66,21 @@ class Monomial:
     def min_index(self) -> int:
         return self.indices[0] if self.indices else self.ambient_n
 
+    @classmethod
+    def from_exponents(cls, exps: tuple[int, ...]) -> "Monomial":
+        """The monomial x^exps of K[x_1..x_len(exps)]."""
+        return cls([k + 1 for k, e in enumerate(exps) for _ in range(e)], len(exps))
+
     @property
     def exponents(self) -> tuple[int, ...]:
-        exps = [0] * self.ambient_n
+        return self.exponents_over(self.ambient_n)
+
+    def exponents_over(self, n: int) -> tuple[int, ...]:
+        """The exponent vector over x_1..x_n; variables past n are dropped."""
+        exps = [0] * n
         for j in self.indices:
-            exps[j - 1] += 1
+            if j <= n:
+                exps[j - 1] += 1
         return tuple(exps)
 
     def exponent_of(self, k: int) -> int:

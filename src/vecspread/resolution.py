@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from numbers import Rational
+from operator import le
 from typing import Optional
 
 from .ideals import (
@@ -334,23 +335,29 @@ def verify_resolution(res: Resolution, max_degree: int) -> ResolutionReport:
     ok = True
     if checks["multigraded"]:
         # a label's multidegree is a multiple of its generator's, so only the
-        # labels of generators dividing x^a can lie in the strand at a
+        # labels of generators dividing x^a can lie in the strand at a; the
+        # strands find those generators by the ideal's divisibility scan, so
+        # a label on anything else would drop out of every strand unseen
         groups: dict[tuple[int, ...], list[tuple[int, int, tuple[int, ...]]]] = {}
         for i, labels in enumerate(res.bases, start=1):
             for c, lab in enumerate(labels):
                 groups.setdefault(lab.generator.exponents, []).append(
                     (i, c, mdegs[i][c]))
+        for g in groups:
+            if next(ideal.generators_dividing(g), None) != g:
+                ok = False
+                stray = format_monomial(Monomial.from_exponents(g))
+                failures.append(f"labels on {stray}, not a minimal generator")
         hf = hilbert_function(ideal, max_degree)
         for q in range(max_degree + 1):
             coker_total = 0
             for a in multidegrees(q, n):
                 # position 0 is S itself: its one basis element lies in every strand
                 active: list[list[int]] = [[0]] + [[] for _ in res.bases]
-                for g, members in groups.items():
-                    if all(x <= y for x, y in zip(g, a)):
-                        for i, c, m in members:
-                            if all(x <= y for x, y in zip(m, a)):
-                                active[i].append(c)
+                for g in ideal.generators_dividing(a):
+                    for i, c, m in groups.get(g, ()):
+                        if all(map(le, m, a)):
+                            active[i].append(c)
                 strand = []
                 for i in range(1, res.length + 1):
                     rlook = {r: p for p, r in enumerate(active[i - 1])}

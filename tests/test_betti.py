@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations, product
 
 import pytest
 
@@ -20,9 +21,12 @@ from vecspread import (
     verify_homology_basis_range,
 )
 
+from vecspread.betti import _koszul_block
+
 from util import (
     ex_resolution_ideal,
     ex_spread_ideal,
+    random_monomial_ideal,
     random_spread_vector,
     random_strongly_stable_ideal,
 )
@@ -185,6 +189,31 @@ def test_oracle_matches_formula_random():
         done += 1
 
 
+def test_koszul_block_wedges_brute_force():
+    # every tau in supp(a) whose residue x^(a - 1_tau) no generator divides
+    rng = random.Random(29)
+    for _ in range(15):
+        n = rng.randint(1, 4)
+        ideal = random_monomial_ideal(rng, n, max_degree=3, max_gens=4)
+        for a in product(range(3), repeat=n):
+            support = [k for k in range(n) if a[k]]
+            wedges = set()
+            for size in range(len(support) + 1):
+                for tau in combinations(support, size):
+                    rest = [a[k] - (k in tau) for k in range(n)]
+                    if not any(all(e <= r for e, r in zip(g.exponents, rest))
+                               for g in ideal.generators):
+                        wedges.add(tuple(k + 1 for k in tau))
+            block = _koszul_block(ideal, a)
+            if not wedges or len(wedges) == 2 ** len(support):
+                assert block is None, (ideal, a)
+            else:
+                assert block is not None, (ideal, a)
+                index = block[1]
+                assert {w for ix in index for w in ix} == wedges, (ideal, a)
+                assert all(len(w) == i for i, ix in enumerate(index) for w in ix)
+
+
 @pytest.mark.parametrize("fixture", [ex_spread_ideal, ex_resolution_ideal])
 def test_oracle_never_calls_the_formula(monkeypatch, fixture):
     ideal, _ = fixture()
@@ -240,6 +269,16 @@ def test_verify_basis_random():
         rep = verify_homology_basis_range(ideal, t, 7)
         assert rep.ok, (ideal.generators, str(t), rep.failures)
         done += 1
+
+
+def test_unit_ideal_has_no_cycles():
+    unit_ideal = MonomialIdeal.unit_ideal(3)
+    for i in range(1, 5):
+        assert homology_basis_labels(unit_ideal, (1,), i) == []
+    rep = verify_homology_basis_range(unit_ideal, (1,), 3)
+    assert rep.ok, rep.failures
+    assert rep.checked_labels == 0
+    assert rep.label_counts == rep.homology_counts == {}
 
 
 def test_verify_basis_requires_strongly_stable():

@@ -175,6 +175,15 @@ def test_homology_basis_empty(capsys, write_ideal):
     assert capsys.readouterr().out.strip() == "count: 0"
 
 
+def test_homology_basis_unit_ideal(capsys, write_ideal):
+    # S/S = 0 has no Koszul homology, so the unit ideal has no labels
+    path = write_ideal({"n": 3, "t": [1], "generators": ["1"]})
+    assert main(["homology-basis", "--ideal", path, "--i", "2"]) == 0
+    assert capsys.readouterr().out.strip() == "count: 0"
+    assert main(["homology-basis", "--ideal", path, "--i", "1", "--expand"]) == 0
+    assert capsys.readouterr().out.strip() == "count: 0"
+
+
 # -- resolution ------------------------------------------------------------------
 
 

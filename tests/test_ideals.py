@@ -27,6 +27,7 @@ from vecspread import (
     minimalize,
     monomial,
     parse_monomial,
+    plex_key,
     spread_monomials,
     stable_violation,
     standard_factorization,
@@ -92,11 +93,13 @@ def test_contains_goldens():
 
 
 def test_contains_matches_divisibility():
+    # w read in the ideal's ambient 6, in a smaller one and in a larger one
     rng = random.Random(3)
     ideal, _ = ex_spread_ideal()
-    for _ in range(200):
-        w = monomial([rng.randint(1, 6) for _ in range(rng.randint(0, 5))], 6)
-        assert ideal.contains(w) == any(g.divides(w) for g in ideal.generators)
+    for n in (6, 3, 9):
+        for _ in range(200):
+            w = monomial([rng.randint(1, n) for _ in range(rng.randint(0, 5))], n)
+            assert ideal.contains(w) == any(g.divides(w) for g in ideal.generators)
 
 
 # -- spread ideal classes -----------------------------------------------------
@@ -320,6 +323,35 @@ def test_decomposition_function_goldens():
     assert format_monomial(g) == "x1*x2"
     for gen in ideal.generators:
         assert decomposition_function(ideal, t, gen) == gen
+
+
+def _decomposition_reference(ideal, w):
+    """The plex-largest dividing generator, by a full scan."""
+    return max((g for g in ideal.generators if g.divides(w)), key=plex_key)
+
+
+def test_decomposition_is_plex_largest_divisor_and_prefix():
+    rng = random.Random(41)
+    for t in ((1,), (1, 0), (1, 1), (1, 0, 0), (1, 1, 0)):
+        for _ in range(4):
+            n = rng.randint(3, 6)
+            ideal = random_strongly_stable_ideal(rng, n, SpreadVector(t))
+            if ideal.is_unit:
+                continue
+            for degree in range(1, len(t) + 2):
+                for w in spread_monomials(n, degree, t):
+                    if not ideal.contains(w):
+                        continue
+                    g = decomposition_function(ideal, t, w)
+                    assert g == _decomposition_reference(ideal, w), (ideal, w)
+                    u, v = standard_factorization(ideal, t, w)
+                    assert u == g
+                    assert u.indices + v.indices == w.indices
+                    # and on the multiples x_k*w, which need not be t-spread
+                    for k in range(1, n + 1):
+                        wk = w.times_var(k)
+                        assert (decomposition_function(ideal, t, wk)
+                                == _decomposition_reference(ideal, wk))
 
 
 def test_decomposition_function_errors():

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from vecspread import (
+    CycleLabel,
     MonomialIdeal,
     MonomialMatrix,
     SpreadVector,
@@ -150,6 +151,19 @@ def test_verify_rescaled_basis_element():
     rep = verify_resolution(res, 6)
     assert rep.checks["complex"] is False
     assert rep.checks["exactness"] is False
+
+
+def test_verify_flags_label_off_the_generators():
+    # (x1*x3*x4; {4}) has the multidegree and position of (x1*x4^2; {3}),
+    # but x1*x3*x4 is no minimal generator: its label matches no strand scan
+    ideal, t = ex_resolution_ideal()
+    res = build_resolution(ideal, t)
+    c = [str(lab) for lab in res.bases[1]].index("(x1*x4^2; {3})")
+    res.bases[1][c] = CycleLabel(parse_monomial("x1*x3*x4", 4), (4,))
+    rep = verify_resolution(res, 6)
+    assert rep.checks["multigraded"] is True
+    assert rep.checks["exactness"] is False
+    assert "labels on x1*x3*x4, not a minimal generator" in rep.failures
 
 
 # -- structural properties ------------------------------------------------------
