@@ -26,8 +26,8 @@ from math import comb
 from typing import Optional
 
 from .ideals import MonomialIdeal, require_strongly_stable
-from .koszul import CycleLabel, homology_basis_labels, koszul_cycle, koszul_differential
-from .linalg import FiniteComplex, integer_column, multidegrees
+from .koszul import CycleLabel, koszul_cycle, koszul_differential, spread_labels
+from .linalg import FiniteComplex, integer_column, lcm_lattice
 from .monomials import SpreadVector, free_indices
 
 
@@ -204,21 +204,26 @@ def homology_dimensions(ideal: MonomialIdeal, max_degree: int) -> dict[tuple[int
 
     Brute-force oracle: exact ranks of the Koszul differential, computed
     blockwise per multidegree.  Valid for arbitrary monomial ideals.
+
+    Only the lcms of generators are visited.  Take a != 0 that is not the
+    lcm b of the generators dividing x^a.  With no divisor the block is a
+    full simplex, which is exact.  Otherwise pick k with b_k < a_k: k lies in
+    supp a and in no tight set, so tau -> tau with k toggled maps the
+    surviving wedges onto themselves, and the block is a cone on k, which is
+    exact.  So a block can carry homology only when a is such an lcm.
     """
-    n = ideal.ambient_n
     dims: dict[tuple[int, int], int] = {}
     if not ideal.is_unit:
         dims[(0, 0)] = 1  # H_0 = K in multidegree zero
-    for q in range(1, max_degree + 1):
-        for a in multidegrees(q, n):
-            block = _koszul_block(ideal, a)
-            if block is None:
-                continue
-            cx = block[0]
-            for i in range(len(cx.sizes)):
-                h = cx.homology(i)
-                if h:
-                    dims[(i, q)] = dims.get((i, q), 0) + h
+    for a in lcm_lattice([g.exponents for g in ideal.generators], max_degree):
+        block = _koszul_block(ideal, a)
+        if block is None:
+            continue
+        cx, q = block[0], sum(a)
+        for i in range(len(cx.sizes)):
+            h = cx.homology(i)
+            if h:
+                dims[(i, q)] = dims.get((i, q), 0) + h
     return dims
 
 
@@ -267,12 +272,18 @@ def _sweep(ideal: MonomialIdeal, t, degrees: list[int],
            hom_filter: Optional[int]) -> BasisCheckReport:
     """Certify, degree by degree and multidegree by multidegree, that the
     labelled cycles are (a) cycles, (b) independent modulo boundaries and
-    (c) spanning modulo boundaries."""
+    (c) spanning modulo boundaries.
+
+    The multidegrees visited are the lcms of generators and the multidegrees
+    of the labels.  Anywhere else the block is a cone or the full simplex
+    (see homology_dimensions), so it has no homology, and with no label
+    there (b) and (c) hold trivially.  A label placed elsewhere is still
+    visited: its cycle, if non-zero, is a boundary there and fails (b).
+    """
     t = SpreadVector.coerce(t)
     require_strongly_stable(ideal, t)
     if hom_filter is not None and hom_filter < 1:
         raise ValueError("homological degree must be at least 1")
-    n = ideal.ambient_n
     degree_set = set(degrees)
     failures: list[str] = []
     label_counts: dict[tuple[int, int], int] = {}
@@ -286,7 +297,7 @@ def _sweep(ideal: MonomialIdeal, t, degrees: list[int],
     # cycles grouped by multidegree
     by_mdeg: dict[tuple[int, ...], list[tuple[CycleLabel, object]]] = {}
     for i in hom_range:
-        for label in homology_basis_labels(ideal, t, i):
+        for label in spread_labels(ideal, t, i):
             if label.internal_degree not in degree_set:
                 continue
             chain = koszul_cycle(ideal, t, label.generator, label.sigma)
@@ -301,47 +312,51 @@ def _sweep(ideal: MonomialIdeal, t, degrees: list[int],
                 continue
             by_mdeg.setdefault(label.multidegree(), []).append((label, chain))
 
-    for q in sorted(degree_set):
-        for a in multidegrees(q, n):
-            block = _koszul_block(ideal, a)
-            here = by_mdeg.get(a, [])
-            if block is None:
-                if here:
-                    failures.append(
-                        f"labels {[str(l) for l, _ in here]} land in a "
-                        f"homology-free multidegree {a}")
+    points = set(by_mdeg).union(
+        a for a in lcm_lattice([g.exponents for g in ideal.generators],
+                               max(degree_set, default=0))
+        if sum(a) in degree_set)
+    for a in sorted(points, key=lambda a: (sum(a), a)):
+        q = sum(a)
+        block = _koszul_block(ideal, a)
+        here = by_mdeg.get(a, [])
+        if block is None:
+            if here:
+                failures.append(
+                    f"labels {[str(l) for l, _ in here]} land in a "
+                    f"homology-free multidegree {a}")
+            continue
+        cx, index = block
+        for i in hom_range:
+            # a label (u, sigma) of degree i has sigma and max(u) inside
+            # supp(a): past the block's top there are no labels, no homology
+            if i >= len(cx.sizes):
                 continue
-            cx, index = block
-            for i in hom_range:
-                # a label (u, sigma) of degree i has sigma and max(u) inside
-                # supp(a): past the block's top there are no labels, no homology
-                if i >= len(cx.sizes):
+            cols = []
+            for label, ch in here:
+                if label.hom_degree != i:
                     continue
-                cols = []
-                for label, ch in here:
-                    if label.hom_degree != i:
-                        continue
-                    col = _cycle_column(index[i], ch)
-                    if col is None:
-                        failures.append(f"cycle {label} leaves its block")
-                        continue
-                    cols.append(col)
-                h = cx.homology(i)
-                if h:
-                    key = (i, q)
-                    homology_counts[key] = homology_counts.get(key, 0) + h
-                if not cols and not cx.sizes[i]:
+                col = _cycle_column(index[i], ch)
+                if col is None:
+                    failures.append(f"cycle {label} leaves its block")
                     continue
-                b_rank = cx.ranks[i + 1]
-                if cx.augmented_rank(i, cols) != b_rank + len(cols):
-                    failures.append(
-                        f"cycles at multidegree {a}, i={i} are dependent "
-                        f"modulo boundaries")
-                kernel = cx.sizes[i] - cx.ranks[i]
-                if kernel != b_rank + len(cols):
-                    failures.append(
-                        f"cycles at multidegree {a}, i={i} do not span: "
-                        f"kernel {kernel}, boundaries {b_rank}, cycles {len(cols)}")
+                cols.append(col)
+            h = cx.homology(i)
+            if h:
+                key = (i, q)
+                homology_counts[key] = homology_counts.get(key, 0) + h
+            if not cols and not cx.sizes[i]:
+                continue
+            b_rank = cx.ranks[i + 1]
+            if cx.augmented_rank(i, cols) != b_rank + len(cols):
+                failures.append(
+                    f"cycles at multidegree {a}, i={i} are dependent "
+                    f"modulo boundaries")
+            kernel = cx.sizes[i] - cx.ranks[i]
+            if kernel != b_rank + len(cols):
+                failures.append(
+                    f"cycles at multidegree {a}, i={i} do not span: "
+                    f"kernel {kernel}, boundaries {b_rank}, cycles {len(cols)}")
 
     ok = not failures
     return BasisCheckReport(ok, checked, label_counts, homology_counts, failures)

@@ -169,7 +169,8 @@ def _cmd_resolution(args) -> int:
     t = _need_t(t, "the resolution")
     res = build_resolution(ideal, t)
     payload = res.to_json_obj()
-    text = res.ascii()
+    # the text of a large resolution is megabytes: build it only to print it
+    text = res.ascii() if args.format == "ascii" else ""
     code = 0
     if args.verify:
         bound = (args.max_degree if args.max_degree is not None

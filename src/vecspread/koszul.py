@@ -253,6 +253,13 @@ def homology_basis_labels(ideal: MonomialIdeal, t, hom_degree: int) -> list[Cycl
     """
     t = SpreadVector.coerce(t)
     require_strongly_stable(ideal, t)
+    return spread_labels(ideal, t, hom_degree)
+
+
+def spread_labels(ideal: MonomialIdeal, t: SpreadVector,
+                  hom_degree: int) -> list[CycleLabel]:
+    """homology_basis_labels without the strong-stability check, for callers
+    that check the ideal once for all homological degrees."""
     if hom_degree < 1:
         raise ValueError("homological degree must be at least 1")
     if ideal.is_unit:

@@ -7,10 +7,13 @@ The Koszul complex of a monomial quotient and a multigraded free resolution
 both split into finitely many strands, one per exponent vector a, and each
 strand is a finite complex of vector spaces whose boundary matrices are
 scalar (for the Koszul side it is the upper Koszul simplicial complex of a,
-Miller-Sturmfels, Combinatorial Commutative Algebra, Thm 1.34).  The rank
-oracle, the cycle-basis sweep and the resolution verifier all walk the
-multidegrees with `multidegrees` and measure each strand as a
-`FiniteComplex`.
+Miller-Sturmfels, Combinatorial Commutative Algebra, Thm 1.34).  Only the
+strands at lcms of generators (or of resolution labels) can differ from
+their neighbours (Gasharov-Peeva-Welker, The lcm-lattice in monomial
+resolutions), so the rank oracle, the cycle-basis sweep and the resolution
+verifier all walk an lcm lattice generated by `lcm_lattice` and measure each
+strand there as a `FiniteComplex`.  `multidegrees` walks the whole exponent
+box of one degree, for the columns of gin's Macaulay matrices.
 """
 
 from __future__ import annotations
@@ -83,6 +86,33 @@ def multidegrees(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     for first in range(total + 1):
         for rest in multidegrees(total - first, parts - 1):
             yield (first,) + rest
+
+
+def lcm_lattice(points: Iterable[Sequence[int]],
+                max_degree: int) -> Iterator[tuple[int, ...]]:
+    """The lcms (componentwise maxima) of the non-empty subsets of points
+    with coordinate sum at most max_degree, each once, by ascending degree
+    and, within a degree, in ascending tuple order (the order of
+    `multidegrees`).
+
+    Joining p with a point not below it raises the degree, and every partial
+    lcm of a subset is below the whole, so the capped lcms are reached by
+    joining one point at a time without leaving the cap, and a degree is
+    complete once every lower degree has been joined.  Only the degrees not
+    yet reached are held.
+    """
+    atoms = {tuple(p) for p in points if sum(p) <= max_degree}
+    pending: dict[int, set[tuple[int, ...]]] = {}
+    for p in atoms:
+        pending.setdefault(sum(p), set()).add(p)
+    for q in range(max_degree + 1):
+        for p in sorted(pending.pop(q, ())):
+            yield p
+            for g in atoms:
+                m = tuple(map(max, p, g))
+                d = sum(m)
+                if q < d <= max_degree:
+                    pending.setdefault(d, set()).add(m)
 
 
 class FiniteComplex:

@@ -7,8 +7,11 @@ from itertools import combinations, product
 
 import pytest
 
+import vecspread.betti
+import vecspread.koszul
 from vecspread import (
     BettiTable,
+    KoszulChain,
     MonomialIdeal,
     SpreadVector,
     betti_table,
@@ -22,6 +25,7 @@ from vecspread import (
 )
 
 from vecspread.betti import _koszul_block
+from vecspread.linalg import multidegrees
 
 from util import (
     ex_resolution_ideal,
@@ -214,6 +218,35 @@ def test_koszul_block_wedges_brute_force():
                 assert all(len(w) == i for i, ix in enumerate(index) for w in ix)
 
 
+def box_homology_dimensions(ideal, max_degree):
+    """The oracle over every exponent vector of each degree: the reference
+    for the walk over the lcm lattice."""
+    dims = {} if ideal.is_unit else {(0, 0): 1}
+    for q in range(1, max_degree + 1):
+        for a in multidegrees(q, ideal.ambient_n):
+            block = _koszul_block(ideal, a)
+            if block is None:
+                continue
+            cx = block[0]
+            for i in range(len(cx.sizes)):
+                if cx.homology(i):
+                    dims[(i, q)] = dims.get((i, q), 0) + cx.homology(i)
+    return dims
+
+
+def test_oracle_matches_box_walk():
+    # arbitrary monomial ideals, not stable: the cone argument is general
+    rng = random.Random(43)
+    ideals = [MonomialIdeal.zero(3), MonomialIdeal.unit_ideal(3)]
+    ideals += [random_monomial_ideal(rng, rng.randint(1, 4), max_degree=3,
+                                     max_gens=5) for _ in range(20)]
+    for ideal in ideals:
+        got = homology_dimensions(ideal, 7)
+        # same entries in the same order
+        assert list(got.items()) == list(box_homology_dimensions(ideal, 7).items()), \
+            ideal.generators
+
+
 @pytest.mark.parametrize("fixture", [ex_spread_ideal, ex_resolution_ideal])
 def test_oracle_never_calls_the_formula(monkeypatch, fixture):
     ideal, _ = fixture()
@@ -222,8 +255,9 @@ def test_oracle_never_calls_the_formula(monkeypatch, fixture):
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle must not use the formula side")
 
-    for name in ("betti_table", "free_indices", "homology_basis_labels"):
-        monkeypatch.setattr(f"vecspread.betti.{name}", forbidden)
+    for name in ("betti.betti_table", "betti.free_indices", "betti.spread_labels",
+                 "koszul.homology_basis_labels", "koszul.spread_labels"):
+        monkeypatch.setattr(f"vecspread.{name}", forbidden)
     assert homology_dimensions(ideal, 6) == expected
 
 
@@ -269,6 +303,27 @@ def test_verify_basis_random():
         rep = verify_homology_basis_range(ideal, t, 7)
         assert rep.ok, (ideal.generators, str(t), rep.failures)
         done += 1
+
+
+def test_verify_basis_flags_label_off_the_lattice(monkeypatch):
+    # a bogus free index 4 for x1*x2 adds the label (x1*x2; {4}) at
+    # x1*x2*x4, which is no lcm of generators; its cycle there is a
+    # boundary, so the sweep must still visit that multidegree and fail
+    ideal, t = ex_resolution_ideal()
+    u = parse_monomial("x1*x2", 4)
+    bogus = KoszulChain(ideal, 3)
+    bogus.add_term((1, 2, 4), parse_monomial("1", 4), 1)
+    bogus = vecspread.koszul.koszul_differential(bogus)
+    free, cycle = vecspread.koszul.free_indices, vecspread.betti.koszul_cycle
+    monkeypatch.setattr(vecspread.koszul, "free_indices",
+                        lambda m, t: (4,) if m == u else free(m, t))
+    monkeypatch.setattr(vecspread.betti, "koszul_cycle",
+                        lambda ideal, t, m, sigma: bogus if (m, sigma) == (u, (4,))
+                        else cycle(ideal, t, m, sigma))
+    assert not bogus.is_zero
+    rep = verify_homology_basis_range(ideal, t, 4)
+    assert not rep.ok
+    assert any("multidegree (1, 1, 0, 1)" in f for f in rep.failures), rep.failures
 
 
 def test_unit_ideal_has_no_cycles():

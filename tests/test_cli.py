@@ -211,6 +211,20 @@ def test_resolution_verify_json(capsys, write_ideal):
     assert data["ranks"] == [1, 3, 3, 1]
 
 
+def test_resolution_json_never_renders_ascii(capsys, monkeypatch, write_ideal):
+    path = write_ideal(FIX_B)
+    argv = ["resolution", "--ideal", path, "--verify", "--format", "json"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+
+    def forbidden(self):
+        raise AssertionError("the JSON path must not render the ASCII text")
+
+    monkeypatch.setattr("vecspread.resolution.Resolution.ascii", forbidden)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_resolution_rejects_bad_spread(capsys, write_ideal):
     path = write_ideal(FIX_A)  # t=(1,0,2) is not (1,..,1,0,..,0)
     assert main(["resolution", "--ideal", path]) == 2

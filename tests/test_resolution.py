@@ -7,16 +7,19 @@ from fractions import Fraction
 
 import pytest
 
+import vecspread.ideals
 from vecspread import (
     CycleLabel,
     MonomialIdeal,
     MonomialMatrix,
+    Resolution,
     SpreadVector,
     betti_table,
     build_resolution,
     format_poly,
     parse_monomial,
     unit,
+    verify_homology_basis_range,
     verify_resolution,
 )
 
@@ -164,6 +167,59 @@ def test_verify_flags_label_off_the_generators():
     assert rep.checks["multigraded"] is True
     assert rep.checks["exactness"] is False
     assert "labels on x1*x3*x4, not a minimal generator" in rep.failures
+
+
+def zero_entry(res, i, key):
+    del res.differential(i).entries[key]
+    return res
+
+
+def drop_generator_label(res, c):
+    """res without position-1 basis element c: column c of d1, row c of d2."""
+    bases = [list(b) for b in res.bases]
+    del bases[0][c]
+    d1, d2 = res.differential(1), res.differential(2)
+    shift = lambda k: k - (k > c)
+    d1 = MonomialMatrix(1, d1.ncols - 1, {
+        (r, shift(k)): p for (r, k), p in d1.entries.items() if k != c})
+    d2 = MonomialMatrix(d2.nrows - 1, d2.ncols, {
+        (shift(k), col): p for (k, col), p in d2.entries.items() if k != c})
+    return Resolution(res.ideal, res.t, bases, [d1, d2, *res.diffs[2:]])
+
+
+def resolve_subideal(res):
+    """An exact resolution of S/(x1*x2, x1*x3) passed off as one of S/I."""
+    sub = MonomialIdeal(res.ideal.generators[:2], res.ideal.ambient_n)
+    other = build_resolution(sub, res.t)
+    return Resolution(res.ideal, res.t, other.bases, other.diffs)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda res: zero_entry(res, 2, (0, 0)),
+    lambda res: zero_entry(res, 1, (0, 0)),
+    lambda res: drop_generator_label(res, 0),
+    resolve_subideal,
+], ids=["d2-entry", "d1-entry", "position-1-label", "sub-ideal"])
+def test_verify_exactness_names_a_witness(corrupt):
+    ideal, t = ex_resolution_ideal()
+    rep = verify_resolution(corrupt(build_resolution(ideal, t)), 6)
+    assert rep.checks["multigraded"] is True
+    assert rep.checks["exactness"] is False
+    assert any(f.startswith(("not exact at position", "cokernel at position 0"))
+               for f in rep.failures), rep.failures
+
+
+def test_one_stability_check_per_call(monkeypatch):
+    # the labels of every homological degree reuse the caller's one check
+    calls = []
+    check = vecspread.ideals.strongly_stable_violation
+    monkeypatch.setattr(vecspread.ideals, "strongly_stable_violation",
+                        lambda ideal, t: calls.append(t) or check(ideal, t))
+    ideal, t = ex_resolution_ideal()
+    assert build_resolution(ideal, t).length == 3
+    assert len(calls) == 1
+    assert verify_homology_basis_range(ideal, t, 6).ok
+    assert len(calls) == 2
 
 
 # -- structural properties ------------------------------------------------------
