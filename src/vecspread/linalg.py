@@ -100,17 +100,49 @@ def lcm_lattice(points: Iterable[Sequence[int]],
     joining one point at a time without leaving the cap, and a degree is
     complete once every lower degree has been joined.  Only the degrees not
     yet reached are held.
+
+    Only join-irreducible points are join partners: a point m with m - e_j
+    and m - e_k both in the set for some j != k is their join, so a join
+    through m is reached through those two, without leaving the cap, and by
+    induction on degree they are reached themselves.  m is still yielded.
+
+    The walk runs on packed words: one field of w = (2 * max_degree)
+    .bit_length() + 1 bits per coordinate, the first coordinate most
+    significant, so int order is tuple order.  A join of two capped points
+    has degree at most 2 * max_degree, so every field value and every
+    partial sum of one word fits below the field's top bit, which is a
+    guard bit, zero in every point.  With the guard bits H set in a,
+    (a | H) - b borrows within each field only and keeps its guard bit
+    exactly where a >= b, which selects the maximum field by field; the
+    degree is the top field of the product with the all-ones word.  The
+    guard bit also keeps m - e_j out of the set when m's field j is zero.
     """
     atoms = {tuple(p) for p in points if sum(p) <= max_degree}
-    pending: dict[int, set[tuple[int, ...]]] = {}
-    for p in atoms:
-        pending.setdefault(sum(p), set()).add(p)
+    if not atoms:
+        return
+    n = len(next(iter(atoms)))
+    w = (2 * max_degree).bit_length() + 1
+    shifts = [w * (n - 1 - j) for j in range(n)]
+    ones = sum(1 << s for s in shifts)
+    guards = ones << (w - 1)
+    values = guards - ones
+    top = shifts[0] if n else 0
+    field = (1 << w) - 1
+    packed = {sum(c << s for c, s in zip(p, shifts)) for p in atoms}
+    partners = [g for g in packed
+                if sum(g - (1 << s) in packed for s in shifts) < 2]
+    pending: dict[int, set[int]] = {}
+    for p in packed:
+        pending.setdefault(p * ones >> top & field, set()).add(p)
     for q in range(max_degree + 1):
         for p in sorted(pending.pop(q, ())):
-            yield p
-            for g in atoms:
-                m = tuple(map(max, p, g))
-                d = sum(m)
+            yield tuple(p >> s & field for s in shifts)
+            high = p | guards
+            for g in partners:
+                ge = (high - g) & guards
+                mask = ge - (ge >> (w - 1))
+                m = (p & mask) | (g & (values ^ mask))
+                d = m * ones >> top & field
                 if q < d <= max_degree:
                     pending.setdefault(d, set()).add(m)
 

@@ -18,6 +18,11 @@ from math import comb
 from typing import Iterable, Iterator
 
 
+def _check_ambient(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"ambient size must be >= 1, got {n}")
+
+
 class Monomial:
     """Immutable monomial of K[x_1..x_n].
 
@@ -29,8 +34,7 @@ class Monomial:
 
     def __init__(self, indices: Iterable[int], ambient_n: int):
         idx = tuple(indices)
-        if ambient_n < 1:
-            raise ValueError(f"ambient size must be >= 1, got {ambient_n}")
+        _check_ambient(ambient_n)
         for a, b in zip(idx, idx[1:]):
             if a > b:
                 raise ValueError(f"indices must be weakly increasing, got {idx}")
@@ -359,6 +363,7 @@ def free_indices(m: Monomial, t) -> tuple[int, ...]:
 
 def count_spread_monomials(n: int, degree: int, t) -> int:
     """Number of t-spread monomials of the given degree in n variables."""
+    _check_ambient(n)
     t = SpreadVector.coerce(t)
     if degree < 0:
         raise ValueError("degree must be non-negative")
@@ -373,6 +378,7 @@ def count_spread_monomials(n: int, degree: int, t) -> int:
 
 
 def iter_spread_monomials(n: int, degree: int, t) -> Iterator[Monomial]:
+    _check_ambient(n)
     t = SpreadVector.coerce(t)
     if degree < 0:
         raise ValueError("degree must be non-negative")

@@ -63,6 +63,15 @@ def test_enumerate_bad_degree(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", ["-2", "0"])
+@pytest.mark.parametrize("deg", ["1", "2", "3"])
+def test_enumerate_bad_ambient(capsys, n, deg):
+    assert main(["enumerate", "--n", n, "--deg", deg, "--t", "1,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: ambient size must be >= 1, got {n}\n"
+
+
 def test_enumerate_bad_t(capsys):
     assert main(["enumerate", "--n", "5", "--deg", "2", "--t", "1,x"]) == 2
     err = capsys.readouterr().err
