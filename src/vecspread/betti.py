@@ -27,7 +27,7 @@ from typing import Optional
 
 from .ideals import MonomialIdeal, require_strongly_stable
 from .koszul import CycleLabel, koszul_cycle, koszul_differential, spread_labels
-from .linalg import FiniteComplex, integer_column, lcm_lattice
+from .linalg import FiniteComplex, lcm_lattice
 from .monomials import SpreadVector, free_indices
 
 
@@ -247,12 +247,12 @@ class BasisCheckReport:
 def _cycle_column(index: dict[tuple[int, ...], int], chain) -> Optional[list[int]]:
     """Integer coordinates of a chain over a block's wedge basis, or None when
     a term falls outside it."""
-    terms = [(index.get(wedge), coeff) for wedge, _, coeff in chain.terms()]
-    if any(r is None for r, _ in terms):
-        return None
     col = [0] * len(index)
-    for r, value in integer_column(terms):
-        col[r] = value
+    for wedge, _, coeff in chain.terms():
+        r = index.get(wedge)
+        if r is None:
+            return None
+        col[r] = coeff
     return col
 
 

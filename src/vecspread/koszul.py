@@ -1,10 +1,12 @@
 """Koszul chains over S/I and the distinguished cycles attached to labels.
 
-A chain in homological degree i is a rational combination of wedge basis
+A chain in homological degree i is an integer combination of wedge basis
 elements e_{k_1} ^ ... ^ e_{k_i} (k_1 < ... < k_i) with monomial residues
-taken in S/I: terms whose residue lies in I are dropped on insertion.  The
-differential sends e_tau to sum_l (-1)^(l+1) x_{k_l} e_{tau minus k_l},
-again reducing residues mod I.
+taken in S/I: terms whose residue lies in I are dropped on insertion.
+Coefficients are int (the distinguished cycles only carry +-1); one that
+is not, a rational or a float, raises TypeError.  The differential sends
+e_tau to sum_l (-1)^(l+1) x_{k_l} e_{tau minus k_l}, again reducing
+residues mod I.
 
 For a t-spread strongly stable ideal, each label (u, sigma) with u a minimal
 generator and sigma inside [max(u)-1] minus the spread support of u carries
@@ -17,8 +19,8 @@ constructions must agree, which the test suite checks term by term.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
+from operator import index
 from typing import Iterable, Iterator, Optional
 
 from .ideals import MonomialIdeal, admissible_shape, require_strongly_stable
@@ -51,14 +53,14 @@ def _sorted_wedge(seq: Iterable[int]) -> tuple[Optional[WedgeIndex], int]:
 
 
 class KoszulChain:
-    """A chain of K_i(x; S/I) with exact rational coefficients."""
+    """A chain of K_i(x; S/I) with int coefficients."""
 
     def __init__(self, ideal: MonomialIdeal, hom_degree: int):
         if hom_degree < 0:
             raise ValueError("homological degree must be non-negative")
         self.ideal = ideal
         self.hom_degree = hom_degree
-        self._terms: dict[tuple[WedgeIndex, Monomial], Fraction] = {}
+        self._terms: dict[tuple[WedgeIndex, Monomial], int] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -66,9 +68,10 @@ class KoszulChain:
         """Insert coeff * residue * e_wedge, canonicalizing the wedge.
 
         Wedges with repeated indices vanish; residues inside the ideal are
-        reduced to zero; cancellations remove the slot.
+        reduced to zero; cancellations remove the slot.  coeff must be an
+        integer (operator.index): a rational or a float raises TypeError.
         """
-        coeff = Fraction(coeff)
+        coeff = index(coeff)
         if coeff == 0:
             return
         tup, sign = _sorted_wedge(wedge)
@@ -83,7 +86,7 @@ class KoszulChain:
         if self.ideal.contains(residue):
             return
         key = (tup, residue)
-        new = self._terms.get(key, Fraction(0)) + sign * coeff
+        new = self._terms.get(key, 0) + sign * coeff
         if new == 0:
             self._terms.pop(key, None)
         else:
@@ -100,17 +103,17 @@ class KoszulChain:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def terms(self) -> Iterator[tuple[WedgeIndex, Monomial, Fraction]]:
+    def terms(self) -> Iterator[tuple[WedgeIndex, Monomial, int]]:
         """Terms sorted by descending wedge order (ascending index tuples)."""
         for (tup, mono), coeff in sorted(
                 self._terms.items(), key=lambda kv: (kv[0][0], kv[0][1].indices)):
             yield tup, mono, coeff
 
-    def coefficient(self, wedge: Iterable[int], residue: Monomial) -> Fraction:
+    def coefficient(self, wedge: Iterable[int], residue: Monomial) -> int:
         tup, sign = _sorted_wedge(wedge)
         if tup is None:
-            return Fraction(0)
-        return sign * self._terms.get((tup, residue), Fraction(0))
+            return 0
+        return sign * self._terms.get((tup, residue), 0)
 
     def internal_degree(self) -> Optional[int]:
         """deg(residue) + |wedge|, which all terms must share."""
@@ -121,7 +124,7 @@ class KoszulChain:
             raise ValueError(f"chain mixes internal degrees {sorted(degs)}")
         return degs.pop()
 
-    def leading_term(self) -> tuple[WedgeIndex, Monomial, Fraction]:
+    def leading_term(self) -> tuple[WedgeIndex, Monomial, int]:
         """The term with the largest wedge (smallest index tuple)."""
         if self.is_zero:
             raise ValueError("the zero chain has no leading term")
@@ -141,7 +144,7 @@ class KoszulChain:
     __add__ = add
 
     def scale(self, factor) -> "KoszulChain":
-        factor = Fraction(factor)
+        factor = index(factor)
         out = KoszulChain(self.ideal, self.hom_degree)
         if factor != 0:
             out._terms = {k: v * factor for k, v in self._terms.items()}
@@ -197,18 +200,12 @@ class KoszulChain:
     __repr__ = __str__
 
 
-def koszul_differential(chain: KoszulChain, j_start: int = 1) -> KoszulChain:
-    """Apply the Koszul differential, reducing residues modulo the ideal.
-
-    j_start names the first variable of the underlying sequence x_j,...,x_n;
-    it only constrains which wedge indices may appear.
-    """
+def koszul_differential(chain: KoszulChain) -> KoszulChain:
+    """Apply the Koszul differential, reducing residues modulo the ideal."""
     if chain.hom_degree == 0:
         raise ValueError("cannot differentiate a degree-0 chain")
     out = KoszulChain(chain.ideal, chain.hom_degree - 1)
     for (tup, mono), coeff in chain._terms.items():
-        if tup and tup[0] < j_start:
-            raise ValueError(f"wedge {tup} uses indices below x{j_start}")
         for pos, k in enumerate(tup):
             sign = -1 if pos % 2 else 1
             out.add_term(tup[:pos] + tup[pos + 1:], mono.times_var(k), sign * coeff)

@@ -1,7 +1,9 @@
 """Exact integer linear algebra and the shared multidegree engine.
 
-Ranks are computed by fraction-free (Bareiss) elimination on integer rows,
-so no floating point and no rational arithmetic is involved anywhere.
+Ranks over Q are computed by fraction-free (Bareiss) elimination on int
+rows, so no floating point and no rational arithmetic is involved anywhere.
+Every matrix here holds int entries: the Koszul chains and the resolution
+differentials they are read from carry int coefficients.
 
 The Koszul complex of a monomial quotient and a multigraded free resolution
 both split into finitely many strands, one per exponent vector a, and each
@@ -18,7 +20,6 @@ box of one degree, for the columns of gin's Macaulay matrices.
 
 from __future__ import annotations
 
-from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 def pivot_columns(rows: Iterable[Sequence[int]]) -> list[int]:
@@ -64,18 +65,6 @@ def pivot_columns(rows: Iterable[Sequence[int]]) -> list[int]:
 def rank_int(rows: Iterable[Sequence[int]]) -> int:
     """Rank of an integer matrix by fraction-free Gaussian elimination."""
     return len(pivot_columns(rows))
-
-
-def integer_column(entries: Iterable[tuple[int, object]]) -> list[tuple[int, int]]:
-    """(row, rational) pairs times the lcm of their denominators.
-
-    A non-zero multiple of a column spans the same line, so every rank taken
-    with it is unchanged; coefficients may be int or rational.
-    """
-    entries = list(entries)
-    scale = lcm(*(value.denominator for _, value in entries))
-    return [(r, value.numerator * (scale // value.denominator))
-            for r, value in entries]
 
 
 def multidegrees(total: int, parts: int) -> Iterator[tuple[int, ...]]:

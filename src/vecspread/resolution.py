@@ -20,8 +20,7 @@ at a time, against the independently counted Hilbert function.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Rational
-from operator import le
+from operator import index, le
 from typing import Optional
 
 from .ideals import (
@@ -32,7 +31,7 @@ from .ideals import (
     require_strongly_stable,
 )
 from .koszul import CycleLabel, spread_labels
-from .linalg import FiniteComplex, integer_column, lcm_lattice
+from .linalg import FiniteComplex, lcm_lattice
 from .monomials import (
     Monomial,
     SpreadVector,
@@ -42,10 +41,10 @@ from .monomials import (
     variable,
 )
 
-Poly = dict[Monomial, Rational]
+Poly = dict[Monomial, int]
 
 
-def _poly_add(dst: Poly, mono: Monomial, coeff: Rational) -> None:
+def _poly_add(dst: Poly, mono: Monomial, coeff: int) -> None:
     new = dst.get(mono, 0) + coeff
     if new == 0:
         dst.pop(mono, None)
@@ -70,9 +69,10 @@ def format_poly(poly: Poly) -> str:
 
 
 class MonomialMatrix:
-    """A sparse matrix whose entries are polynomials with exact coefficients.
+    """A sparse matrix whose entries are polynomials with int coefficients.
 
-    Coefficients are kept as given: int, or Fraction in a hand-built matrix.
+    `entries` is public and may be edited in place, so nothing here checks
+    the coefficients; verify_resolution rejects a non-int with TypeError.
     """
 
     def __init__(self, nrows: int, ncols: int,
@@ -95,9 +95,6 @@ class MonomialMatrix:
         _poly_add(poly, mono, coeff)
         if not poly:
             del self.entries[(r, c)]
-
-    def copy(self) -> "MonomialMatrix":
-        return MonomialMatrix(self.nrows, self.ncols, self.entries)
 
     @property
     def is_zero(self) -> bool:
@@ -333,6 +330,7 @@ def verify_resolution(res: Resolution, max_degree: int) -> ResolutionReport:
         for (r, c), poly in res.differential(i).entries.items():
             want = tuple(a - b for a, b in zip(mdegs[i][c], mdegs[i - 1][r]))
             for mono, coeff in poly.items():
+                coeff = index(coeff)  # a rational would truncate in Bareiss
                 if mono.exponents != want:
                     ok = False
                     failures.append(
@@ -340,7 +338,7 @@ def verify_resolution(res: Resolution, max_degree: int) -> ResolutionReport:
                         f"breaks the multigrading")
                 else:
                     cols[c].append((r, coeff))
-        columns.append([integer_column(col) for col in cols])
+        columns.append(cols)
     checks["multigraded"] = ok
 
     ok = True

@@ -130,20 +130,19 @@ def test_verify_detects_rank_drop():
 
 
 def test_verify_rescaled_basis_element():
-    # replacing basis element c of F2 by half of it halves column c of d2
-    # and doubles row c of d3: still a minimal resolution, with non-integral
-    # coefficients that must not be truncated
+    # replacing basis element c of F2 by its negative negates column c of d2
+    # and row c of d3: still a minimal resolution
     ideal, t = ex_resolution_ideal()
     res = build_resolution(ideal, t)
     c = 1
     for (_, col), poly in res.differential(2).entries.items():
         if col == c:
             for mono in poly:
-                poly[mono] *= Fraction(1, 2)
+                poly[mono] *= -1
     for (row, _), poly in res.differential(3).entries.items():
         if row == c:
             for mono in poly:
-                poly[mono] *= 2
+                poly[mono] *= -1
     rep = verify_resolution(res, 6)
     assert rep.ok, rep.failures
     assert all(rep.checks.values())
@@ -154,6 +153,18 @@ def test_verify_rescaled_basis_element():
     rep = verify_resolution(res, 6)
     assert rep.checks["complex"] is False
     assert rep.checks["exactness"] is False
+
+
+def test_verify_rejects_non_int_coefficient():
+    # entries is public and editable; a rational there is refused rather
+    # than truncated by the integer elimination
+    ideal, t = ex_resolution_ideal()
+    res = build_resolution(ideal, t)
+    poly = res.differential(2).entries[(0, 0)]
+    mono = next(iter(poly))
+    poly[mono] = Fraction(1, 2)
+    with pytest.raises(TypeError):
+        verify_resolution(res, 6)
 
 
 def test_verify_flags_label_off_the_generators():
@@ -240,6 +251,10 @@ def test_complex_property_random():
         for i in range(1, res.length):
             prod = res.differential(i).compose(res.differential(i + 1))
             assert prod.is_zero
+        # the differentials only carry +-x_k and +-v_k, with int signs
+        assert all(type(coeff) is int and coeff in (1, -1)
+                   for d in res.diffs for poly in d.entries.values()
+                   for coeff in poly.values())
         rep = verify_resolution(res, 6)
         assert rep.ok, (ideal.generators, str(t), rep.failures)
         done += 1
@@ -261,7 +276,7 @@ def test_matrix_compose_shapes():
     a = MonomialMatrix(2, 1)
     a.add_to_entry(0, 0, parse_monomial("x1", 3), 1)
     b = MonomialMatrix(1, 2)
-    b.add_to_entry(0, 1, parse_monomial("x2", 3), Fraction(3))
+    b.add_to_entry(0, 1, parse_monomial("x2", 3), 3)
     ab = a.compose(b)
     assert ab.nrows == 2 and ab.ncols == 2
     assert format_poly(ab.entry(0, 1)) == "3*x1*x2"
