@@ -3,8 +3,8 @@
 The formula side evaluates binomial counts attached to the minimal
 generators of a strongly stable spread ideal.  The oracle side knows nothing
 about that: it assembles exact matrices of the Koszul differential on graded
-pieces and measures kernels and images by fraction-free rank, so the two
-routes cross-check each other.
+pieces and measures kernels and images by their ranks over Q (certified mod
+p, see `linalg.FiniteComplex`), so the two routes cross-check each other.
 
 Both the oracle and the basis verifier work one multidegree at a time.  The
 Koszul complex of a monomial quotient splits into finitely many blocks, one

@@ -1,16 +1,20 @@
 """Generic initial ideals (degrevlex, characteristic zero) and spread shifting.
 
 Genericity is sampled, not certified: the ideal is pushed through a random
-integer coordinate change g (exact rank check) and the leading terms
-of g(I) are read off.  Two independent runs must agree, and the result must
-be strongly stable in the classical (0-spread) sense; otherwise the
-coefficient bound doubles and the whole procedure retries before giving up.
+integer coordinate change g and the leading terms of g(I) are read off.  Two
+independent runs must agree, and the result must be strongly stable in the
+classical (0-spread) sense; otherwise the coefficient bound doubles and the
+whole procedure retries before giving up.
 
 Every input is a monomial ideal I, so (gI)_d is spanned by the images g(m)
 of the monomials m of I_d, and in(gI)_d is the set of leading monomials of
-an integer echelon form of that Macaulay matrix (Lazard 1983): no S-pairs,
-no reduction and no rational arithmetic.  The degree loop stops on an exact
-certificate, the Hilbert-function test argued in `initial_ideal`.
+an echelon form of that Macaulay matrix (Lazard 1983): no S-pairs and no
+reduction.  The echelon is taken modulo the prime `linalg.PRIME`, so its
+entries never grow.  It reads in(g_p I) for the reduction g_p of g, which
+never lies above in(gI), hence never above gin; the agreement of two
+changes and the stability check stand behind it.  The
+degree loop stops on an exact certificate, the Hilbert-function test argued
+in `initial_ideal`.
 
 Shifting composes this with a spread operator: the t-shift of I is the image
 of Gin(I) under the map that re-spaces 0-spread monomials into t-spread ones.
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .ideals import MonomialIdeal, hilbert_function, is_strongly_stable
-from .linalg import multidegrees, pivot_columns, rank_int
+from .linalg import PRIME, multidegrees, pivot_columns_mod_p, rank_mod_p
 from .monomials import Monomial, SpreadVector, exponents_degrevlex_key
 from .spreadmaps import SpreadMap, apply_spread_map_ideal
 
@@ -39,7 +43,11 @@ class GenericityError(RuntimeError):
 
 @dataclass(frozen=True)
 class CoordinateChange:
-    """An invertible integer matrix acting on variables by x_j -> sum_k A[j][k] x_k."""
+    """An invertible integer matrix acting on variables by x_j -> sum_k A[j][k] x_k.
+
+    It must be invertible mod p (p = `linalg.PRIME`), which implies that it is
+    invertible over Q and makes its reduction an automorphism over F_p.
+    """
 
     matrix: tuple[tuple[int, ...], ...]
     bound: int
@@ -48,8 +56,8 @@ class CoordinateChange:
         n = len(self.matrix)
         if any(len(row) != n for row in self.matrix):
             raise ValueError("coordinate change must be square")
-        if rank_int(self.matrix) != n:
-            raise ValueError("coordinate change must be invertible")
+        if rank_mod_p(self.matrix) != n:
+            raise ValueError(f"coordinate change must be invertible mod {PRIME}")
 
     @property
     def n(self) -> int:
@@ -75,17 +83,23 @@ def _lcm_degree(ideal: MonomialIdeal) -> int:
 
 
 def initial_ideal(ideal: MonomialIdeal, change: CoordinateChange) -> MonomialIdeal:
-    """Degrevlex initial ideal in(gI) of a monomial ideal I under a change g.
+    """Degrevlex initial ideal in(g_p I) of a monomial ideal I under the
+    reduction g_p of a change g mod p, p = `linalg.PRIME`.
 
     For each degree d, the rows g(m) for the monomials m of I_d span (gI)_d;
     with the columns in descending degrevlex order, the pivot columns of the
-    matrix are exactly the leading monomials in(gI)_d.  Those not yet in the
-    ideal J of the leading monomials found so far are new generators of J.
+    matrix mod p are exactly the leading monomials in(g_p I)_d over F_p.  Those
+    not yet in the ideal J of the leading monomials found so far are new
+    generators of J.  A maximal minor that is non-zero mod p is non-zero over
+    Z, so in(g_p I)_d <= in(gI)_d <= gin_d in the degree-d Plucker order: the
+    modular echelon never overshoots gin, and it meets in(gI) unless p
+    divides the Plucker coordinate of in(gI)_d.
 
     Once d reaches the top degree of I, the loop stops when S/J and S/I have
     the same Hilbert function up to L = max(deg lcm(gens I), deg lcm(gens J)).
-    This certifies J = in(gI):
-    - J is contained in in(gI), and in(gI) has the Hilbert series of I;
+    This certifies J = in(g_p I) over F_p:
+    - J is contained in in(g_p I), and since g_p is an automorphism over F_p,
+      in(g_p I) has the Hilbert series of I;
     - by the Taylor resolution, both Hilbert-series numerators have degree
       at most L, and values through L fix such a numerator;
     - so the two series are equal, and a contained ideal with the same
@@ -111,7 +125,7 @@ def initial_ideal(ideal: MonomialIdeal, change: CoordinateChange) -> MonomialIde
                 for image, c in change.monomial_image(Monomial.from_exponents(e)).items():
                     row[position[image]] = c
                 rows.append(row)
-        new = [Monomial.from_exponents(columns[j]) for j in pivot_columns(rows)
+        new = [Monomial.from_exponents(columns[j]) for j in pivot_columns_mod_p(rows)
                if not found.contains_exponents(columns[j])]
         if new:
             found = MonomialIdeal(found.generators + tuple(new), n)

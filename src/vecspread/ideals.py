@@ -346,7 +346,8 @@ def hilbert_function(ideal: MonomialIdeal, max_degree: int) -> list[int]:
         for r in range(max_degree - degree + 1):
             counts[degree + r] += comb(r + rest - 1, rest - 1)
 
-    def walk(var: int, alive: list[tuple[int, ...]], degree: int) -> None:
+    def walk(var: int, alive: list[tuple[tuple[int, ...], int]],
+             degree: int) -> None:
         if not alive:
             free_count(var, degree)
             return
@@ -356,17 +357,19 @@ def hilbert_function(ideal: MonomialIdeal, max_degree: int) -> list[int]:
         for e in range(max_degree - degree + 1):
             nxt = []
             dominated = False
-            for g in alive:
+            for g, last in alive:
                 if g[var] > e:
                     continue  # this branch kills g for good
-                if max((i for i in range(var + 1, n) if g[i] > 0), default=-1) < 0:
+                if last <= var:  # g has no support past var: it divides
                     dominated = True
                     break
-                nxt.append(g)
+                nxt.append((g, last))
             if not dominated:
                 walk(var + 1, nxt, degree + e)
 
-    walk(0, ideal._gen_exps, 0)
+    # each generator with the last index of its support, -1 for the unit
+    walk(0, [(g, max((i for i in range(n) if g[i]), default=-1))
+             for g in ideal._gen_exps], 0)
     return counts
 
 

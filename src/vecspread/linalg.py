@@ -1,9 +1,15 @@
 """Exact integer linear algebra and the shared multidegree engine.
 
-Ranks over Q are computed by fraction-free (Bareiss) elimination on int
-rows, so no floating point and no rational arithmetic is involved anywhere.
 Every matrix here holds int entries: the Koszul chains and the resolution
-differentials they are read from carry int coefficients.
+differentials they are read from carry int coefficients.  Ranks are taken
+first modulo the fixed prime PRIME by `pivot_columns_mod_p`, and a modular
+rank is used only where it is a one-sided certificate of the rank over Q:
+reducing mod p can only lose rank, so a modular rank that reaches an upper
+bound of the rational rank is that rank.  `FiniteComplex` and its
+`augmented_rank` argue their bounds, and where a bound is not reached they
+fall back to fraction-free (Bareiss) elimination over Z, `pivot_columns`
+and `rank_int`.  No floating point and no rational arithmetic is involved
+anywhere.
 
 The Koszul complex of a monomial quotient and a multigraded free resolution
 both split into finitely many strands, one per exponent vector a, and each
@@ -21,6 +27,51 @@ box of one degree, for the columns of gin's Macaulay matrices.
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
+
+PRIME = 2 ** 31 - 1
+
+
+def pivot_columns_mod_p(rows: Iterable[Sequence[int]]) -> list[int]:
+    """Pivot columns of a row echelon form over F_p, p = PRIME.
+
+    Every minor that is non-zero mod p is non-zero over Z, so the rank mod p
+    of any set of columns is never above its rank over Q: the rank mod p is
+    a lower bound, and the j-th pivot mod p never lies left of the j-th
+    pivot of `pivot_columns`.  Entries are reduced mod p where they are
+    tested or updated, so a row that is never updated is only copied.
+    """
+    p = PRIME
+    work = [list(row) for row in rows if any(row)]
+    pivots: list[int] = []
+    if not work:
+        return pivots
+    last = len(work[0]) - 1
+    for col in range(last + 1):
+        rank = len(pivots)
+        for r in range(rank, len(work)):
+            if work[r][col] % p:
+                break
+        else:
+            continue
+        pivots.append(col)
+        if rank + 1 == len(work) or col == last:
+            break
+        top = work[r]
+        work[r] = work[rank]
+        # row -= (row[col] / pivot) * top, past col: the rest is never read
+        neg = p - pow(top[col], -1, p)
+        for row in work[rank + 1:]:
+            f = row[col] * neg % p
+            if f:
+                for c in range(col + 1, last + 1):
+                    row[c] = (row[c] + f * top[c]) % p
+    return pivots
+
+
+def rank_mod_p(rows: Iterable[Sequence[int]]) -> int:
+    """Rank over F_p, p = PRIME: a lower bound of the rank over Q."""
+    return len(pivot_columns_mod_p(rows))
+
 
 def pivot_columns(rows: Iterable[Sequence[int]]) -> list[int]:
     """Pivot columns of a row echelon form, by fraction-free elimination.
@@ -141,12 +192,24 @@ class FiniteComplex:
 
     sizes[i] = dim C_i, and the i-th given matrix (i >= 1) is d_i as
     sizes[i - 1] dense int rows of length sizes[i].  mats[i] is d_i for
-    i = 0..top+1, the two ends being zero maps, and ranks[i] its rank.
+    i = 0..top+1, the two ends being zero maps, and ranks[i] its rank over Q.
+
+    When the caller vouches that d o d = 0 over Q (is_complex), the ranks
+    are taken mod p and kept if the homology h_p they give is non-zero in at
+    most one position.  Then they are the ranks over Q: r_Q >= r_p gives
+    h_Q <= h_p, d o d = 0 gives h_Q >= 0, and the Euler characteristic does
+    not depend on the field, so h_Q = h_p, and r_Q = r_p follows by
+    induction from r_0 = 0.  Otherwise every rank is recomputed over Z.
     """
 
-    def __init__(self, sizes: Sequence[int], mats: Sequence[list[list[int]]]):
+    def __init__(self, sizes: Sequence[int], mats: Sequence[list[list[int]]],
+                 *, is_complex: bool = True):
         self.sizes = list(sizes)
         self.mats = [[], *mats, [[] for _ in range(self.sizes[-1])]]
+        if is_complex:
+            self.ranks = [rank_mod_p(m) if m and m[0] else 0 for m in self.mats]
+            if sum(1 for i in range(len(self.sizes)) if self.homology(i)) <= 1:
+                return
         self.ranks = [rank_int(m) if m and m[0] else 0 for m in self.mats]
 
     def homology(self, i: int) -> int:
@@ -154,6 +217,16 @@ class FiniteComplex:
         return self.sizes[i] - self.ranks[i] - self.ranks[i + 1]
 
     def augmented_rank(self, i: int, columns: Sequence[Sequence[int]]) -> int:
-        """Rank of d_{i+1} with dense columns over the basis of C_i appended."""
-        return rank_int([row + [col[r] for col in columns]
-                         for r, row in enumerate(self.mats[i + 1])])
+        """Rank over Q of d_{i+1} with dense columns over the basis of C_i
+        appended.
+
+        It is at most ranks[i + 1] + len(columns), so a rank mod p that
+        reaches that bound is the rank over Q; below it, the rank is taken
+        over Z.
+        """
+        rows = [row + [col[r] for col in columns]
+                for r, row in enumerate(self.mats[i + 1])]
+        bound = self.ranks[i + 1] + len(columns)
+        if rank_mod_p(rows) == bound:
+            return bound
+        return rank_int(rows)

@@ -275,8 +275,10 @@ class ResolutionReport:
 def verify_resolution(res: Resolution, max_degree: int) -> ResolutionReport:
     """Check the complex property, minimality, graded exactness and ranks.
 
-    Exactness is certified multidegree by multidegree with exact integer
-    ranks.  The strand at a holds position 0 (S itself) and the labels on
+    Exactness is certified multidegree by multidegree with ranks over Q:
+    taken mod p and certified by the Euler characteristic (see
+    `FiniteComplex`) once d o d = 0 has passed, and over Z otherwise.  The
+    strand at a holds position 0 (S itself) and the labels on
     minimal generators with multidegree <= a, so it is the strand at a', the
     lcm of those multidegrees, and a' = 0 leaves position 0 alone.  Only the
     lcms of such label multidegrees of degree <= max_degree are visited:
@@ -360,6 +362,9 @@ def verify_resolution(res: Resolution, max_degree: int) -> ResolutionReport:
                 failures.append(f"labels on {stray}, not a minimal generator")
             else:
                 labelled.extend(m for _, _, m in group)
+        # a strand is a complex once d o d = 0 and no label was dropped from
+        # it, and only then may its ranks be certified mod p
+        is_complex = checks["complex"] and ok
         for a in lcm_lattice(labelled, max_degree):
             # position 0 is S itself: its one basis element lies in every strand
             active: list[list[int]] = [[0]] + [[] for _ in res.bases]
@@ -376,7 +381,8 @@ def verify_resolution(res: Resolution, max_degree: int) -> ResolutionReport:
                         if r in rlook:
                             mat[rlook[r]][p] = value
                 strand.append(mat)
-            cx = FiniteComplex([len(x) for x in active], strand)
+            cx = FiniteComplex([len(x) for x in active], strand,
+                               is_complex=is_complex)
             for i in range(res.length + 1):
                 if cx.homology(i):
                     ok = False

@@ -44,6 +44,7 @@ from util import (
     ex_spread_ideal,
     random_spread_monomials,
     random_strongly_stable_ideal,
+    roadmap_workload,
 )
 
 
@@ -271,15 +272,6 @@ def test_acceptance_8_shift_properties():
 
 
 # 7b. gin theorem on the ROADMAP workloads W7 and W8
-
-
-def roadmap_workload(seed, sizes, max_gens):
-    """The last of successive strongly stable draws for t = (1,1,0)."""
-    rng = random.Random(seed)
-    t = SpreadVector((1, 1, 0))
-    for n in sizes:
-        ideal = random_strongly_stable_ideal(rng, n, t, max_gens=max_gens)
-    return ideal, t
 
 
 def test_acceptance_7b_gin_roadmap_workloads():

@@ -1,4 +1,5 @@
-"""Generic initial ideals by integer echelon and the spread shift."""
+"""Generic initial ideals by modular echelon, checked against the exact
+echelon, and the spread shift."""
 
 from __future__ import annotations
 
@@ -23,13 +24,15 @@ from vecspread import (
     verify_shift_properties,
 )
 
-from vecspread.linalg import pivot_columns, rank_int
+from vecspread.linalg import PRIME, multidegrees, pivot_columns, rank_int
+from vecspread.monomials import Monomial, exponents_degrevlex_key
 
 from util import (
     ex_resolution_ideal,
     ex_spread_ideal,
     random_monomial_ideal,
     random_strongly_stable_ideal,
+    roadmap_workload,
 )
 
 
@@ -71,17 +74,82 @@ def lcm_degree(ideal):
     return sum(map(max, zip(*(u.exponents for u in ideal.generators))))
 
 
-def test_gin_of_non_stable_ideals():
-    # arbitrary monomial ideals: gin is classically strongly stable and keeps
-    # the Hilbert function up to the lcm degree, which fixes the whole series
+def non_stable_draws():
+    """Twelve seeded arbitrary monomial ideals, each with a gin seed."""
     rng = random.Random(101)
     for _ in range(12):
         ideal = random_monomial_ideal(rng, rng.randint(2, 4))
-        g = gin(ideal, seed=rng.randrange(2 ** 32))
+        yield ideal, rng.randrange(2 ** 32)
+
+
+def test_gin_of_non_stable_ideals():
+    # arbitrary monomial ideals: gin is classically strongly stable and keeps
+    # the Hilbert function up to the lcm degree, which fixes the whole series
+    for ideal, seed in non_stable_draws():
+        g = gin(ideal, seed=seed)
         top = max(u.degree for u in g.generators)
         assert is_strongly_stable(g, SpreadVector.zero(max(2, top)))
         last = max(lcm_degree(ideal), lcm_degree(g))
         assert hilbert_function(g, last) == hilbert_function(ideal, last)
+
+
+def exact_initial_ideal(ideal, change):
+    """in(gI) by fraction-free echelon over Z, with the stop rule of
+    `initial_ideal`: the reference route for the modular echelon."""
+    n = ideal.ambient_n
+    if ideal.is_zero:
+        return MonomialIdeal.zero(n)
+    top = max(g.degree for g in ideal.generators)
+    found = MonomialIdeal.zero(n)
+    d = min(g.degree for g in ideal.generators)
+    while True:
+        columns = sorted(multidegrees(d, n), key=exponents_degrevlex_key,
+                         reverse=True)
+        position = {e: j for j, e in enumerate(columns)}
+        rows = []
+        for e in columns:
+            if ideal.contains_exponents(e):
+                row = [0] * len(columns)
+                for image, c in change.monomial_image(
+                        Monomial.from_exponents(e)).items():
+                    row[position[image]] = c
+                rows.append(row)
+        new = [Monomial.from_exponents(columns[j]) for j in pivot_columns(rows)
+               if not found.contains_exponents(columns[j])]
+        if new:
+            found = MonomialIdeal(found.generators + tuple(new), n)
+        if d >= top:
+            last = max(lcm_degree(ideal), lcm_degree(found))
+            if hilbert_function(found, last) == hilbert_function(ideal, last):
+                return found
+        d += 1
+
+
+# the worked examples and W7 with the gin seeds the tests use, and the
+# non-stable draws
+ACCEPTANCE = {"first-example": (ex_spread_ideal()[0], 2),
+              "second-example": (ex_resolution_ideal()[0], 7),
+              "W7": (roadmap_workload(9, (6, 7), 2)[0], 0)}
+ACCEPTANCE.update((f"draw{k}", case) for k, case in enumerate(non_stable_draws()))
+
+
+@pytest.mark.parametrize("ideal, seed", ACCEPTANCE.values(), ids=ACCEPTANCE)
+def test_modular_initial_ideal_matches_exact(ideal, seed):
+    # the two coordinate changes gin draws first from this seed
+    rng = random.Random(seed)
+    for _ in range(2):
+        change = random_coordinate_change(ideal.ambient_n, rng, 100)
+        assert initial_ideal(ideal, change) == exact_initial_ideal(ideal, change)
+
+
+def test_initial_ideal_stays_below_the_exact_one():
+    # g = [[1, p], [0, 1]] is the identity mod p: the modular echelon sees
+    # I itself, while over Q, x2 -> p*x1 + x2 makes x1 the lead of g(x2)
+    ideal = MonomialIdeal([parse_monomial("x2", 2)], 2)
+    change = CoordinateChange(((1, 0), (PRIME, 1)), PRIME)
+    assert {str(g) for g in initial_ideal(ideal, change).generators} == {"x2"}
+    assert {str(g) for g in exact_initial_ideal(ideal, change).generators} \
+        == {"x1"}
 
 
 # -- coordinate changes ------------------------------------------------------------
@@ -90,6 +158,9 @@ def test_gin_of_non_stable_ideals():
 def test_coordinate_change_rejects_singular():
     with pytest.raises(ValueError):
         CoordinateChange(((1, 2), (2, 4)), 5)
+    with pytest.raises(ValueError, match="invertible mod"):
+        # invertible over Q, but singular mod p
+        CoordinateChange(((PRIME, 0), (0, 1)), PRIME)
     with pytest.raises(ValueError):
         CoordinateChange(((1, 2, 3), (4, 5, 6)), 5)  # not square
 

@@ -1,9 +1,12 @@
-"""The lcm-lattice generator against brute force."""
+"""The lcm-lattice generator against brute force, and the modular rank
+certificates against exact ranks."""
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +14,16 @@ from hypothesis import strategies as st
 
 from util import random_spread_vector, random_strongly_stable_ideal
 from vecspread.koszul import spread_labels
-from vecspread.linalg import lcm_lattice
+from vecspread import linalg
+from vecspread.linalg import (
+    PRIME,
+    FiniteComplex,
+    lcm_lattice,
+    pivot_columns,
+    pivot_columns_mod_p,
+    rank_int,
+    rank_mod_p,
+)
 
 
 def brute_lcms(points, max_degree):
@@ -103,3 +115,162 @@ def test_lcm_lattice_coordinate_at_the_cap(n, max_degree):
 def test_lcm_lattice_property(points, max_degree):
     assert list(lcm_lattice(points, max_degree)) == brute_lcms(points,
                                                               max_degree)
+
+
+# -- modular ranks as one-sided certificates -----------------------------------
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """The row lists handed to the exact fallback rank_int."""
+    calls = []
+
+    def counted(rows):
+        rows = [list(r) for r in rows]
+        calls.append(rows)
+        return rank_int(rows)
+
+    monkeypatch.setattr(linalg, "rank_int", counted)
+    return calls
+
+
+# integer matrices that lose rank mod PRIME
+TORSION = [[[PRIME]], [[1, 1], [1, 1 + PRIME]], [[2 * PRIME, 0], [0, 0]]]
+
+
+@pytest.mark.parametrize("mat", TORSION)
+def test_rank_mod_p_is_a_lower_bound(mat):
+    assert rank_mod_p(mat) == rank_int(mat) - 1
+    assert rank_mod_p([[x + PRIME for x in row] for row in mat]) == rank_mod_p(mat)
+
+
+def test_pivot_columns_mod_p_edges():
+    rows = [[2, 4, 1, 0], [1, 2, 0, 1], [3, 6, 1, 1]]
+    assert pivot_columns_mod_p(rows) == pivot_columns(rows) == [0, 2]
+    assert pivot_columns_mod_p([]) == []
+    assert pivot_columns_mod_p([[], []]) == []
+    assert pivot_columns_mod_p([[0, PRIME], [-PRIME, 0]]) == []
+    assert pivot_columns_mod_p([[0, 0, -1], [0, 3, 5]]) == [1, 2]
+    # p-torsion delays a pivot: (1, 1 + p) is (1, 1) mod p
+    assert pivot_columns_mod_p([[1, 1, 0], [1, 1 + PRIME, 1]]) == [0, 2]
+    assert pivot_columns([[1, 1, 0], [1, 1 + PRIME, 1]]) == [0, 1]
+
+
+@pytest.mark.parametrize("mat", TORSION)
+def test_torsion_complex_takes_the_exact_path(mat, exact_calls):
+    # 0 -> Z^c -> Z^r -> 0 is exact over Q, but mod p both ends carry
+    # homology, so the modular ranks certify nothing
+    cx = FiniteComplex([len(mat), len(mat[0])], [mat])
+    assert exact_calls
+    assert cx.ranks == [0, rank_int(mat), 0]
+    assert [cx.homology(i) for i in range(2)] == [
+        len(mat) - rank_int(mat), len(mat[0]) - rank_int(mat)]
+
+
+def test_exact_complex_needs_no_fallback(exact_calls):
+    # the full simplex on two vertices: C_2 -> C_1 -> C_0, exact but at 0
+    cx = FiniteComplex([1, 2, 1], [[[1, 1]], [[-1], [1]]])
+    assert cx.ranks == [0, 1, 1, 0]
+    assert [cx.homology(i) for i in range(3)] == [0, 0, 0]
+    assert not exact_calls
+
+
+def test_non_complex_is_ranked_exactly(exact_calls):
+    # d1 d2 = p != 0: mod p the homology sits in degree 0 alone, which would
+    # certify rank d1 = 0; without d o d = 0 nothing is certified
+    cx = FiniteComplex([1, 1, 1], [[[PRIME]], [[1]]], is_complex=False)
+    assert cx.ranks == [0, 1, 1, 0]
+    assert exact_calls
+
+
+@pytest.mark.parametrize("mat", TORSION)
+def test_torsion_augmented_rank_takes_the_exact_path(mat, exact_calls):
+    # C_0 alone, with the matrix's columns appended to the zero map d_1
+    cx = FiniteComplex([len(mat)], [])
+    columns = [list(col) for col in zip(*mat)]
+    assert not exact_calls
+    assert cx.augmented_rank(0, columns) == rank_int(mat)
+    assert exact_calls
+
+
+def test_full_augmented_rank_needs_no_fallback(exact_calls):
+    cx = FiniteComplex([1, 2, 1], [[[1, 1]], [[-1], [1]]])
+    assert cx.augmented_rank(0, []) == 1
+    assert cx.augmented_rank(1, [[1, 0]]) == 2
+    assert not exact_calls
+    # a dependent column cannot reach the bound: that is decided exactly
+    assert cx.augmented_rank(1, [[-PRIME, PRIME]]) == 1
+    assert exact_calls
+
+
+def integer_kernel(mat, ncols):
+    """Integer vectors spanning the kernel of mat over Q."""
+    rows = [[Fraction(x) for x in row] for row in mat]
+    pivots = []
+    for col in range(ncols):
+        r = next((r for r in range(len(pivots), len(rows)) if rows[r][col]),
+                 None)
+        if r is None:
+            continue
+        rows[len(pivots)], rows[r] = rows[r], rows[len(pivots)]
+        top = rows[len(pivots)]
+        top[:] = [x / top[col] for x in top]
+        for k, row in enumerate(rows):
+            if k != len(pivots) and row[col]:
+                row[:] = [a - row[col] * b for a, b in zip(row, top)]
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for r, col in enumerate(pivots):
+            vec[col] = -rows[r][free]
+        scale = lcm(*(x.denominator for x in vec))
+        basis.append([int(x * scale) for x in vec])
+    return basis
+
+
+# small entries, and multiples and near-multiples of p for torsion
+ENTRIES = st.one_of(st.integers(-2, 2),
+                    st.sampled_from([PRIME, -PRIME, 2 * PRIME, PRIME + 1]))
+
+
+@st.composite
+def integer_complexes(draw):
+    """sizes and matrices of a random complex of free Z-modules: each column
+    of d_i is an integer combination of a kernel basis of d_{i-1}."""
+    length = draw(st.integers(1, 3))
+    sizes = [draw(st.integers(0, 4)) for _ in range(length + 1)]
+    kernel = [[int(r == c) for r in range(sizes[0])] for c in range(sizes[0])]
+    mats = []
+    for i in range(1, length + 1):
+        coeffs = [[draw(ENTRIES) for _ in range(sizes[i])] for _ in kernel]
+        mat = [[sum(v[r] * coeffs[j][c] for j, v in enumerate(kernel))
+                for c in range(sizes[i])] for r in range(sizes[i - 1])]
+        mats.append(mat)
+        kernel = integer_kernel(mat, sizes[i])
+    return sizes, mats
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_complexes(), st.data())
+def test_certified_ranks_are_exact(complex_, data):
+    sizes, mats = complex_
+    cx = FiniteComplex(sizes, mats)
+    assert cx.ranks == [0, *(rank_int(m) for m in mats), 0]
+    i = data.draw(st.integers(0, len(sizes) - 1))
+    columns = data.draw(st.lists(
+        st.lists(ENTRIES, min_size=sizes[i], max_size=sizes[i]), max_size=3))
+    rows = [row + [col[r] for col in columns]
+            for r, row in enumerate(cx.mats[i + 1])]
+    assert cx.augmented_rank(i, columns) == rank_int(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda c: st.lists(
+    st.lists(ENTRIES, min_size=c, max_size=c), max_size=5)))
+def test_rank_mod_p_bounds_rank_int(mat):
+    assert rank_mod_p(mat) <= rank_int(mat)
+    small = [[x if abs(x) <= 2 else 1 for x in row] for row in mat]
+    # every minor of a 5 x 5 matrix with entries in -2..2 is below p
+    assert pivot_columns_mod_p(small) == pivot_columns(small)

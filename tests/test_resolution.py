@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import vecspread.ideals
+from vecspread import linalg
 from vecspread import (
     CycleLabel,
     MonomialIdeal,
@@ -155,6 +156,40 @@ def test_verify_rescaled_basis_element():
     assert rep.checks["exactness"] is False
 
 
+@pytest.fixture
+def modular_calls(monkeypatch):
+    """The row lists whose rank is taken mod p."""
+    calls = []
+    rank_mod_p = linalg.rank_mod_p
+
+    def counted(rows):
+        calls.append(rows)
+        return rank_mod_p(rows)
+
+    monkeypatch.setattr(linalg, "rank_mod_p", counted)
+    return calls
+
+
+def test_verify_torsion_entry_is_ranked_exactly(modular_calls, monkeypatch):
+    # an entry scaled by p breaks d o d = 0 and vanishes mod p: once the
+    # complex check fails, no strand is ranked mod p, and the witnesses are
+    # those of exact elimination
+    ideal, t = ex_resolution_ideal()
+    res = build_resolution(ideal, t)
+    assert verify_resolution(res, 6).ok and modular_calls
+    poly = res.differential(2).entries[(0, 0)]
+    for mono in poly:
+        poly[mono] *= linalg.PRIME
+    modular_calls.clear()
+    rep = verify_resolution(res, 6)
+    assert rep.checks["complex"] is False
+    assert any(f.startswith("not exact at position") for f in rep.failures)
+    assert not modular_calls
+    monkeypatch.setattr(linalg, "rank_mod_p", linalg.rank_int)
+    exact = verify_resolution(res, 6)
+    assert (rep.checks, rep.failures) == (exact.checks, exact.failures)
+
+
 def test_verify_rejects_non_int_coefficient():
     # entries is public and editable; a rational there is refused rather
     # than truncated by the integer elimination
@@ -167,9 +202,10 @@ def test_verify_rejects_non_int_coefficient():
         verify_resolution(res, 6)
 
 
-def test_verify_flags_label_off_the_generators():
+def test_verify_flags_label_off_the_generators(modular_calls):
     # (x1*x3*x4; {4}) has the multidegree and position of (x1*x4^2; {3}),
-    # but x1*x3*x4 is no minimal generator: its label matches no strand scan
+    # but x1*x3*x4 is no minimal generator: its label matches no strand scan,
+    # so the strands drop it, are no complexes and are ranked exactly
     ideal, t = ex_resolution_ideal()
     res = build_resolution(ideal, t)
     c = [str(lab) for lab in res.bases[1]].index("(x1*x4^2; {3})")
@@ -178,6 +214,7 @@ def test_verify_flags_label_off_the_generators():
     assert rep.checks["multigraded"] is True
     assert rep.checks["exactness"] is False
     assert "labels on x1*x3*x4, not a minimal generator" in rep.failures
+    assert rep.checks["complex"] is True and not modular_calls
 
 
 def zero_entry(res, i, key):

@@ -65,3 +65,13 @@ def random_monomial_ideal(rng: random.Random, n: int, max_degree: int = 3,
         degree = rng.randint(1, max_degree)
         gens.append(monomial(sorted(rng.randint(1, n) for _ in range(degree)), n))
     return MonomialIdeal.from_generators(gens, n)
+
+
+def roadmap_workload(seed, sizes, max_gens):
+    """The last of successive strongly stable draws for t = (1,1,0).  The
+    ROADMAP workloads are W7 = (9, (6, 7), 2) and W8 = (1, (6, 8), 3)."""
+    rng = random.Random(seed)
+    t = SpreadVector((1, 1, 0))
+    for n in sizes:
+        ideal = random_strongly_stable_ideal(rng, n, t, max_gens=max_gens)
+    return ideal, t
