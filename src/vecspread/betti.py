@@ -3,8 +3,9 @@
 The formula side evaluates binomial counts attached to the minimal
 generators of a strongly stable spread ideal.  The oracle side knows nothing
 about that: it assembles exact matrices of the Koszul differential on graded
-pieces and measures kernels and images by their ranks over Q (certified mod
-p, see `linalg.FiniteComplex`), so the two routes cross-check each other.
+pieces and measures kernels and images by their ranks over Q (certified
+over F_2 or mod p, see `linalg.FiniteComplex`), so the two routes
+cross-check each other.
 
 Both the oracle and the basis verifier work one multidegree at a time.  The
 Koszul complex of a monomial quotient splits into finitely many blocks, one
@@ -160,17 +161,22 @@ def poincare_pd_reg(ideal: MonomialIdeal, t) -> tuple[list[int], int, int]:
 # -- multidegree blocks of the Koszul complex ---------------------------------
 
 
-_Block = tuple[FiniteComplex, list[dict[tuple[int, ...], int]]]
+# the complex, the support positions (0-based variables) and, per degree,
+# each wedge's bitmask over the support positions -> its basis position
+_Block = tuple[FiniteComplex, list[int], list[dict[int, int]]]
 
 
 def _koszul_block(ideal: MonomialIdeal, a: tuple[int, ...]) -> Optional[_Block]:
-    """Koszul complex in multidegree a with its wedge index (wedge -> basis
-    position, per degree), or None when it needs no elimination.
+    """Koszul complex in multidegree a with its wedge index, or None when it
+    needs no elimination.
 
     Each generator dividing x^a gives the bitmask of its tight set over the
-    support positions; the wedges kept are those meeting every mask.  No
-    divisor means the full simplex (exact for a != 0, H_0 = K at a = 0,
-    which callers count themselves); an empty mask means the zero block.
+    support positions; the wedges kept are those meeting every mask, that
+    is every inclusion-minimal one.  No divisor means the full simplex
+    (exact for a != 0, H_0 = K at a = 0, which callers count themselves); an
+    empty mask means the zero block.  Each boundary column is emitted
+    sparse: the faces of a wedge, dropping its support positions from the
+    lowest up, carry the signs +1, -1, +1, ...
     """
     support = [k for k in range(len(a)) if a[k]]  # 0-based here
     s = len(support)
@@ -178,25 +184,43 @@ def _koszul_block(ideal: MonomialIdeal, a: tuple[int, ...]) -> Optional[_Block]:
              for g in ideal.generators_dividing(a)}
     if not masks or 0 in masks:
         return None
+    minimal = [m for m in masks if not any(o != m and o & m == o for o in masks)]
 
-    index: list[dict[tuple[int, ...], int]] = [dict() for _ in range(s + 1)]
-    for tau in range(1 << s):
-        if all(tau & m for m in masks):
-            # back to 1-based variable labels
-            wedge = tuple(support[p] + 1 for p in range(s) if tau >> p & 1)
-            index[len(wedge)][wedge] = len(index[len(wedge)])
+    # the wedges as one bitset over all 2^s of them: bit tau of zeros[p] is
+    # set when tau misses position p, so the wedges missing a mask m are
+    # the AND of zeros[p] over p in m
+    full = (1 << (1 << s)) - 1
+    zeros = [full // ((1 << (2 << p)) - 1) * ((1 << (1 << p)) - 1)
+             for p in range(s)]
+    kept = full
+    for m in minimal:
+        missing = full
+        for p in range(s):
+            if m >> p & 1:
+                missing &= zeros[p]
+        kept &= ~missing
+    index: list[dict[int, int]] = [dict() for _ in range(s + 1)]
+    while kept:
+        low = kept & -kept
+        kept ^= low
+        tau = low.bit_length() - 1
+        wedges = index[tau.bit_count()]
+        wedges[tau] = len(wedges)
 
-    mats = []
+    columns = []
     for i in range(1, s + 1):
-        rows, cols = index[i - 1], index[i]
-        mat = [[0] * len(cols) for _ in rows]
-        for c, tau in enumerate(cols):
-            for pos in range(i):
-                r = rows.get(tau[:pos] + tau[pos + 1:])
+        rows, cols = index[i - 1], []
+        for tau in index[i]:
+            col, sign, rest = [], 1, tau
+            while rest:
+                low = rest & -rest
+                r = rows.get(tau ^ low)
                 if r is not None:
-                    mat[r][c] = -1 if pos % 2 else 1
-        mats.append(mat)
-    return FiniteComplex([len(ix) for ix in index], mats), index
+                    col.append((r, sign))
+                sign, rest = -sign, rest ^ low
+            cols.append(col)
+        columns.append(cols)
+    return FiniteComplex([len(ix) for ix in index], columns), support, index
 
 
 def homology_dimensions(ideal: MonomialIdeal, max_degree: int) -> dict[tuple[int, int], int]:
@@ -244,16 +268,20 @@ class BasisCheckReport:
                 + "; ".join(self.failures[:4]))
 
 
-def _cycle_column(index: dict[tuple[int, ...], int], chain) -> Optional[list[int]]:
-    """Integer coordinates of a chain over a block's wedge basis, or None when
-    a term falls outside it."""
-    col = [0] * len(index)
+def _cycle_column(bits: dict[int, int], index: dict[int, int],
+                  chain) -> Optional[list[tuple[int, int]]]:
+    """Sparse integer coordinates of a chain over a block's wedge basis, or
+    None when a term falls outside it; bits maps each variable of the
+    support to its bit."""
+    col: dict[int, int] = {}
     for wedge, _, coeff in chain.terms():
-        r = index.get(wedge)
+        if not all(k in bits for k in wedge):
+            return None
+        r = index.get(sum(bits[k] for k in wedge))
         if r is None:
             return None
         col[r] = coeff
-    return col
+    return list(col.items())
 
 
 def verify_homology_basis(ideal: MonomialIdeal, t, hom_degree: int,
@@ -326,7 +354,8 @@ def _sweep(ideal: MonomialIdeal, t, degrees: list[int],
                     f"labels {[str(l) for l, _ in here]} land in a "
                     f"homology-free multidegree {a}")
             continue
-        cx, index = block
+        cx, support, index = block
+        bits = {k + 1: 1 << p for p, k in enumerate(support)}
         for i in hom_range:
             # a label (u, sigma) of degree i has sigma and max(u) inside
             # supp(a): past the block's top there are no labels, no homology
@@ -336,7 +365,7 @@ def _sweep(ideal: MonomialIdeal, t, degrees: list[int],
             for label, ch in here:
                 if label.hom_degree != i:
                     continue
-                col = _cycle_column(index[i], ch)
+                col = _cycle_column(bits, index[i], ch)
                 if col is None:
                     failures.append(f"cycle {label} leaves its block")
                     continue

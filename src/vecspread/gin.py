@@ -12,9 +12,22 @@ an echelon form of that Macaulay matrix (Lazard 1983): no S-pairs and no
 reduction.  The echelon is taken modulo the prime `linalg.PRIME`, so its
 entries never grow.  It reads in(g_p I) for the reduction g_p of g, which
 never lies above in(gI), hence never above gin; the agreement of two
-changes and the stability check stand behind it.  The
-degree loop stops on an exact certificate, the Hilbert-function test argued
-in `initial_ideal`.
+changes and the stability check stand behind it.
+
+The change is invertible mod p, so g_p is an automorphism of the polynomial
+ring over F_p: it maps the distinct monomials of I_d to independent forms,
+and the Macaulay matrix mod p has full row rank.  Whether a column is a
+pivot depends only on the columns left of it, so the echelon is taken on a
+prefix of the columns (in descending degrevlex order), doubled until its
+rank is the row count: then every pivot lies in the prefix, and the images
+are only built that far.  The first prefix is as wide as the matrix is
+tall; within one `gin` call, a later change starts at the last pivot the
+previous one found, since generic changes share their pivots.  Each image
+is reduced mod p and built on packed exponent words, one field per
+variable; see `CoordinateChange.image_rows`.  The degree loop stops on an
+exact certificate, the Hilbert-function test argued in `initial_ideal`,
+and within one `gin` call each Hilbert function it compares is counted
+once.
 
 Shifting composes this with a spread operator: the t-shift of I is the image
 of Gin(I) under the map that re-spaces 0-spread monomials into t-spread ones.
@@ -24,11 +37,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
+from itertools import islice
+from math import comb
+from operator import add
+from typing import Iterator, Optional, Sequence
 
 from .ideals import MonomialIdeal, hilbert_function, is_strongly_stable
-from .linalg import PRIME, multidegrees, pivot_columns_mod_p, rank_mod_p
-from .monomials import Monomial, SpreadVector, exponents_degrevlex_key
+from .linalg import PRIME, pack_mod_p, pivot_columns_mod_p, rank_mod_p
+from .monomials import Monomial, SpreadVector
 from .spreadmaps import SpreadMap, apply_spread_map_ideal
 
 Exps = tuple[int, ...]
@@ -39,6 +55,18 @@ class GenericityError(RuntimeError):
 
 
 # -- generic coordinates -------------------------------------------------------
+
+
+def _descending_monomials(total: int, n: int) -> Iterator[Exps]:
+    """Every exponent vector of length n summing to total, in descending
+    degrevlex order: ascending in the last coordinate, then in the one
+    before it, and so on."""
+    if n == 1:
+        yield (total,)
+        return
+    for last in range(total + 1):
+        for rest in _descending_monomials(total - last, n - 1):
+            yield rest + (last,)
 
 
 @dataclass(frozen=True)
@@ -56,25 +84,74 @@ class CoordinateChange:
         n = len(self.matrix)
         if any(len(row) != n for row in self.matrix):
             raise ValueError("coordinate change must be square")
-        if rank_mod_p(self.matrix) != n:
+        if rank_mod_p(map(pack_mod_p, self.matrix)) != n:
             raise ValueError(f"coordinate change must be invertible mod {PRIME}")
 
     @property
     def n(self) -> int:
         return len(self.matrix)
 
-    def monomial_image(self, u: Monomial) -> dict[Exps, int]:
-        """Expand the product of linear forms replacing each variable of u."""
-        out: dict[Exps, int] = {(0,) * self.n: 1}
-        for j in u.indices:
-            row = self.matrix[j - 1]
-            product: dict[Exps, int] = {}
-            for e, c in out.items():
-                for k, a in enumerate(row):
-                    if a:
-                        key = e[:k] + (e[k] + 1,) + e[k + 1:]
-                        product[key] = product.get(key, 0) + c * a
-            out = {e: c for e, c in product.items() if c}
+    def image_rows(self, monomials: Sequence[Exps],
+                   columns: Sequence[Exps]) -> list[int]:
+        """The images g(m) mod p of monomials m of one degree d, each packed
+        by `linalg.pack_mod_p` over columns, a non-empty prefix of the
+        degree-d monomials in descending degrevlex order; terms past it are
+        dropped.
+
+        Monomials are packed exponent words, x_1 in the lowest field and
+        every field wide enough for d, so for one degree the word order is
+        the ascending order of the columns, and the prefix holds the words up
+        to that of its last column.  g(m) is g(m / x_j) times the form of
+        x_j, x_j the last variable of m, and the monomials are taken in
+        ascending order of their sorted variable lists, so the partial
+        products shared by consecutive monomials are built once.  A partial
+        product u with r forms still to come is cut to the terms v with
+        v * x_1^r, the largest monomial of v times degree r, in the prefix;
+        a form's terms ascend in word order, so each loop over one stops at
+        the first term past it.
+        """
+        p = PRIME
+        d = sum(columns[0])
+        if d == 0:
+            return [1] * len(monomials)
+        units = [1 << (d.bit_length() * k) for k in range(self.n)]
+
+        def word(e: Exps) -> int:
+            return sum(c * u for c, u in zip(e, units))
+
+        position = {word(e): j for j, e in enumerate(columns)}
+        last = word(columns[-1])
+        forms = [[(units[k], a % p) for k, a in enumerate(row) if a % p]
+                 for row in self.matrix]
+        out = [0] * len(monomials)
+        # path[t]: the cut image of the first t factors of the previous m
+        path: list[dict[int, int]] = [{0: 1}]
+        previous: list[int] = []
+        for factors, r in sorted(
+                ([k for k, c in enumerate(m) for _ in range(c)], r)
+                for r, m in enumerate(monomials)):
+            shared = 0
+            while shared < len(path) - 1 and factors[shared] == previous[shared]:
+                shared += 1
+            del path[shared + 1:]
+            for t in range(shared, d - 1):
+                rest = d - 1 - t
+                product: dict[int, int] = {}
+                for u, c in path[t].items():
+                    for unit, a in forms[factors[t]]:
+                        v = u + unit
+                        if v + rest > last:
+                            break
+                        product[v] = product.get(v, 0) + c * a
+                path.append({v: c % p for v, c in product.items()})
+            previous = factors
+            values = [0] * len(columns)
+            for u, c in path[d - 1].items():
+                for unit, a in forms[factors[-1]]:
+                    if u + unit > last:
+                        break
+                    values[position[u + unit]] += c * a
+            out[r] = pack_mod_p(values)
         return out
 
 
@@ -82,7 +159,53 @@ def _lcm_degree(ideal: MonomialIdeal) -> int:
     return sum(map(max, zip(*(g.exponents for g in ideal.generators))))
 
 
-def initial_ideal(ideal: MonomialIdeal, change: CoordinateChange) -> MonomialIdeal:
+def _degree_part(ideal: MonomialIdeal, d: int) -> list[Exps]:
+    """The exponent vectors of the monomials of I_d, ascending."""
+    n = ideal.ambient_n
+    part: set[Exps] = set()
+    for g in ideal.generators:
+        if g.degree <= d:
+            part.update(tuple(map(add, g.exponents, e))
+                        for e in _descending_monomials(d - g.degree, n))
+    return sorted(part)
+
+
+def _degree_pivots(change: CoordinateChange, rows: Sequence[Exps], d: int,
+                   width: int) -> tuple[list[Exps], list[int]]:
+    """The pivot columns mod p of the degree-d Macaulay matrix of rows (the
+    monomials of I_d) under change, with the column prefix they index: the
+    first prefix that reaches rank len(rows), trying width columns, twice
+    that, and so on."""
+    n = change.n
+    total = comb(d + n - 1, n - 1)
+    while True:
+        columns = list(islice(_descending_monomials(d, n), width))
+        pivots = pivot_columns_mod_p(change.image_rows(rows, columns))
+        if len(pivots) == len(rows) or width >= total:
+            return columns, pivots
+        width = min(2 * width, total)
+
+
+class _SharedWork:
+    """What the changes of one `gin` call share: the Hilbert functions of
+    S/I and of S/J for each J tested, each counted once and recounted only
+    when a larger degree is asked for, and per degree the columns up to the
+    last pivot of the last change, where the next change starts (generic
+    changes share their pivots)."""
+
+    def __init__(self):
+        self.counts: dict[MonomialIdeal, list[int]] = {}
+        self.widths: dict[int, int] = {}
+
+    def hilbert_function(self, ideal: MonomialIdeal, last: int) -> list[int]:
+        counts = self.counts.get(ideal)
+        if counts is None or len(counts) <= last:
+            counts = self.counts[ideal] = hilbert_function(ideal, last)
+        return counts[:last + 1]
+
+
+def initial_ideal(ideal: MonomialIdeal, change: CoordinateChange, *,
+                  _shared: Optional[_SharedWork] = None) -> MonomialIdeal:
     """Degrevlex initial ideal in(g_p I) of a monomial ideal I under the
     reduction g_p of a change g mod p, p = `linalg.PRIME`.
 
@@ -93,7 +216,9 @@ def initial_ideal(ideal: MonomialIdeal, change: CoordinateChange) -> MonomialIde
     generators of J.  A maximal minor that is non-zero mod p is non-zero over
     Z, so in(g_p I)_d <= in(gI)_d <= gin_d in the degree-d Plucker order: the
     modular echelon never overshoots gin, and it meets in(gI) unless p
-    divides the Plucker coordinate of in(gI)_d.
+    divides the Plucker coordinate of in(gI)_d.  The matrix has full row
+    rank (g_p is an automorphism), so its pivots are read on the narrowest
+    doubled prefix of the columns that reaches that rank.
 
     Once d reaches the top degree of I, the loop stops when S/J and S/I have
     the same Hilbert function up to L = max(deg lcm(gens I), deg lcm(gens J)).
@@ -104,7 +229,11 @@ def initial_ideal(ideal: MonomialIdeal, change: CoordinateChange) -> MonomialIde
       at most L, and values through L fix such a numerator;
     - so the two series are equal, and a contained ideal with the same
       Hilbert series is the whole ideal.
+    The test only depends on J, so it is not repeated for a degree that adds
+    no generator.  `gin` hands its changes one _SharedWork, so the Hilbert
+    function of S/I, and of each J, is counted once per call.
     """
+    shared = _shared or _SharedWork()
     n = ideal.ambient_n
     if change.n != n:
         raise ValueError(f"coordinate change on {change.n} variables applied "
@@ -113,25 +242,22 @@ def initial_ideal(ideal: MonomialIdeal, change: CoordinateChange) -> MonomialIde
         return MonomialIdeal.zero(n)
     top = max(g.degree for g in ideal.generators)
     found = MonomialIdeal.zero(n)
+    tested = None
     d = min(g.degree for g in ideal.generators)
     while True:
-        columns = sorted(multidegrees(d, n), key=exponents_degrevlex_key,
-                         reverse=True)
-        position = {e: j for j, e in enumerate(columns)}
-        rows = []
-        for e in columns:
-            if ideal.contains_exponents(e):
-                row = [0] * len(columns)
-                for image, c in change.monomial_image(Monomial.from_exponents(e)).items():
-                    row[position[image]] = c
-                rows.append(row)
-        new = [Monomial.from_exponents(columns[j]) for j in pivot_columns_mod_p(rows)
+        rows = _degree_part(ideal, d)
+        columns, pivots = _degree_pivots(change, rows, d,
+                                         shared.widths.get(d, len(rows)))
+        shared.widths[d] = pivots[-1] + 1
+        new = [Monomial.from_exponents(columns[j]) for j in pivots
                if not found.contains_exponents(columns[j])]
         if new:
             found = MonomialIdeal(found.generators + tuple(new), n)
-        if d >= top:
+        if d >= top and found is not tested:
+            tested = found
             last = max(_lcm_degree(ideal), _lcm_degree(found))
-            if hilbert_function(found, last) == hilbert_function(ideal, last):
+            if (shared.hilbert_function(found, last)
+                    == shared.hilbert_function(ideal, last)):
                 return found
         d += 1
 
@@ -153,9 +279,10 @@ def _classic_spread(ideal: MonomialIdeal) -> SpreadVector:
     return SpreadVector((0,) * max(1, top - 1))
 
 
-def _gin_once(ideal: MonomialIdeal, rng: random.Random, bound: int) -> MonomialIdeal:
+def _gin_once(ideal: MonomialIdeal, rng: random.Random, bound: int,
+              shared: _SharedWork) -> MonomialIdeal:
     change = random_coordinate_change(ideal.ambient_n, rng, bound)
-    return initial_ideal(ideal, change)
+    return initial_ideal(ideal, change, _shared=shared)
 
 
 def gin(ideal: MonomialIdeal, *, seed: Optional[int] = None, bound: int = 100,
@@ -169,10 +296,11 @@ def gin(ideal: MonomialIdeal, *, seed: Optional[int] = None, bound: int = 100,
     if ideal.is_zero or ideal.is_unit:
         return ideal
     rng = random.Random(seed)
+    shared = _SharedWork()
     b = bound
     for _ in range(max_retries + 1):
-        first = _gin_once(ideal, rng, b)
-        second = _gin_once(ideal, rng, b)
+        first = _gin_once(ideal, rng, b, shared)
+        second = _gin_once(ideal, rng, b, shared)
         if first == second and is_strongly_stable(first, _classic_spread(first)):
             return first
         b *= 2

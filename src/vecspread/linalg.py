@@ -1,15 +1,21 @@
 """Exact integer linear algebra and the shared multidegree engine.
 
 Every matrix here holds int entries: the Koszul chains and the resolution
-differentials they are read from carry int coefficients.  Ranks are taken
-first modulo the fixed prime PRIME by `pivot_columns_mod_p`, and a modular
-rank is used only where it is a one-sided certificate of the rank over Q:
-reducing mod p can only lose rank, so a modular rank that reaches an upper
-bound of the rational rank is that rank.  `FiniteComplex` and its
-`augmented_rank` argue their bounds, and where a bound is not reached they
-fall back to fraction-free (Bareiss) elimination over Z, `pivot_columns`
-and `rank_int`.  No floating point and no rational arithmetic is involved
-anywhere.
+differentials they are read from carry int coefficients.  A rank over Q is
+taken in three tiers, one kernel each, all on rows packed into Python ints:
+
+1. over F_2 by `rank_mod_2`, each row a bitmask of its odd entries;
+2. over F_p, p = PRIME, by `pivot_columns_mod_p`, each row one int with a
+   64-bit field per column;
+3. over Z by fraction-free (Bareiss) elimination, `pivot_columns` and
+   `rank_int`, on dense rows.
+
+Reducing mod 2 or mod p can only lose rank: a minor that is odd, or non-zero
+mod p, is non-zero over Z.  So a modular rank is a lower bound of the rank
+over Q, and one that reaches an upper bound of the rational rank is that
+rank.  `FiniteComplex` and its `augmented_rank` argue their bounds tier by
+tier, and only what no modular tier certifies is ranked over Z.  No floating
+point and no rational arithmetic is involved anywhere.
 
 The Koszul complex of a monomial quotient and a multigraded free resolution
 both split into finitely many strands, one per exponent vector a, and each
@@ -20,56 +26,95 @@ strands at lcms of generators (or of resolution labels) can differ from
 their neighbours (Gasharov-Peeva-Welker, The lcm-lattice in monomial
 resolutions), so the rank oracle, the cycle-basis sweep and the resolution
 verifier all walk an lcm lattice generated by `lcm_lattice` and measure each
-strand there as a `FiniteComplex`.  `multidegrees` walks the whole exponent
-box of one degree, for the columns of gin's Macaulay matrices.
+strand there as a `FiniteComplex`, handed over as sparse columns.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from typing import Iterable, Iterator, Sequence
 
 PRIME = 2 ** 31 - 1
 
+# a sparse column: (row, value) pairs, each row at most once
+Column = Sequence[tuple[int, int]]
 
-def pivot_columns_mod_p(rows: Iterable[Sequence[int]]) -> list[int]:
-    """Pivot columns of a row echelon form over F_p, p = PRIME.
+
+def rank_mod_2(rows: Iterable[int]) -> int:
+    """Rank over F_2 of rows packed as bitmasks, bit j holding column j.
+
+    XOR elimination with the lowest set bit as the pivot: a row is cleared
+    by the kept row holding its lowest set bit until that bit is new or the
+    row is zero.  Each XOR clears the lowest bit and sets only higher ones,
+    so the kept rows have distinct lowest bits and span the row space.
+    """
+    pivots: dict[int, int] = {}
+    for row in rows:
+        while row:
+            low = row & -row
+            top = pivots.get(low)
+            if top is None:
+                pivots[low] = row
+                break
+            row ^= top
+    return len(pivots)
+
+
+def pack_mod_p(row: Sequence[int]) -> int:
+    """A dense row as one int: entry j reduced mod p in the 64-bit field at
+    bit 64 j, the layout `pivot_columns_mod_p` reads."""
+    return int.from_bytes(array("Q", [v % PRIME for v in row]).tobytes(),
+                          sys.byteorder)
+
+
+def pivot_columns_mod_p(rows: Iterable[int]) -> list[int]:
+    """Pivot columns over F_p, p = PRIME, of rows packed as by `pack_mod_p`
+    (fields reduced mod p), ascending.
 
     Every minor that is non-zero mod p is non-zero over Z, so the rank mod p
     of any set of columns is never above its rank over Q: the rank mod p is
     a lower bound, and the j-th pivot mod p never lies left of the j-th
-    pivot of `pivot_columns`.  Entries are reduced mod p where they are
-    tested or updated, so a row that is never updated is only copied.
+    pivot of `pivot_columns`.
+
+    Rows are reduced one at a time, as in `rank_mod_2`: the lowest non-zero
+    field is the row's pivot, and the row is cleared there by the kept row
+    with that pivot, row += f * top.  A field of row + f * top stays below
+    p + p^2 < 2^62, so no carry crosses a field.  Two folds x -> (x mod 2^31)
+    + (x >> 31), which keep x mod p as 2^31 = 1 mod p, bring each field to
+    at most 2^31, and one conditional subtract brings it below p: the bit
+    2^31 of x + 1 is set exactly when x >= p.  So a field is zero exactly
+    when its entry is 0 mod p.  Whether a column is a pivot depends only on
+    the columns left of it, so the pivots among a prefix of the columns are
+    those of the rows cut to that prefix.
     """
     p = PRIME
-    work = [list(row) for row in rows if any(row)]
-    pivots: list[int] = []
-    if not work:
-        return pivots
-    last = len(work[0]) - 1
-    for col in range(last + 1):
-        rank = len(pivots)
-        for r in range(rank, len(work)):
-            if work[r][col] % p:
+    rows = [row for row in rows if row]
+    if not rows:
+        return []
+    fields = (max(row.bit_length() for row in rows) + 63) >> 6
+    ones = ((1 << (fields << 6)) - 1) // ((1 << 64) - 1)
+    low31 = ones * p  # p = 2^31 - 1 is the mask of a field's low 31 bits
+    low33 = ones * ((1 << 33) - 1)
+    pivots: dict[int, tuple[int, int]] = {}
+    for row in rows:
+        while row:
+            shift = (row & -row).bit_length() - 1 & -64
+            entry = row >> shift & p
+            pivot = pivots.get(shift)
+            if pivot is None:
+                pivots[shift] = (row, p - pow(entry, -1, p))
                 break
-        else:
-            continue
-        pivots.append(col)
-        if rank + 1 == len(work) or col == last:
-            break
-        top = work[r]
-        work[r] = work[rank]
-        # row -= (row[col] / pivot) * top, past col: the rest is never read
-        neg = p - pow(top[col], -1, p)
-        for row in work[rank + 1:]:
-            f = row[col] * neg % p
-            if f:
-                for c in range(col + 1, last + 1):
-                    row[c] = (row[c] + f * top[c]) % p
-    return pivots
+            top, neg = pivot
+            row += entry * neg % p * top
+            row = (row & low31) + (row >> 31 & low33)
+            row = (row & low31) + (row >> 31 & low33)
+            row -= (row + ones >> 31 & ones) * p
+    return sorted(shift >> 6 for shift in pivots)
 
 
-def rank_mod_p(rows: Iterable[Sequence[int]]) -> int:
-    """Rank over F_p, p = PRIME: a lower bound of the rank over Q."""
+def rank_mod_p(rows: Iterable[int]) -> int:
+    """Rank over F_p of packed rows: a lower bound of the rank over Q."""
     return len(pivot_columns_mod_p(rows))
 
 
@@ -118,22 +163,11 @@ def rank_int(rows: Iterable[Sequence[int]]) -> int:
     return len(pivot_columns(rows))
 
 
-def multidegrees(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Every exponent vector of length parts summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in multidegrees(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def lcm_lattice(points: Iterable[Sequence[int]],
                 max_degree: int) -> Iterator[tuple[int, ...]]:
     """The lcms (componentwise maxima) of the non-empty subsets of points
     with coordinate sum at most max_degree, each once, by ascending degree
-    and, within a degree, in ascending tuple order (the order of
-    `multidegrees`).
+    and, within a degree, in ascending tuple order.
 
     Joining p with a point not below it raises the degree, and every partial
     lcm of a subset is below the whole, so the capped lcms are reached by
@@ -190,43 +224,72 @@ def lcm_lattice(points: Iterable[Sequence[int]],
 class FiniteComplex:
     """A complex 0 -> C_top -> ... -> C_1 -> C_0 -> 0 of based Q-spaces.
 
-    sizes[i] = dim C_i, and the i-th given matrix (i >= 1) is d_i as
-    sizes[i - 1] dense int rows of length sizes[i].  mats[i] is d_i for
-    i = 0..top+1, the two ends being zero maps, and ranks[i] its rank over Q.
+    sizes[i] = dim C_i, and the i-th given column list (i >= 1) is d_i as
+    sizes[i] sparse int columns over the basis of C_{i - 1}.  columns[i] is
+    d_i for i = 0..top+1, the two ends being zero maps, and ranks[i] its
+    rank over Q.
 
     When the caller vouches that d o d = 0 over Q (is_complex), the ranks
-    are taken mod p and kept if the homology h_p they give is non-zero in at
-    most one position.  Then they are the ranks over Q: r_Q >= r_p gives
-    h_Q <= h_p, d o d = 0 gives h_Q >= 0, and the Euler characteristic does
-    not depend on the field, so h_Q = h_p, and r_Q = r_p follows by
-    induction from r_0 = 0.  Otherwise every rank is recomputed over Z.
+    are taken over F_2, and kept if the homology h_2 they give is non-zero
+    in at most one position.  Then they are the ranks over Q: an odd minor
+    is non-zero over Z, so r_Q >= r_2 and h_Q <= h_2; d o d = 0 gives h_Q >=
+    0, and the Euler characteristic does not depend on the field, so h_Q =
+    h_2, and r_Q = r_2 follows by induction from r_0 = 0.  Torsion can put
+    h_2 in two positions; then the same argument is tried mod p, and what
+    neither certifies is ranked over Z on dense rows.
     """
 
-    def __init__(self, sizes: Sequence[int], mats: Sequence[list[list[int]]],
-                 *, is_complex: bool = True):
+    def __init__(self, sizes: Sequence[int],
+                 columns: Sequence[Sequence[Column]], *,
+                 is_complex: bool = True):
         self.sizes = list(sizes)
-        self.mats = [[], *mats, [[] for _ in range(self.sizes[-1])]]
+        self.columns = [[], *columns, []]
         if is_complex:
-            self.ranks = [rank_mod_p(m) if m and m[0] else 0 for m in self.mats]
-            if sum(1 for i in range(len(self.sizes)) if self.homology(i)) <= 1:
-                return
-        self.ranks = [rank_int(m) if m and m[0] else 0 for m in self.mats]
+            for tier in (_rank_2, _rank_p):
+                self.ranks = [tier(cols) for cols in self.columns]
+                if sum(1 for i in range(len(self.sizes)) if self.homology(i)) <= 1:
+                    return
+        self.ranks = [_rank_z(cols) for cols in self.columns]
 
     def homology(self, i: int) -> int:
         """dim H_i = dim ker d_i - rank d_{i+1}, for 0 <= i <= top."""
         return self.sizes[i] - self.ranks[i] - self.ranks[i + 1]
 
-    def augmented_rank(self, i: int, columns: Sequence[Sequence[int]]) -> int:
-        """Rank over Q of d_{i+1} with dense columns over the basis of C_i
+    def augmented_rank(self, i: int, columns: Sequence[Column]) -> int:
+        """Rank over Q of d_{i+1} with sparse columns over the basis of C_i
         appended.
 
-        It is at most ranks[i + 1] + len(columns), so a rank mod p that
-        reaches that bound is the rank over Q; below it, the rank is taken
-        over Z.
+        It is at most ranks[i + 1] + len(columns), so a rank mod 2 or mod p
+        that reaches that bound is the rank over Q; below it, the rank is
+        taken over Z.
         """
-        rows = [row + [col[r] for col in columns]
-                for r, row in enumerate(self.mats[i + 1])]
+        cols = [*self.columns[i + 1], *columns]
         bound = self.ranks[i + 1] + len(columns)
-        if rank_mod_p(rows) == bound:
+        if _rank_2(cols) == bound or _rank_p(cols) == bound:
             return bound
-        return rank_int(rows)
+        return _rank_z(cols)
+
+
+# The tiers on sparse columns: a matrix and its transpose have one rank, so
+# each column is packed as a row.
+
+def _rank_2(columns: Sequence[Column]) -> int:
+    return rank_mod_2(sum(1 << r for r, v in col if v & 1) for col in columns)
+
+
+def _rank_p(columns: Sequence[Column]) -> int:
+    return rank_mod_p(sum(v % PRIME << (r << 6) for r, v in col)
+                      for col in columns)
+
+
+def _rank_z(columns: Sequence[Column]) -> int:
+    width = 1 + max((r for col in columns for r, _ in col), default=-1)
+    if not width:
+        return 0
+    rows = []
+    for col in columns:
+        row = [0] * width
+        for r, v in col:
+            row[r] = v
+        rows.append(row)
+    return rank_int(rows)

@@ -276,8 +276,10 @@ def verify_resolution(res: Resolution, max_degree: int) -> ResolutionReport:
     """Check the complex property, minimality, graded exactness and ranks.
 
     Exactness is certified multidegree by multidegree with ranks over Q:
-    taken mod p and certified by the Euler characteristic (see
-    `FiniteComplex`) once d o d = 0 has passed, and over Z otherwise.  The
+    taken over F_2, then mod p, and certified by the Euler characteristic
+    (see `FiniteComplex`) once d o d = 0 has passed, and over Z otherwise.
+    Each strand is handed over as sparse columns, read off the
+    differentials' scalar entries at the strand's labels.  The
     strand at a holds position 0 (S itself) and the labels on
     minimal generators with multidegree <= a, so it is the strand at a', the
     lcm of those multidegrees, and a' = 0 leaves position 0 alone.  Only the
@@ -363,7 +365,7 @@ def verify_resolution(res: Resolution, max_degree: int) -> ResolutionReport:
             else:
                 labelled.extend(m for _, _, m in group)
         # a strand is a complex once d o d = 0 and no label was dropped from
-        # it, and only then may its ranks be certified mod p
+        # it, and only then may its ranks be certified modularly
         is_complex = checks["complex"] and ok
         for a in lcm_lattice(labelled, max_degree):
             # position 0 is S itself: its one basis element lies in every strand
@@ -375,12 +377,9 @@ def verify_resolution(res: Resolution, max_degree: int) -> ResolutionReport:
             strand = []
             for i in range(1, res.length + 1):
                 rlook = {r: p for p, r in enumerate(active[i - 1])}
-                mat = [[0] * len(active[i]) for _ in rlook]
-                for p, c in enumerate(active[i]):
-                    for r, value in columns[i - 1][c]:
-                        if r in rlook:
-                            mat[rlook[r]][p] = value
-                strand.append(mat)
+                strand.append([[(rlook[r], value)
+                                for r, value in columns[i - 1][c] if r in rlook]
+                               for c in active[i]])
             cx = FiniteComplex([len(x) for x in active], strand,
                                is_complex=is_complex)
             for i in range(res.length + 1):

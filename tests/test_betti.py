@@ -25,11 +25,11 @@ from vecspread import (
 )
 
 from vecspread.betti import _koszul_block
-from vecspread.linalg import multidegrees
 
 from util import (
     ex_resolution_ideal,
     ex_spread_ideal,
+    multidegrees,
     random_monomial_ideal,
     random_spread_vector,
     random_strongly_stable_ideal,
@@ -213,9 +213,12 @@ def test_koszul_block_wedges_brute_force():
                 assert block is None, (ideal, a)
             else:
                 assert block is not None, (ideal, a)
-                index = block[1]
-                assert {w for ix in index for w in ix} == wedges, (ideal, a)
-                assert all(len(w) == i for i, ix in enumerate(index) for w in ix)
+                _, support, index = block
+                # each wedge's bitmask over the support positions, as a wedge
+                found = [[tuple(k + 1 for p, k in enumerate(support) if m >> p & 1)
+                          for m in ix] for ix in index]
+                assert {w for ix in found for w in ix} == wedges, (ideal, a)
+                assert all(len(w) == i for i, ix in enumerate(found) for w in ix)
 
 
 def box_homology_dimensions(ideal, max_degree):

@@ -1,9 +1,11 @@
 """Generic initial ideals by modular echelon, checked against the exact
-echelon, and the spread shift."""
+echelon, the packed images and prefix pivots against their reference routes,
+and the spread shift."""
 
 from __future__ import annotations
 
 import random
+from importlib import import_module
 
 import pytest
 
@@ -24,12 +26,13 @@ from vecspread import (
     verify_shift_properties,
 )
 
-from vecspread.linalg import PRIME, multidegrees, pivot_columns, rank_int
+from vecspread.linalg import PRIME, pivot_columns, pivot_columns_mod_p, rank_int
 from vecspread.monomials import Monomial, exponents_degrevlex_key
 
 from util import (
     ex_resolution_ideal,
     ex_spread_ideal,
+    multidegrees,
     random_monomial_ideal,
     random_strongly_stable_ideal,
     roadmap_workload,
@@ -93,6 +96,22 @@ def test_gin_of_non_stable_ideals():
         assert hilbert_function(g, last) == hilbert_function(ideal, last)
 
 
+def monomial_image(change, u):
+    """g(u) over Z, expanded one linear form at a time, as exponent vector ->
+    coefficient: the reference route for `CoordinateChange.image_rows`."""
+    out = {(0,) * change.n: 1}
+    for j in u.indices:
+        row = change.matrix[j - 1]
+        product = {}
+        for e, c in out.items():
+            for k, a in enumerate(row):
+                if a:
+                    key = e[:k] + (e[k] + 1,) + e[k + 1:]
+                    product[key] = product.get(key, 0) + c * a
+        out = {e: c for e, c in product.items() if c}
+    return out
+
+
 def exact_initial_ideal(ideal, change):
     """in(gI) by fraction-free echelon over Z, with the stop rule of
     `initial_ideal`: the reference route for the modular echelon."""
@@ -110,8 +129,8 @@ def exact_initial_ideal(ideal, change):
         for e in columns:
             if ideal.contains_exponents(e):
                 row = [0] * len(columns)
-                for image, c in change.monomial_image(
-                        Monomial.from_exponents(e)).items():
+                for image, c in monomial_image(
+                        change, Monomial.from_exponents(e)).items():
                     row[position[image]] = c
                 rows.append(row)
         new = [Monomial.from_exponents(columns[j]) for j in pivot_columns(rows)
@@ -142,6 +161,118 @@ def test_modular_initial_ideal_matches_exact(ideal, seed):
         assert initial_ideal(ideal, change) == exact_initial_ideal(ideal, change)
 
 
+# the module, not the function `gin` the package exports under its name
+gin_module = import_module("vecspread.gin")
+
+
+def descending_columns(d, n):
+    return sorted(multidegrees(d, n), key=exponents_degrevlex_key, reverse=True)
+
+
+def unpack(row, width):
+    """The 64-bit fields of a packed row, column 0 first."""
+    data = row.to_bytes(8 * width, "little")
+    return [int.from_bytes(data[8 * j:8 * j + 8], "little")
+            for j in range(width)]
+
+
+def gin_matrices(ideal, seed):
+    """(change, degree, rows) of every Macaulay matrix gin's first two
+    changes from this seed take, through the top generator degree of I and
+    of its initial ideal."""
+    rng = random.Random(seed)
+    for _ in range(2):
+        change = random_coordinate_change(ideal.ambient_n, rng, 100)
+        top = max(g.degree for g in initial_ideal(ideal, change).generators)
+        low = min(g.degree for g in ideal.generators)
+        for d in range(low, max(top, max(g.degree for g in ideal.generators)) + 1):
+            yield change, d, gin_module._degree_part(ideal, d)
+
+
+PREFIX_CASES = {"W7": (roadmap_workload(9, (6, 7), 2)[0], 0),
+                "W8": (roadmap_workload(1, (6, 8), 3)[0], 0)}
+PREFIX_CASES.update((f"draw{k}", case)
+                    for k, case in enumerate(non_stable_draws()))
+
+
+@pytest.mark.parametrize("ideal, seed", PREFIX_CASES.values(), ids=PREFIX_CASES)
+def test_prefix_pivots_match_full_width(ideal, seed):
+    n = ideal.ambient_n
+    for change, d, rows in gin_matrices(ideal, seed):
+        columns = descending_columns(d, n)
+        full = pivot_columns_mod_p(change.image_rows(rows, columns))
+        prefix, pivots = gin_module._degree_pivots(change, rows, d, len(rows))
+        assert prefix == columns[:len(prefix)]
+        assert [prefix[j] for j in pivots] == [columns[j] for j in full]
+        assert len(full) == len(rows)  # g_p is an automorphism
+
+
+@pytest.mark.parametrize("ideal, seed", ACCEPTANCE.values(), ids=ACCEPTANCE)
+def test_image_rows_match_monomial_image(ideal, seed):
+    n = ideal.ambient_n
+    change = random_coordinate_change(n, random.Random(seed), 100)
+    for d in range(1, max(g.degree for g in ideal.generators) + 1):
+        columns = descending_columns(d, n)
+        monomials = gin_module._degree_part(ideal, d)
+        images = [monomial_image(change, Monomial.from_exponents(m))
+                  for m in monomials]
+        expected = [[image.get(e, 0) % PRIME for e in columns]
+                    for image in images]
+        for width in {1, max(1, len(columns) // 3), len(columns)}:
+            rows = change.image_rows(monomials, columns[:width])
+            assert [unpack(r, width) for r in rows] == [
+                e[:width] for e in expected], (d, width)
+
+
+def test_image_rows_wide_exponent_field():
+    # degree 300 needs 9 bits per exponent field: an 8-bit field would
+    # carry x1^256 into x2
+    change = CoordinateChange(((3, -5), (7, 2)), 7)
+    columns = descending_columns(300, 2)
+    (row,) = change.image_rows([(200, 100)], columns)
+    image = monomial_image(change, parse_monomial("x1^200*x2^100", 2))
+    assert unpack(row, len(columns)) == [image.get(e, 0) % PRIME
+                                         for e in columns]
+    ideal = MonomialIdeal([parse_monomial("x1^200*x2^100", 2)], 2)
+    assert {str(g) for g in gin(ideal, seed=3).generators} == {"x1^300"}
+
+
+def test_gin_doubles_a_narrow_prefix(monkeypatch):
+    # two quadrics in four variables: in degree 3 the eight rows need
+    # pivots past column 8, so the prefix doubles to 16
+    widths = []
+    image_rows = CoordinateChange.image_rows
+
+    def spy(self, monomials, columns):
+        widths.append((len(monomials), len(columns)))
+        return image_rows(self, monomials, columns)
+
+    monkeypatch.setattr(CoordinateChange, "image_rows", spy)
+    ideal = MonomialIdeal([parse_monomial(s, 4) for s in ("x1^2", "x2^2")], 4)
+    g = gin(ideal, seed=7)
+    assert [str(u) for u in g.generators] == ["x1^2", "x1*x2", "x2^3"]
+    assert (8, 8) in widths and (8, 16) in widths
+
+
+def test_gin_counts_each_hilbert_function_once(monkeypatch):
+    # the stop test compares the Hilbert functions of S/J and S/I; within a
+    # gin call each is counted once for both changes, which agree
+    counted = []
+    hilbert = gin_module.hilbert_function
+    ideal, _ = ex_resolution_ideal()
+
+    def spy(target, last):
+        counted.append(target)
+        return hilbert(target, last)
+
+    monkeypatch.setattr(gin_module, "hilbert_function", spy)
+    g = gin(ideal, seed=7)
+    assert counted.count(ideal) == 1 and counted.count(g) == 1
+    assert len(counted) == len(set(counted))
+    counted.clear()
+    assert gin(ideal, seed=7) == g and counted.count(ideal) == 1
+
+
 def test_initial_ideal_stays_below_the_exact_one():
     # g = [[1, p], [0, 1]] is the identity mod p: the modular echelon sees
     # I itself, while over Q, x2 -> p*x1 + x2 makes x1 the lead of g(x2)
@@ -168,11 +299,11 @@ def test_coordinate_change_rejects_singular():
 def test_monomial_image_golden():
     # identity matrix keeps the monomial
     change = CoordinateChange(((1, 0), (0, 1)), 1)
-    img = change.monomial_image(parse_monomial("x1*x2", 2))
+    img = monomial_image(change, parse_monomial("x1*x2", 2))
     assert img == P(((1, 1), 1))
     # x1 -> x1 + x2 squares out to x1^2 + 2 x1 x2 + x2^2
     change2 = CoordinateChange(((1, 1), (0, 1)), 1)
-    img2 = change2.monomial_image(parse_monomial("x1^2", 2))
+    img2 = monomial_image(change2, parse_monomial("x1^2", 2))
     assert img2 == P(((2, 0), 1), ((1, 1), 2), ((0, 2), 1))
 
 

@@ -1,5 +1,5 @@
 """The lcm-lattice generator against brute force, and the modular rank
-certificates against exact ranks."""
+certificates, over F_2 and mod p, against exact ranks."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -19,9 +20,11 @@ from vecspread.linalg import (
     PRIME,
     FiniteComplex,
     lcm_lattice,
+    pack_mod_p,
     pivot_columns,
     pivot_columns_mod_p,
     rank_int,
+    rank_mod_2,
     rank_mod_p,
 )
 
@@ -120,6 +123,62 @@ def test_lcm_lattice_property(points, max_degree):
 # -- modular ranks as one-sided certificates -----------------------------------
 
 
+def columns(mat, ncols=None):
+    """A dense matrix as the sparse (row, value) columns FiniteComplex takes."""
+    ncols = len(mat[0]) if ncols is None else ncols
+    return [[(r, row[c]) for r, row in enumerate(mat) if row[c]]
+            for c in range(ncols)]
+
+
+def sparse(col):
+    return [(r, v) for r, v in enumerate(col) if v]
+
+
+def packed_pivots(mat):
+    return pivot_columns_mod_p(map(pack_mod_p, mat))
+
+
+def packed_rank(mat):
+    return rank_mod_p(map(pack_mod_p, mat))
+
+
+def odd_rank(mat):
+    """Rank over F_2, each row packed as the bitmask of its odd entries."""
+    return rank_mod_2(sum(1 << c for c, v in enumerate(row) if v & 1)
+                      for row in mat)
+
+
+def list_pivot_columns_mod_p(rows):
+    """Pivot columns over F_p by elimination on lists of entries: the
+    reference route for the packed kernel."""
+    p = PRIME
+    work = [list(row) for row in rows if any(row)]
+    pivots = []
+    if not work:
+        return pivots
+    last = len(work[0]) - 1
+    for col in range(last + 1):
+        rank = len(pivots)
+        for r in range(rank, len(work)):
+            if work[r][col] % p:
+                break
+        else:
+            continue
+        pivots.append(col)
+        if rank + 1 == len(work) or col == last:
+            break
+        top = work[r]
+        work[r] = work[rank]
+        # row -= (row[col] / pivot) * top, past col: the rest is never read
+        neg = p - pow(top[col], -1, p)
+        for row in work[rank + 1:]:
+            f = row[col] * neg % p
+            if f:
+                for c in range(col + 1, last + 1):
+                    row[c] = (row[c] + f * top[c]) % p
+    return pivots
+
+
 @pytest.fixture
 def exact_calls(monkeypatch):
     """The row lists handed to the exact fallback rank_int."""
@@ -134,42 +193,108 @@ def exact_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def mod_p_calls(monkeypatch):
+    """The packed rows handed to the mod-p tier."""
+    calls = []
+
+    def counted(rows):
+        rows = list(rows)
+        calls.append(rows)
+        return rank_mod_p(rows)
+
+    monkeypatch.setattr(linalg, "rank_mod_p", counted)
+    return calls
+
+
+@pytest.fixture
+def mod_p_alone(monkeypatch):
+    """The stack without its F_2 tier: a rank of 0 is a lower bound that
+    certifies only zero maps."""
+    monkeypatch.setattr(linalg, "rank_mod_2", lambda rows: 0)
+
+
 # integer matrices that lose rank mod PRIME
 TORSION = [[[PRIME]], [[1, 1], [1, 1 + PRIME]], [[2 * PRIME, 0], [0, 0]]]
+# integer matrices that lose rank mod 2 but not mod PRIME
+TWO_TORSION = [[[2]], [[1, 1], [1, -1]]]
+# integer matrices that lose rank both mod 2 and mod PRIME
+BOTH_TORSION = [[[2 * PRIME, 0], [0, 0]], [[2, 0], [0, PRIME]]]
 
 
 @pytest.mark.parametrize("mat", TORSION)
 def test_rank_mod_p_is_a_lower_bound(mat):
-    assert rank_mod_p(mat) == rank_int(mat) - 1
-    assert rank_mod_p([[x + PRIME for x in row] for row in mat]) == rank_mod_p(mat)
+    assert packed_rank(mat) == rank_int(mat) - 1
+    assert packed_rank([[x + PRIME for x in row] for row in mat]) == \
+        packed_rank(mat)
+
+
+@pytest.mark.parametrize("mat", TWO_TORSION + BOTH_TORSION)
+def test_rank_mod_2_is_a_lower_bound(mat):
+    assert odd_rank(mat) == rank_int(mat) - 1
+    assert odd_rank([[x + 2 for x in row] for row in mat]) == odd_rank(mat)
+
+
+def test_rank_mod_2_edges():
+    assert rank_mod_2([]) == 0
+    assert rank_mod_2([0, 0]) == 0
+    assert rank_mod_2([0b11, 0b110, 0b101]) == 2  # the rows sum to 0 mod 2
+    assert rank_mod_2([0b100, 0b10, 0b1]) == 3
+    assert rank_mod_2([1 << 200, (1 << 200) | 1]) == 2
 
 
 def test_pivot_columns_mod_p_edges():
     rows = [[2, 4, 1, 0], [1, 2, 0, 1], [3, 6, 1, 1]]
-    assert pivot_columns_mod_p(rows) == pivot_columns(rows) == [0, 2]
+    assert packed_pivots(rows) == pivot_columns(rows) == [0, 2]
     assert pivot_columns_mod_p([]) == []
-    assert pivot_columns_mod_p([[], []]) == []
-    assert pivot_columns_mod_p([[0, PRIME], [-PRIME, 0]]) == []
-    assert pivot_columns_mod_p([[0, 0, -1], [0, 3, 5]]) == [1, 2]
+    assert packed_pivots([[], []]) == []
+    assert packed_pivots([[0, PRIME], [-PRIME, 0]]) == []
+    assert packed_pivots([[0, 0, -1], [0, 3, 5]]) == [1, 2]
     # p-torsion delays a pivot: (1, 1 + p) is (1, 1) mod p
-    assert pivot_columns_mod_p([[1, 1, 0], [1, 1 + PRIME, 1]]) == [0, 2]
+    assert packed_pivots([[1, 1, 0], [1, 1 + PRIME, 1]]) == [0, 2]
     assert pivot_columns([[1, 1, 0], [1, 1 + PRIME, 1]]) == [0, 1]
+    # entries at the edge of a field: p - 1 squared is the largest product
+    assert packed_pivots([[PRIME - 1, PRIME - 1], [1, PRIME - 1]]) == [0, 1]
+    assert packed_pivots([[PRIME - 1, 1], [1, PRIME - 1]]) == [0]
+    assert pack_mod_p([-1, PRIME, 2 * PRIME + 1]) == PRIME - 1 + (1 << 128)
 
 
 @pytest.mark.parametrize("mat", TORSION)
-def test_torsion_complex_takes_the_exact_path(mat, exact_calls):
+def test_torsion_complex_takes_the_exact_path(mat, mod_p_alone, exact_calls):
     # 0 -> Z^c -> Z^r -> 0 is exact over Q, but mod p both ends carry
     # homology, so the modular ranks certify nothing
-    cx = FiniteComplex([len(mat), len(mat[0])], [mat])
+    cx = FiniteComplex([len(mat), len(mat[0])], [columns(mat)])
     assert exact_calls
     assert cx.ranks == [0, rank_int(mat), 0]
     assert [cx.homology(i) for i in range(2)] == [
         len(mat) - rank_int(mat), len(mat[0]) - rank_int(mat)]
 
 
+@pytest.mark.parametrize("mat", TORSION[:2])
+def test_p_torsion_is_certified_over_f2(mat, mod_p_calls, exact_calls):
+    # the same matrices are odd where it matters: F_2 sees their full rank
+    cx = FiniteComplex([len(mat), len(mat[0])], [columns(mat)])
+    assert cx.ranks == [0, rank_int(mat), 0]
+    assert not mod_p_calls and not exact_calls
+
+
+@pytest.mark.parametrize("mat", TWO_TORSION)
+def test_two_torsion_falls_through_to_mod_p(mat, mod_p_calls, exact_calls):
+    cx = FiniteComplex([len(mat), len(mat[0])], [columns(mat)])
+    assert cx.ranks == [0, rank_int(mat), 0]
+    assert mod_p_calls and not exact_calls
+
+
+@pytest.mark.parametrize("mat", BOTH_TORSION)
+def test_torsion_at_two_and_p_reaches_bareiss(mat, mod_p_calls, exact_calls):
+    cx = FiniteComplex([len(mat), len(mat[0])], [columns(mat)])
+    assert cx.ranks == [0, rank_int(mat), 0]
+    assert mod_p_calls and exact_calls
+
+
 def test_exact_complex_needs_no_fallback(exact_calls):
     # the full simplex on two vertices: C_2 -> C_1 -> C_0, exact but at 0
-    cx = FiniteComplex([1, 2, 1], [[[1, 1]], [[-1], [1]]])
+    cx = FiniteComplex([1, 2, 1], [columns([[1, 1]]), columns([[-1], [1]])])
     assert cx.ranks == [0, 1, 1, 0]
     assert [cx.homology(i) for i in range(3)] == [0, 0, 0]
     assert not exact_calls
@@ -178,31 +303,45 @@ def test_exact_complex_needs_no_fallback(exact_calls):
 def test_non_complex_is_ranked_exactly(exact_calls):
     # d1 d2 = p != 0: mod p the homology sits in degree 0 alone, which would
     # certify rank d1 = 0; without d o d = 0 nothing is certified
-    cx = FiniteComplex([1, 1, 1], [[[PRIME]], [[1]]], is_complex=False)
+    cx = FiniteComplex([1, 1, 1], [columns([[PRIME]]), columns([[1]])],
+                       is_complex=False)
     assert cx.ranks == [0, 1, 1, 0]
     assert exact_calls
 
 
 @pytest.mark.parametrize("mat", TORSION)
-def test_torsion_augmented_rank_takes_the_exact_path(mat, exact_calls):
+def test_torsion_augmented_rank_takes_the_exact_path(mat, mod_p_alone,
+                                                     exact_calls):
     # C_0 alone, with the matrix's columns appended to the zero map d_1
     cx = FiniteComplex([len(mat)], [])
-    columns = [list(col) for col in zip(*mat)]
     assert not exact_calls
-    assert cx.augmented_rank(0, columns) == rank_int(mat)
+    assert cx.augmented_rank(0, columns(mat)) == rank_int(mat)
     assert exact_calls
+
+
+@pytest.mark.parametrize("mat", BOTH_TORSION)
+def test_both_torsion_augmented_rank_reaches_bareiss(mat, exact_calls):
+    cx = FiniteComplex([len(mat)], [])
+    assert not exact_calls
+    assert cx.augmented_rank(0, columns(mat)) == rank_int(mat)
+    assert exact_calls
+
+
+@pytest.mark.parametrize("mat", TORSION[:2] + TWO_TORSION)
+def test_one_torsion_augmented_rank_is_certified(mat, exact_calls):
+    cx = FiniteComplex([len(mat)], [])
+    assert cx.augmented_rank(0, columns(mat)) == rank_int(mat)
+    assert not exact_calls
 
 
 def test_full_augmented_rank_needs_no_fallback(exact_calls):
-    cx = FiniteComplex([1, 2, 1], [[[1, 1]], [[-1], [1]]])
+    cx = FiniteComplex([1, 2, 1], [columns([[1, 1]]), columns([[-1], [1]])])
     assert cx.augmented_rank(0, []) == 1
-    assert cx.augmented_rank(1, [[1, 0]]) == 2
+    assert cx.augmented_rank(1, [sparse([1, 0])]) == 2
     assert not exact_calls
     # a dependent column cannot reach the bound: that is decided exactly
-    assert cx.augmented_rank(1, [[-PRIME, PRIME]]) == 1
+    assert cx.augmented_rank(1, [sparse([-PRIME, PRIME])]) == 1
     assert exact_calls
-
-
 def integer_kernel(mat, ncols):
     """Integer vectors spanning the kernel of mat over Q."""
     rows = [[Fraction(x) for x in row] for row in mat]
@@ -252,25 +391,83 @@ def integer_complexes(draw):
     return sizes, mats
 
 
+def dense_boundary(sizes, mats, i):
+    """d_{i+1} as dense rows over C_i, the zero map past the top."""
+    return mats[i] if i < len(mats) else [[] for _ in range(sizes[i])]
+
+
+def assert_certified_ranks_are_exact(sizes, mats, data):
+    cx = FiniteComplex(sizes, [columns(m, sizes[i + 1])
+                               for i, m in enumerate(mats)])
+    assert cx.ranks == [0, *(rank_int(m) for m in mats), 0]
+    i = data.draw(st.integers(0, len(sizes) - 1))
+    extra = data.draw(st.lists(
+        st.lists(ENTRIES, min_size=sizes[i], max_size=sizes[i]), max_size=3))
+    rows = [row + [col[r] for col in extra]
+            for r, row in enumerate(dense_boundary(sizes, mats, i))]
+    assert cx.augmented_rank(i, [sparse(col) for col in extra]) == rank_int(rows)
+
+
 @settings(max_examples=200, deadline=None)
 @given(integer_complexes(), st.data())
 def test_certified_ranks_are_exact(complex_, data):
-    sizes, mats = complex_
-    cx = FiniteComplex(sizes, mats)
-    assert cx.ranks == [0, *(rank_int(m) for m in mats), 0]
-    i = data.draw(st.integers(0, len(sizes) - 1))
-    columns = data.draw(st.lists(
-        st.lists(ENTRIES, min_size=sizes[i], max_size=sizes[i]), max_size=3))
-    rows = [row + [col[r] for col in columns]
-            for r, row in enumerate(cx.mats[i + 1])]
-    assert cx.augmented_rank(i, columns) == rank_int(rows)
+    assert_certified_ranks_are_exact(*complex_, data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(integer_complexes(), st.data())
+def test_mod_p_tier_alone_certifies_exact_ranks(complex_, data):
+    with patch.object(linalg, "rank_mod_2", lambda rows: 0):
+        assert_certified_ranks_are_exact(*complex_, data)
+
+
+MATRICES = st.integers(0, 5).flatmap(lambda c: st.lists(
+    st.lists(ENTRIES, min_size=c, max_size=c), max_size=5))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, 5).flatmap(lambda c: st.lists(
-    st.lists(ENTRIES, min_size=c, max_size=c), max_size=5)))
+@given(MATRICES)
 def test_rank_mod_p_bounds_rank_int(mat):
-    assert rank_mod_p(mat) <= rank_int(mat)
+    assert packed_rank(mat) <= rank_int(mat)
     small = [[x if abs(x) <= 2 else 1 for x in row] for row in mat]
     # every minor of a 5 x 5 matrix with entries in -2..2 is below p
-    assert pivot_columns_mod_p(small) == pivot_columns(small)
+    assert packed_pivots(small) == pivot_columns(small)
+
+
+def list_rank_mod_2(rows):
+    """Rank over F_2 by elimination on lists of entries."""
+    work = [[v & 1 for v in row] for row in rows]
+    rank = 0
+    for col in range(len(work[0]) if work else 0):
+        r = next((r for r in range(rank, len(work)) if work[r][col]), None)
+        if r is None:
+            continue
+        work[rank], work[r] = work[r], work[rank]
+        for row in work[rank + 1:]:
+            if row[col]:
+                row[:] = [a ^ b for a, b in zip(row, work[rank])]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=200, deadline=None)
+@given(MATRICES)
+def test_rank_mod_2_bounds_rank_int(mat):
+    assert odd_rank(mat) == list_rank_mod_2(mat) <= rank_int(mat)
+
+
+# entries at every edge of the packed kernel's fields
+KERNEL_ENTRIES = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([PRIME, -PRIME, 3 * PRIME, PRIME - 1, 1 - PRIME,
+                     2 * PRIME + 1, -2 * PRIME - 1, 2 ** 64, -(2 ** 70)]),
+    st.integers(-2 ** 80, 2 ** 80))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda c: st.lists(
+    st.one_of(st.just([0] * c),
+              st.lists(KERNEL_ENTRIES, min_size=c, max_size=c)),
+    max_size=9)))
+def test_packed_kernel_matches_list_kernel(mat):
+    assert packed_pivots(mat) == list_pivot_columns_mod_p(mat)

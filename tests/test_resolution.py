@@ -158,36 +158,53 @@ def test_verify_rescaled_basis_element():
 
 @pytest.fixture
 def modular_calls(monkeypatch):
-    """The row lists whose rank is taken mod p."""
+    """The packed rows whose rank is taken over F_2 or mod p."""
     calls = []
-    rank_mod_p = linalg.rank_mod_p
-
-    def counted(rows):
-        calls.append(rows)
-        return rank_mod_p(rows)
-
-    monkeypatch.setattr(linalg, "rank_mod_p", counted)
+    for name in ("rank_mod_2", "rank_mod_p"):
+        def counted(rows, tier=getattr(linalg, name)):
+            rows = list(rows)
+            calls.append(rows)
+            return tier(rows)
+        monkeypatch.setattr(linalg, name, counted)
     return calls
 
 
-def test_verify_torsion_entry_is_ranked_exactly(modular_calls, monkeypatch):
-    # an entry scaled by p breaks d o d = 0 and vanishes mod p: once the
-    # complex check fails, no strand is ranked mod p, and the witnesses are
-    # those of exact elimination
+def exact_witnesses(res, monkeypatch):
+    """The checks and failures of verify_resolution with every rank of
+    every tier taken by rank_int."""
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "_rank_2", linalg._rank_z)
+        m.setattr(linalg, "_rank_p", linalg._rank_z)
+        exact = verify_resolution(res, 6)
+    return exact.checks, exact.failures
+
+
+def assert_scaled_entry_is_ranked_exactly(scale, modular_calls, monkeypatch):
     ideal, t = ex_resolution_ideal()
     res = build_resolution(ideal, t)
     assert verify_resolution(res, 6).ok and modular_calls
     poly = res.differential(2).entries[(0, 0)]
     for mono in poly:
-        poly[mono] *= linalg.PRIME
+        poly[mono] *= scale
     modular_calls.clear()
     rep = verify_resolution(res, 6)
     assert rep.checks["complex"] is False
     assert any(f.startswith("not exact at position") for f in rep.failures)
     assert not modular_calls
-    monkeypatch.setattr(linalg, "rank_mod_p", linalg.rank_int)
-    exact = verify_resolution(res, 6)
-    assert (rep.checks, rep.failures) == (exact.checks, exact.failures)
+    assert (rep.checks, rep.failures) == exact_witnesses(res, monkeypatch)
+
+
+def test_verify_torsion_entry_is_ranked_exactly(modular_calls, monkeypatch):
+    # an entry scaled by p breaks d o d = 0 and vanishes mod p: once the
+    # complex check fails, no strand is ranked modularly, and the witnesses
+    # are those of exact elimination
+    assert_scaled_entry_is_ranked_exactly(linalg.PRIME, modular_calls,
+                                          monkeypatch)
+
+
+def test_verify_two_scaled_entry_is_ranked_exactly(modular_calls, monkeypatch):
+    # the same with an entry scaled by 2, which vanishes over F_2
+    assert_scaled_entry_is_ranked_exactly(2, modular_calls, monkeypatch)
 
 
 def test_verify_rejects_non_int_coefficient():

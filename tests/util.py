@@ -67,6 +67,16 @@ def random_monomial_ideal(rng: random.Random, n: int, max_degree: int = 3,
     return MonomialIdeal.from_generators(gens, n)
 
 
+def multidegrees(total: int, parts: int):
+    """Every exponent vector of length parts summing to total, ascending."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in multidegrees(total - first, parts - 1):
+            yield (first,) + rest
+
+
 def roadmap_workload(seed, sizes, max_gens):
     """The last of successive strongly stable draws for t = (1,1,0).  The
     ROADMAP workloads are W7 = (9, (6, 7), 2) and W8 = (1, (6, 8), 3)."""
