@@ -44,6 +44,9 @@ class BettiTable:
     def to_quotient(self) -> "BettiTable":
         if self.view == "quotient":
             return self
+        if (0, 0) in self.entries:
+            # beta_{0,0} of an ideal is non-zero only for I = S, and S/S = 0
+            return BettiTable({}, "quotient")
         shifted = {(i + 1, j): v for (i, j), v in self.entries.items()}
         shifted[(0, 0)] = 1
         return BettiTable(shifted, "quotient")
@@ -51,6 +54,8 @@ class BettiTable:
     def to_ideal(self) -> "BettiTable":
         if self.view == "ideal":
             return self
+        if not self.entries:  # S/I = 0 only for I = S
+            return BettiTable({(0, 0): 1}, "ideal")
         shifted = {(i - 1, j): v for (i, j), v in self.entries.items() if i >= 1}
         return BettiTable(shifted, "ideal")
 
@@ -127,10 +132,6 @@ def betti_table(ideal: MonomialIdeal, t, view: str = "ideal") -> BettiTable:
     require_strongly_stable(ideal, t)
     entries: dict[tuple[int, int], int] = {}
     if ideal.is_unit:
-        # S/S is the zero module: its quotient table is empty, so the
-        # generic view conversion (built for proper ideals) must be bypassed
-        if view == "quotient":
-            return BettiTable({}, "quotient")
         entries[(0, 0)] = 1
     else:
         for u in ideal.generators:

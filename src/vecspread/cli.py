@@ -5,16 +5,15 @@ shift.  Results go to stdout, diagnostics to stderr; exit code 0 means
 success (or property holds), 1 means a property violation with a witness,
 2 means a usage or input error.
 
-Environment overrides for default bounds: VECSPREAD_GIN_BOUND (coefficient
-bound for generic coordinates), VECSPREAD_MAX_DEGREE (degree cap for rank
-and Hilbert-function verification).
+Every setting is a flag with its default declared on it (`--help` lists
+them); no environment variable is read, so a printed command line, with the
+seed that gin and shift print, reproduces its result.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from typing import Optional
@@ -38,17 +37,6 @@ from .monomials import (
     spread_monomials,
 )
 from .resolution import build_resolution, verify_resolution
-
-
-def _env_int(name: str, default: int) -> int:
-    """An integer environment override; read only by the subcommand using it."""
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
 
 
 def _parse_t(text: str) -> SpreadVector:
@@ -132,7 +120,7 @@ def _cmd_betti(args) -> int:
     if args.oracle:
         bound = max((j for _, j in table.entries), default=0)
         dims = homology_dimensions(ideal, bound)
-        expected = betti_table(ideal, t, view="quotient").entries
+        expected = table.to_quotient().entries
         match = dims == expected
         payload["oracle"] = "match" if match else "mismatch"
         text += f"\noracle: {'MATCH' if match else 'MISMATCH'}"
@@ -173,9 +161,7 @@ def _cmd_resolution(args) -> int:
     text = res.ascii() if args.format == "ascii" else ""
     code = 0
     if args.verify:
-        bound = (args.max_degree if args.max_degree is not None
-                 else _env_int("VECSPREAD_MAX_DEGREE", 8))
-        report = verify_resolution(res, bound)
+        report = verify_resolution(res, args.max_degree)
         payload["verification"] = {
             "ok": report.ok,
             "checks": report.checks,
@@ -190,49 +176,48 @@ def _cmd_resolution(args) -> int:
     return code
 
 
+def _seed(args) -> int:
+    """--seed, or a fresh one when it is absent; gin and shift print it."""
+    return args.seed if args.seed is not None else random.randrange(2 ** 32)
+
+
+def _generator_text(ideal: MonomialIdeal, seed: int) -> str:
+    return "\n".join([format_monomial(g) for g in ideal.generators]
+                     + [f"seed: {seed}"])
+
+
 def _cmd_gin(args) -> int:
     ideal, _ = parse_ideal_file(args.ideal)
-    seed = args.seed if args.seed is not None else random.randrange(2 ** 32)
-    bound = (args.bound if args.bound is not None
-             else _env_int("VECSPREAD_GIN_BOUND", 100))
-    result = gin(ideal, seed=seed, bound=bound)
+    seed = _seed(args)
+    result = gin(ideal, seed=seed, bound=args.bound)
     payload = ideal_to_dict(result)
-    payload["t"] = []
     payload["seed"] = seed
-    text = "\n".join([format_monomial(g) for g in result.generators]
-                     + [f"seed: {seed}"])
-    _emit(payload, text, args.format)
+    _emit(payload, _generator_text(result, seed), args.format)
     return 0
 
 
 def _cmd_shift(args) -> int:
     ideal, _ = parse_ideal_file(args.ideal)
     t = _parse_t(args.t)
-    seed = args.seed if args.seed is not None else random.randrange(2 ** 32)
-    bound = (args.bound if args.bound is not None
-             else _env_int("VECSPREAD_GIN_BOUND", 100))
-    code = 0
+    seed = _seed(args)
+    report = None
     if args.verify:
-        max_degree = (args.max_degree if args.max_degree is not None
-                      else _env_int("VECSPREAD_MAX_DEGREE", 0) or None)
-        report = verify_shift_properties(ideal, t, max_degree=max_degree,
-                                         seed=seed, bound=bound)
+        report = verify_shift_properties(ideal, t, max_degree=args.max_degree,
+                                         seed=seed, bound=args.bound)
         result = report.shifted
-        payload = ideal_to_dict(result, t)
-        payload["seed"] = seed
-        payload["properties"] = {k: v for k, v in report.results.items()}
-        text = "\n".join([format_monomial(g) for g in result.generators]
-                         + [f"seed: {seed}", str(report)])
+    else:
+        result = shift(ideal, t, seed=seed, bound=args.bound)
+    payload = ideal_to_dict(result, t)
+    payload["seed"] = seed
+    text = _generator_text(result, seed)
+    code = 0
+    if report is not None:
+        payload["properties"] = dict(report.results)
+        text += f"\n{report}"
         if not report.ok:
             for line in report.witnesses:
                 print(line, file=sys.stderr)
             code = 1
-    else:
-        result = shift(ideal, t, seed=seed, bound=bound)
-        payload = ideal_to_dict(result, t)
-        payload["seed"] = seed
-        text = "\n".join([format_monomial(g) for g in result.generators]
-                         + [f"seed: {seed}"])
     _emit(payload, text, args.format)
     return code
 
@@ -283,14 +268,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("resolution", help="labelled minimal free resolution")
     p.add_argument("--ideal", required=True)
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--max-degree", type=int)
+    p.add_argument("--max-degree", type=int, default=8,
+                   help="degree cap of the verification (default 8)")
     add_format(p)
     p.set_defaults(func=_cmd_resolution)
 
     p = sub.add_parser("gin", help="generic initial ideal (degrevlex)")
     p.add_argument("--ideal", required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--bound", type=int)
+    p.add_argument("--bound", type=int, default=100,
+                   help="coefficient bound of the coordinate changes (default 100)")
     add_format(p, default="json")
     p.set_defaults(func=_cmd_gin)
 
@@ -298,9 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ideal", required=True)
     p.add_argument("--t", required=True, help="target spread, comma-separated")
     p.add_argument("--seed", type=int)
-    p.add_argument("--bound", type=int)
+    p.add_argument("--bound", type=int, default=100,
+                   help="coefficient bound of the coordinate changes (default 100)")
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--max-degree", type=int)
+    p.add_argument("--max-degree", type=int,
+                   help="degree cap of the Hilbert-function check "
+                        "(default: top generator degree + 3)")
     add_format(p, default="json")
     p.set_defaults(func=_cmd_shift)
 

@@ -4,7 +4,7 @@ Genericity is sampled, not certified: the ideal is pushed through a random
 integer coordinate change g and the leading terms of g(I) are read off.  Two
 independent runs must agree, and the result must be strongly stable in the
 classical (0-spread) sense; otherwise the coefficient bound doubles and the
-whole procedure retries before giving up.
+whole procedure retries, at most MAX_RETRIES = 3 times, before giving up.
 
 Every input is a monomial ideal I, so (gI)_d is spanned by the images g(m)
 of the monomials m of I_d, and in(gI)_d is the set of leading monomials of
@@ -279,28 +279,29 @@ def _classic_spread(ideal: MonomialIdeal) -> SpreadVector:
     return SpreadVector((0,) * max(1, top - 1))
 
 
-def _gin_once(ideal: MonomialIdeal, rng: random.Random, bound: int,
-              shared: _SharedWork) -> MonomialIdeal:
-    change = random_coordinate_change(ideal.ambient_n, rng, bound)
-    return initial_ideal(ideal, change, _shared=shared)
+# coefficient-bound doublings after the first try before gin gives up
+MAX_RETRIES = 3
 
 
-def gin(ideal: MonomialIdeal, *, seed: Optional[int] = None, bound: int = 100,
-        max_retries: int = 3) -> MonomialIdeal:
+def gin(ideal: MonomialIdeal, *, seed: Optional[int] = None,
+        bound: int = 100) -> MonomialIdeal:
     """Generic initial ideal under degrevlex.
 
     Two independent random coordinate changes must yield identical initial
     ideals, and the agreed result must be classically strongly stable; on
-    any mismatch the coefficient bound doubles and the computation retries.
+    any mismatch the coefficient bound doubles and the computation retries,
+    MAX_RETRIES = 3 times, before raising GenericityError.
     """
     if ideal.is_zero or ideal.is_unit:
         return ideal
     rng = random.Random(seed)
     shared = _SharedWork()
     b = bound
-    for _ in range(max_retries + 1):
-        first = _gin_once(ideal, rng, b, shared)
-        second = _gin_once(ideal, rng, b, shared)
+    for _ in range(MAX_RETRIES + 1):
+        first, second = [
+            initial_ideal(ideal, random_coordinate_change(ideal.ambient_n, rng, b),
+                          _shared=shared)
+            for _ in range(2)]
         if first == second and is_strongly_stable(first, _classic_spread(first)):
             return first
         b *= 2
@@ -313,10 +314,10 @@ def gin(ideal: MonomialIdeal, *, seed: Optional[int] = None, bound: int = 100,
 
 
 def shift(ideal: MonomialIdeal, t, *, seed: Optional[int] = None,
-          bound: int = 100, max_retries: int = 3) -> MonomialIdeal:
+          bound: int = 100) -> MonomialIdeal:
     """The t-spread shift: the image of Gin(I) under the 0-to-t spread map."""
     t = SpreadVector.coerce(t)
-    g = gin(ideal, seed=seed, bound=bound, max_retries=max_retries)
+    g = gin(ideal, seed=seed, bound=bound)
     if g.is_zero or g.is_unit:
         return g
     top = max(u.degree for u in g.generators)

@@ -33,8 +33,7 @@ class MonomialIdeal:
     Instances are immutable by convention.
     """
 
-    def __init__(self, generators: Iterable[Monomial], ambient_n: int,
-                 spread_type: Optional[SpreadVector] = None):
+    def __init__(self, generators: Iterable[Monomial], ambient_n: int):
         gens = tuple(sorted(generators, key=plex_key, reverse=True))
         for g in gens:
             if g.max_index > ambient_n and not g.is_unit:
@@ -48,15 +47,13 @@ class MonomialIdeal:
                         f"generator set is not minimal: {h} divides {g}")
         self.generators = gens
         self.ambient_n = ambient_n
-        self.spread_type = SpreadVector.coerce(spread_type) if spread_type is not None else None
         self._exp_cache: dict[tuple[int, ...], bool] = {}
         self._gen_exps = [g.exponents for g in gens]
 
     @classmethod
-    def from_generators(cls, generators: Iterable[Monomial], ambient_n: int,
-                        spread_type=None) -> "MonomialIdeal":
-        t = SpreadVector.coerce(spread_type) if spread_type is not None else None
-        return cls(minimalize(generators), ambient_n, t)
+    def from_generators(cls, generators: Iterable[Monomial],
+                        ambient_n: int) -> "MonomialIdeal":
+        return cls(minimalize(generators), ambient_n)
 
     @classmethod
     def zero(cls, n: int) -> "MonomialIdeal":
@@ -110,8 +107,7 @@ class MonomialIdeal:
                      default=1)
         if n < needed:
             raise ValueError(f"ambient {n} too small for generators up to x{needed}")
-        return MonomialIdeal((Monomial(g.indices, n) for g in self.generators),
-                             n, self.spread_type)
+        return MonomialIdeal((Monomial(g.indices, n) for g in self.generators), n)
 
     # -- identity ----------------------------------------------------------
 
@@ -269,7 +265,7 @@ def strongly_stable_closure(monomials: Iterable[Monomial], t,
                 w = base.times_var(j)
                 if is_spread(w, t) and w not in closed:
                     frontier.append(w)
-    return MonomialIdeal.from_generators(closed, ambient_n, t)
+    return MonomialIdeal.from_generators(closed, ambient_n)
 
 
 # -- standard factorization -------------------------------------------------
@@ -377,13 +373,12 @@ def hilbert_function(ideal: MonomialIdeal, max_degree: int) -> list[int]:
 
 
 def ideal_to_dict(ideal: MonomialIdeal, t=None) -> dict:
-    t = SpreadVector.coerce(t) if t is not None else ideal.spread_type
-    payload = {
+    """The record {"n", "t", "generators"}; "t" is [] when t is None."""
+    return {
         "n": ideal.ambient_n,
-        "t": list(t.entries) if t is not None else [],
+        "t": [] if t is None else list(SpreadVector.coerce(t).entries),
         "generators": [format_monomial(g) for g in ideal.generators],
     }
-    return payload
 
 
 def ideal_from_dict(payload: dict) -> tuple[MonomialIdeal, Optional[SpreadVector]]:
@@ -402,5 +397,4 @@ def ideal_from_dict(payload: dict) -> tuple[MonomialIdeal, Optional[SpreadVector
         raise ValueError(f"generators must be a list of strings, got {raw_gens!r}")
     t = SpreadVector(tuple(raw_t)) if raw_t else None
     gens = [parse_monomial(s, n) for s in raw_gens]
-    ideal = MonomialIdeal.from_generators(gens, n, t)
-    return ideal, t
+    return MonomialIdeal.from_generators(gens, n), t

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from operator import index, le
 from typing import Optional
 
+from .betti import betti_table
 from .ideals import (
     MonomialIdeal,
     admissible_shape,
@@ -405,8 +406,6 @@ def verify_resolution(res: Resolution, max_degree: int) -> ResolutionReport:
     checks["exactness"] = ok
 
     # (d) graded ranks against the closed Betti formula
-    from .betti import betti_table  # local import to avoid a cycle
-
     expected = betti_table(ideal, res.t, view="quotient").entries
     got = res.graded_rank_counts()
     ok = got == expected

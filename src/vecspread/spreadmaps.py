@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ideals import MonomialIdeal, minimalize
+from .ideals import MonomialIdeal
 from .monomials import Monomial, SpreadVector, is_spread, prefix_sums
 
 
@@ -78,8 +78,8 @@ def apply_spread_map_ideal(map_: SpreadMap, ideal: MonomialIdeal,
                            ambient_n: int | None = None) -> MonomialIdeal:
     """Apply the map to every minimal generator.
 
-    The image generator set is checked to be minimal again (it is, for the
-    spread classes these maps are used on, but the check is cheap).
+    The image generator set is minimal again for the spread classes these
+    maps are used on; `MonomialIdeal` raises ValueError if it is not.
     """
     if ideal.is_zero:
         n = ambient_n or default_target_ambient(map_, ideal.ambient_n, 1)
@@ -98,7 +98,4 @@ def apply_spread_map_ideal(map_: SpreadMap, ideal: MonomialIdeal,
     elif image_max > ambient_n:
         raise ValueError(
             f"image index {image_max} exceeds requested ambient {ambient_n}")
-    gens = [Monomial(idx, ambient_n) for idx in images]
-    if len(minimalize(gens)) != len(gens):
-        raise ValueError("spread map image is not a minimal generating set")
-    return MonomialIdeal(gens, ambient_n, map_.target)
+    return MonomialIdeal([Monomial(idx, ambient_n) for idx in images], ambient_n)

@@ -135,6 +135,17 @@ def test_zero_and_unit_edge_cases():
     assert poincare_pd_reg(u, (0,)) == ([1], 0, 0)
 
 
+def test_zero_and_unit_view_conversion():
+    # S/S = 0 has the empty table and S/0 = S the single entry beta_{0,0}
+    for ideal in (MonomialIdeal.zero(3), MonomialIdeal.unit_ideal(3)):
+        as_ideal = betti_table(ideal, (0,), view="ideal")
+        as_quotient = betti_table(ideal, (0,), view="quotient")
+        assert as_ideal.to_quotient() == as_quotient
+        assert as_quotient.to_ideal() == as_ideal
+        assert as_ideal.to_quotient().to_ideal() == as_ideal
+        assert as_quotient.to_ideal().to_quotient() == as_quotient
+
+
 def test_betti_requires_strongly_stable():
     bad = MonomialIdeal([parse_monomial("x2", 3)], 3)
     with pytest.raises(ValueError):

@@ -352,12 +352,18 @@ def test_gin_output_feeds_back_in(capsys, write_ideal, tmp_path):
     assert "oracle: MATCH" in capsys.readouterr().out
 
 
-def test_env_var_max_degree(capsys, write_ideal, monkeypatch):
-    monkeypatch.setenv("VECSPREAD_MAX_DEGREE", "6")
+def test_environment_is_not_read(capsys, write_ideal, monkeypatch):
+    # every setting is a flag: variables that once overrode the defaults
+    # change neither the exit code nor a byte of the output
     path = write_ideal(FIX_B)
-    assert main(["resolution", "--ideal", path, "--verify"]) == 0
+    runs = (["resolution", "--ideal", path, "--verify"],
+            ["gin", "--ideal", path, "--seed", "7"])
+    plain = []
+    for argv in runs:
+        assert main(argv) == 0
+        plain.append(capsys.readouterr().out)
     monkeypatch.setenv("VECSPREAD_MAX_DEGREE", "six")
-    assert main(["resolution", "--ideal", path, "--verify"]) == 2
-    assert "VECSPREAD_MAX_DEGREE" in capsys.readouterr().err
-    # a subcommand that never reads the variable is unaffected by it
-    assert main(["enumerate", "--n", "3", "--deg", "2", "--t", "1"]) == 0
+    monkeypatch.setenv("VECSPREAD_GIN_BOUND", "0")
+    for argv, expected in zip(runs, plain):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected

@@ -122,7 +122,7 @@ def test_x2_not_strongly_stable():
 def test_lex_segment_golden():
     # in two variables with t=(0,): (x1^2, x1x2) is lex, adding x2^2 keeps it
     t = SpreadVector((0,))
-    lex = MonomialIdeal([parse_monomial("x1^2", 2), parse_monomial("x1*x2", 2)], 2, t)
+    lex = MonomialIdeal([parse_monomial("x1^2", 2), parse_monomial("x1*x2", 2)], 2)
     assert is_lex_segment(lex, t)
 
 
@@ -130,7 +130,7 @@ def test_strongly_stable_but_not_lex():
     # x1x3 is lex-larger than x2^2 and missing
     t = SpreadVector((0,))
     gens = [parse_monomial(s, 3) for s in ("x1^2", "x1*x2", "x2^2")]
-    ideal = MonomialIdeal(gens, 3, t)
+    ideal = MonomialIdeal(gens, 3)
     assert is_strongly_stable(ideal, t)
     violation = lex_violation(ideal, t)
     assert violation is not None
@@ -143,7 +143,7 @@ def test_stable_but_not_strongly_stable():
     t = SpreadVector((0, 0))
     gens = [parse_monomial(s, 4) for s in
             ("x1^2", "x1*x2", "x2^2", "x2*x3", "x2*x4")]
-    ideal = MonomialIdeal(gens, 4, t)
+    ideal = MonomialIdeal(gens, 4)
     assert is_stable(ideal, t)
     violation = strongly_stable_violation(ideal, t)
     assert violation is not None
@@ -189,7 +189,7 @@ def test_generator_criterion_matches_degreewise_definition():
         seeds = random_spread_monomials(rng, n, t, rng.randint(1, 3))
         if not seeds:
             continue
-        ideal = MonomialIdeal.from_generators(seeds, n, t)
+        ideal = MonomialIdeal.from_generators(seeds, n)
         assert is_strongly_stable(ideal, t) == _degreewise_strongly_stable(ideal, t)
 
 
@@ -201,7 +201,7 @@ def test_hierarchy_on_random_ideals():
         seeds = random_spread_monomials(rng, n, t, rng.randint(1, 3))
         if not seeds:
             continue
-        ideal = MonomialIdeal.from_generators(seeds, n, t)
+        ideal = MonomialIdeal.from_generators(seeds, n)
         if is_lex_segment(ideal, t):
             assert is_strongly_stable(ideal, t)
         if is_strongly_stable(ideal, t):

@@ -98,7 +98,6 @@ def test_ideal_image_golden():
     assert image.ambient_n == 3
     assert [format_monomial(g) for g in image.generators] == [
         "x1^2", "x1*x2", "x1*x3^2"]
-    assert image.spread_type == SpreadVector.zero(3)
 
 
 def test_ideal_image_zero_ideal():

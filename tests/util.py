@@ -20,14 +20,14 @@ def ex_spread_ideal(n: int = 6):
     t = SpreadVector((1, 0, 2))
     gens = [parse_monomial(s, n)
             for s in ("x1", "x2*x3^2", "x2*x3*x4*x6", "x2*x4^2*x6")]
-    return MonomialIdeal(gens, n, t), t
+    return MonomialIdeal(gens, n), t
 
 
 def ex_resolution_ideal(n: int = 4):
     """Second worked ideal: t = (1,0), three generators."""
     t = SpreadVector((1, 0))
     gens = [parse_monomial(s, n) for s in ("x1*x2", "x1*x3", "x1*x4^2")]
-    return MonomialIdeal(gens, n, t), t
+    return MonomialIdeal(gens, n), t
 
 
 def random_spread_vector(rng: random.Random, max_len: int = 3,
