@@ -40,15 +40,16 @@ class MonomialIdeal:
                 raise ValueError(f"generator {g} exceeds ambient n={ambient_n}")
         # normalize every generator to the ideal's own ambient
         gens = tuple(Monomial(g.indices, ambient_n) for g in gens)
-        for i, g in enumerate(gens):
-            for h in gens[:i] + gens[i + 1:]:
-                if h.divides(g):
-                    raise ValueError(
-                        f"generator set is not minimal: {h} divides {g}")
+        exps = [g.exponents for g in gens]
+        for i, e in enumerate(exps):
+            for j, f in enumerate(exps):
+                if j != i and all(map(le, f, e)):
+                    raise ValueError(f"generator set is not minimal: "
+                                     f"{gens[j]} divides {gens[i]}")
         self.generators = gens
         self.ambient_n = ambient_n
         self._exp_cache: dict[tuple[int, ...], bool] = {}
-        self._gen_exps = [g.exponents for g in gens]
+        self._gen_exps = exps
 
     @classmethod
     def from_generators(cls, generators: Iterable[Monomial],
@@ -126,12 +127,20 @@ class MonomialIdeal:
 
 
 def minimalize(monomials: Iterable[Monomial]) -> list[Monomial]:
-    """Divisibility-minimal elements, in descending plex order."""
+    """Divisibility-minimal elements, in descending plex order.
+
+    Divisibility is tested on exponent vectors over the largest ambient in
+    the pool, so monomials of different ambients compare correctly.
+    """
     pool = sorted(set(monomials), key=lambda m: (m.degree, plex_key(m)))
+    n = max((m.ambient_n for m in pool), default=1)
     kept: list[Monomial] = []
+    kept_exps: list[tuple[int, ...]] = []
     for m in pool:
-        if not any(k.divides(m) for k in kept):
+        e = m.exponents_over(n)
+        if not any(all(map(le, f, e)) for f in kept_exps):
             kept.append(m)
+            kept_exps.append(e)
     kept.sort(key=plex_key, reverse=True)
     return kept
 

@@ -20,7 +20,7 @@ at a time, against the independently counted Hilbert function.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import index, le
+from operator import add, index, le, sub
 from typing import Optional
 
 from .betti import betti_table
@@ -54,11 +54,12 @@ def _poly_add(dst: Poly, mono: Monomial, coeff: int) -> None:
 
 
 def format_poly(poly: Poly) -> str:
-    if not poly:
-        return "0"
+    """The terms in descending plex order; a zero coefficient shows nothing."""
     pieces = []
     for mono, coeff in sorted(poly.items(), key=lambda kv: plex_key(kv[0]),
                               reverse=True):
+        if not coeff:
+            continue
         mag = abs(coeff)
         body = format_monomial(mono) if mag == 1 else \
             f"{mag}*{format_monomial(mono)}"
@@ -66,14 +67,16 @@ def format_poly(poly: Poly) -> str:
             pieces.append(body if coeff > 0 else f"-{body}")
         else:
             pieces.append(("+" if coeff > 0 else "-") + body)
-    return "".join(pieces)
+    return "".join(pieces) or "0"
 
 
 class MonomialMatrix:
     """A sparse matrix whose entries are polynomials with int coefficients.
 
+    Construction and `add_to_entry` keep no zero term and no empty entry.
     `entries` is public and may be edited in place, so nothing here checks
-    the coefficients; verify_resolution rejects a non-int with TypeError.
+    the coefficients; verify_resolution rejects a non-int with TypeError and
+    ignores a zero one.
     """
 
     def __init__(self, nrows: int, ncols: int,
@@ -85,8 +88,9 @@ class MonomialMatrix:
             for (r, c), poly in entries.items():
                 if not (0 <= r < nrows and 0 <= c < ncols):
                     raise ValueError(f"entry ({r},{c}) outside {nrows}x{ncols}")
+                poly = {mono: coeff for mono, coeff in poly.items() if coeff}
                 if poly:
-                    self.entries[(r, c)] = dict(poly)
+                    self.entries[(r, c)] = poly
 
     def entry(self, r: int, c: int) -> Poly:
         return dict(self.entries.get((r, c), {}))
@@ -102,20 +106,45 @@ class MonomialMatrix:
         return not self.entries
 
     def compose(self, other: "MonomialMatrix") -> "MonomialMatrix":
-        """Matrix product self @ other (apply other first)."""
+        """Matrix product self @ other (apply other first).
+
+        Terms are multiplied and summed on exponent vectors; each term of
+        the product is made a Monomial once, and zero sums are dropped.
+        Multiplying two terms of different ambients raises ValueError.
+        """
         if self.ncols != other.nrows:
             raise ValueError(
                 f"cannot compose {self.nrows}x{self.ncols} with "
                 f"{other.nrows}x{other.ncols}")
-        by_row: dict[int, list[tuple[int, Poly]]] = {}
+        by_row: dict[int, list[tuple[int, list]]] = {}
         for (m, c), q in other.entries.items():
-            by_row.setdefault(m, []).append((c, q))
-        out = MonomialMatrix(self.nrows, other.ncols)
+            by_row.setdefault(m, []).append(
+                (c, [(mono.exponents, coeff) for mono, coeff in q.items()]))
+        sums: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}
         for (r, m), p in self.entries.items():
-            for c, q in by_row.get(m, ()):
-                for mono1, c1 in p.items():
-                    for mono2, c2 in q.items():
-                        out.add_to_entry(r, c, mono1.mul(mono2), c1 * c2)
+            row = by_row.get(m)
+            if not row:
+                continue
+            p = [(mono.exponents, coeff) for mono, coeff in p.items()]
+            for c, q in row:
+                acc = sums.setdefault((r, c), {})
+                for e1, c1 in p:
+                    for e2, c2 in q:
+                        if len(e1) != len(e2):
+                            raise ValueError("cannot multiply monomials with "
+                                             "different ambients")
+                        e = tuple(map(add, e1, e2))
+                        acc[e] = acc.get(e, 0) + c1 * c2
+        out = MonomialMatrix(self.nrows, other.ncols)
+        for key, acc in sums.items():
+            # equal monomials of different ambients have different exponent
+            # vectors: they meet, and may cancel, only here
+            poly: Poly = {}
+            for e, coeff in acc.items():
+                if coeff:
+                    _poly_add(poly, Monomial.from_exponents(e), coeff)
+            if poly:
+                out.entries[key] = poly
         return out
 
     def ascii(self) -> str:
@@ -229,6 +258,9 @@ def build_resolution(ideal: MonomialIdeal, t) -> Resolution:
 
     diffs: list[MonomialMatrix] = []
     n = ideal.ambient_n
+    xs = [None] + [variable(k, n) for k in range(1, n + 1)]
+    # (u_k, free(u_k), v_k) for each (generator u, k): none depends on sigma
+    steps: dict[tuple[Monomial, int], tuple[Monomial, frozenset[int], Monomial]] = {}
     for i in range(1, len(bases) + 1):
         cols = bases[i - 1]
         if i == 1:
@@ -237,19 +269,23 @@ def build_resolution(ideal: MonomialIdeal, t) -> Resolution:
                 d.add_to_entry(0, c, lab.generator, 1)
             diffs.append(d)
             continue
-        rows = {lab: r for r, lab in enumerate(bases[i - 2])}
+        rows = {(lab.generator, lab.sigma): r for r, lab in enumerate(bases[i - 2])}
         d = MonomialMatrix(len(rows), len(cols))
         for c, lab in enumerate(cols):
             u, sigma = lab.generator, lab.sigma
             for pos, k in enumerate(sigma):
                 sign = -1 if pos % 2 else 1  # alpha(sigma;k) = elements below k
                 tau = sigma[:pos] + sigma[pos + 1:]
-                d.add_to_entry(rows[CycleLabel(u, tau)], c, variable(k, n), -sign)
-                w = u.times_var(k)
-                u_k = decomposition_function(ideal, t, w)
-                if set(tau) <= set(free_indices(u_k, t)):
-                    v_k = w.divide(u_k)
-                    d.add_to_entry(rows[CycleLabel(u_k, tau)], c, v_k, sign)
+                d.add_to_entry(rows[u, tau], c, xs[k], -sign)
+                step = steps.get((u, k))
+                if step is None:
+                    w = u.times_var(k)
+                    u_k = decomposition_function(ideal, t, w)
+                    step = steps[u, k] = (
+                        u_k, frozenset(free_indices(u_k, t)), w.divide(u_k))
+                u_k, free_k, v_k = step
+                if free_k.issuperset(tau):
+                    d.add_to_entry(rows[u_k, tau], c, v_k, sign)
         diffs.append(d)
     return Resolution(ideal, t, bases, diffs)
 
@@ -316,7 +352,7 @@ def verify_resolution(res: Resolution, max_degree: int) -> ResolutionReport:
     ok = True
     for i in range(1, res.length + 1):
         for (r, c), poly in res.differential(i).entries.items():
-            if any(m.is_unit for m in poly):
+            if any(m.is_unit and coeff for m, coeff in poly.items()):
                 ok = False
                 failures.append(
                     f"d{i} entry ({r},{c}) = {format_poly(poly)} has a "
@@ -333,9 +369,11 @@ def verify_resolution(res: Resolution, max_degree: int) -> ResolutionReport:
     for i in range(1, res.length + 1):
         cols = [[] for _ in mdegs[i]]
         for (r, c), poly in res.differential(i).entries.items():
-            want = tuple(a - b for a, b in zip(mdegs[i][c], mdegs[i - 1][r]))
+            want = tuple(map(sub, mdegs[i][c], mdegs[i - 1][r]))
             for mono, coeff in poly.items():
                 coeff = index(coeff)  # a rational would truncate in Bareiss
+                if not coeff:
+                    continue
                 if mono.exponents != want:
                     ok = False
                     failures.append(
@@ -351,20 +389,40 @@ def verify_resolution(res: Resolution, max_degree: int) -> ResolutionReport:
         # a label's multidegree is a multiple of its generator's, so only the
         # labels of generators dividing x^a can lie in the strand at a; the
         # strands find those generators by the ideal's divisibility scan, so
-        # a label on anything else would drop out of every strand unseen
+        # a label on anything else would drop out of every strand unseen.
+        # A label of g whose excess over g is a 0/1 vector, a set sigma, lies
+        # below a exactly when sigma is in g's slack set {k : a_k > g_k}, so
+        # its strands read it by that set as a bitmask; any other label is
+        # compared with a directly
         groups: dict[tuple[int, ...], list[tuple[int, int, tuple[int, ...]]]] = {}
         for i, labels in enumerate(res.bases, start=1):
             for c, lab in enumerate(labels):
                 groups.setdefault(lab.generator.exponents, []).append(
                     (i, c, mdegs[i][c]))
         labelled: list[tuple[int, ...]] = []  # what the strands can hold
+        strands_on = {}
         for g, group in groups.items():
             if next(ideal.generators_dividing(g), None) != g:
                 ok = False
                 stray = format_monomial(Monomial.from_exponents(g))
                 failures.append(f"labels on {stray}, not a minimal generator")
-            else:
-                labelled.extend(m for _, _, m in group)
+                continue
+            labelled.extend(m for _, _, m in group)
+            by_mask: dict[int, list[tuple[int, int]]] = {}
+            odd = []
+            for i, c, m in group:
+                excess = list(map(sub, m, g))
+                if all(e in (0, 1) for e in excess):
+                    mask = sum(1 << k for k, e in enumerate(excess) if e)
+                    by_mask.setdefault(mask, []).append((i, c))
+                else:
+                    odd.append((i, c, m))
+            # a's slack set is read on the sigma indices of g's labels alone
+            occurring = 0
+            for mask in by_mask:
+                occurring |= mask
+            slack = [(k, 1 << k) for k in range(len(g)) if occurring >> k & 1]
+            strands_on[g] = (slack, by_mask, odd)
         # a strand is a complex once d o d = 0 and no label was dropped from
         # it, and only then may its ranks be certified modularly
         is_complex = checks["complex"] and ok
@@ -372,7 +430,22 @@ def verify_resolution(res: Resolution, max_degree: int) -> ResolutionReport:
             # position 0 is S itself: its one basis element lies in every strand
             active: list[list[int]] = [[0]] + [[] for _ in res.bases]
             for g in ideal.generators_dividing(a):
-                for i, c, m in groups.get(g, ()):
+                on_g = strands_on.get(g)
+                if on_g is None:
+                    continue
+                slack, by_mask, odd = on_g
+                below = 0
+                for k, bit in slack:
+                    if a[k] > g[k]:
+                        below |= bit
+                part = below  # every subset of `below`, itself first, 0 last
+                while True:
+                    for i, c in by_mask.get(part, ()):
+                        active[i].append(c)
+                    if not part:
+                        break
+                    part = (part - 1) & below
+                for i, c, m in odd:
                     if all(map(le, m, a)):
                         active[i].append(c)
             strand = []

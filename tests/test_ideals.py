@@ -9,6 +9,7 @@ import pytest
 
 from vecspread import (
     ExchangeViolation,
+    Monomial,
     MonomialIdeal,
     SegmentViolation,
     SpreadMap,
@@ -68,6 +69,62 @@ def test_minimalize_trivial():
 def test_constructor_rejects_redundant_generators():
     with pytest.raises(ValueError):
         MonomialIdeal([parse_monomial("x1", 3), parse_monomial("x1*x2", 3)], 3)
+
+
+def test_constructor_names_the_first_divisor():
+    x1, x1x2 = parse_monomial("x1", 3), parse_monomial("x1*x2", 3)
+    with pytest.raises(ValueError,
+                       match=r"^generator set is not minimal: x1 divides x1\*x2$"):
+        MonomialIdeal([x1, x1x2], 3)
+    with pytest.raises(ValueError,
+                       match=r"^generator set is not minimal: x1 divides x1$"):
+        MonomialIdeal([x1, x1], 3)
+
+
+def random_mixed_monomials(rng):
+    """A few monomials, each in its own ambient of 1 to 8 variables."""
+    out = []
+    for _ in range(rng.randint(0, 7)):
+        n = rng.randint(1, 8)
+        out.append(monomial([rng.randint(1, n)
+                             for _ in range(rng.randint(0, 3))], n))
+    return out
+
+
+def test_minimalize_on_mixed_ambients():
+    # x3 in ambient 3 has exponents (0, 0, 1) and x1 in ambient 1 has (1,):
+    # compared position by position without padding, x3 would divide x1
+    x1, x3 = parse_monomial("x1", 1), parse_monomial("x3", 3)
+    assert minimalize([x1, x3]) == [x1, x3]
+    rng = random.Random(17)
+    for _ in range(400):
+        pool = set(random_mixed_monomials(rng))
+        brute = sorted((m for m in pool
+                        if not any(k != m and k.divides(m) for k in pool)),
+                       key=plex_key, reverse=True)
+        assert minimalize(pool) == brute
+
+
+def test_constructor_minimality_on_mixed_ambients():
+    # the first witness in stored order, found by Monomial.divides
+    rng = random.Random(19)
+    raised = 0
+    for _ in range(400):
+        gens = random_mixed_monomials(rng)
+        stored = [Monomial(g.indices, 8)
+                  for g in sorted(gens, key=plex_key, reverse=True)]
+        witness = next((f"generator set is not minimal: {h} divides {g}"
+                        for i, g in enumerate(stored)
+                        for j, h in enumerate(stored)
+                        if j != i and h.divides(g)), None)
+        if witness is None:
+            assert MonomialIdeal(gens, 8).generators == tuple(stored)
+        else:
+            raised += 1
+            with pytest.raises(ValueError) as exc:
+                MonomialIdeal(gens, 8)
+            assert str(exc.value) == witness
+    assert raised
 
 
 def test_constructor_rejects_oversized_generator():

@@ -6,25 +6,36 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vecspread.ideals
-from vecspread import linalg
+from vecspread import koszul, linalg, resolution
 from vecspread import (
     CycleLabel,
+    Monomial,
     MonomialIdeal,
     MonomialMatrix,
     Resolution,
     SpreadVector,
     betti_table,
     build_resolution,
+    decomposition_function,
     format_poly,
+    free_indices,
+    homology_basis_labels,
     parse_monomial,
     unit,
+    variable,
     verify_homology_basis_range,
     verify_resolution,
 )
 
-from util import ex_resolution_ideal, random_strongly_stable_ideal
+from util import (
+    ex_resolution_ideal,
+    random_strongly_stable_ideal,
+    roadmap_workload,
+)
 
 
 def grid(matrix):
@@ -95,10 +106,8 @@ def test_verify_passes(n):
 
 def test_verify_detects_sign_flip():
     ideal, t = ex_resolution_ideal()
-    res = build_resolution(ideal, t)
     # turn the (0,0) entry x3 of d_2 into -x3
-    res.differential(2).add_to_entry(0, 0, parse_monomial("x3", 4), -2)
-    rep = verify_resolution(res, 6)
+    rep = verify_resolution(flip_sign(build_resolution(ideal, t)), 6)
     assert not rep.ok
     assert rep.checks["complex"] is False
     assert any("d1" in f or "compose" in f or "position" in f for f in rep.failures)
@@ -106,25 +115,19 @@ def test_verify_detects_sign_flip():
 
 def test_verify_detects_unit_entry():
     ideal, t = ex_resolution_ideal()
-    res = build_resolution(ideal, t)
-    res.differential(2).add_to_entry(2, 0, unit(4), 1)
-    rep = verify_resolution(res, 6)
+    rep = verify_resolution(unit_entry(build_resolution(ideal, t)), 6)
     assert rep.checks["minimality"] is False
 
 
 def test_verify_detects_wrong_multidegree():
     ideal, t = ex_resolution_ideal()
-    res = build_resolution(ideal, t)
-    res.differential(2).add_to_entry(2, 0, parse_monomial("x4^2", 4), 1)
-    rep = verify_resolution(res, 6)
+    rep = verify_resolution(wrong_multidegree(build_resolution(ideal, t)), 6)
     assert rep.checks["multigraded"] is False
 
 
 def test_verify_detects_rank_drop():
     ideal, t = ex_resolution_ideal()
-    res = build_resolution(ideal, t)
-    res.differential(3).entries.clear()
-    rep = verify_resolution(res, 6)
+    rep = verify_resolution(clear_d3(build_resolution(ideal, t)), 6)
     assert not rep.ok
     assert rep.checks["complex"] is True  # zero map still composes to zero
     assert rep.checks["exactness"] is False
@@ -148,10 +151,7 @@ def test_verify_rescaled_basis_element():
     assert rep.ok, rep.failures
     assert all(rep.checks.values())
 
-    poly = res.differential(2).entries[(0, 0)]
-    for mono in poly:
-        poly[mono] *= 3
-    rep = verify_resolution(res, 6)
+    rep = verify_resolution(scale_entry(3)(res), 6)
     assert rep.checks["complex"] is False
     assert rep.checks["exactness"] is False
 
@@ -183,9 +183,7 @@ def assert_scaled_entry_is_ranked_exactly(scale, modular_calls, monkeypatch):
     ideal, t = ex_resolution_ideal()
     res = build_resolution(ideal, t)
     assert verify_resolution(res, 6).ok and modular_calls
-    poly = res.differential(2).entries[(0, 0)]
-    for mono in poly:
-        poly[mono] *= scale
+    scale_entry(scale)(res)
     modular_calls.clear()
     rep = verify_resolution(res, 6)
     assert rep.checks["complex"] is False
@@ -224,10 +222,7 @@ def test_verify_flags_label_off_the_generators(modular_calls):
     # but x1*x3*x4 is no minimal generator: its label matches no strand scan,
     # so the strands drop it, are no complexes and are ranked exactly
     ideal, t = ex_resolution_ideal()
-    res = build_resolution(ideal, t)
-    c = [str(lab) for lab in res.bases[1]].index("(x1*x4^2; {3})")
-    res.bases[1][c] = CycleLabel(parse_monomial("x1*x3*x4", 4), (4,))
-    rep = verify_resolution(res, 6)
+    rep = verify_resolution(stray_label(build_resolution(ideal, t)), 6)
     assert rep.checks["multigraded"] is True
     assert rep.checks["exactness"] is False
     assert "labels on x1*x3*x4, not a minimal generator" in rep.failures
@@ -259,12 +254,16 @@ def resolve_subideal(res):
     return Resolution(res.ideal, res.t, other.bases, other.diffs)
 
 
-@pytest.mark.parametrize("corrupt", [
+WITNESS_CASES = [
     lambda res: zero_entry(res, 2, (0, 0)),
     lambda res: zero_entry(res, 1, (0, 0)),
     lambda res: drop_generator_label(res, 0),
     resolve_subideal,
-], ids=["d2-entry", "d1-entry", "position-1-label", "sub-ideal"])
+]
+
+
+@pytest.mark.parametrize("corrupt", WITNESS_CASES,
+                         ids=["d2-entry", "d1-entry", "position-1-label", "sub-ideal"])
 def test_verify_exactness_names_a_witness(corrupt):
     ideal, t = ex_resolution_ideal()
     rep = verify_resolution(corrupt(build_resolution(ideal, t)), 6)
@@ -272,6 +271,81 @@ def test_verify_exactness_names_a_witness(corrupt):
     assert rep.checks["exactness"] is False
     assert any(f.startswith(("not exact at position", "cokernel at position 0"))
                for f in rep.failures), rep.failures
+
+
+def flip_sign(res):
+    res.differential(2).add_to_entry(0, 0, parse_monomial("x3", 4), -2)
+    return res
+
+
+def unit_entry(res):
+    res.differential(2).add_to_entry(2, 0, unit(4), 1)
+    return res
+
+
+def wrong_multidegree(res):
+    res.differential(2).add_to_entry(2, 0, parse_monomial("x4^2", 4), 1)
+    return res
+
+
+def scale_entry(factor):
+    def corrupt(res):
+        poly = res.differential(2).entries[(0, 0)]
+        for mono in poly:
+            poly[mono] *= factor
+        return res
+    return corrupt
+
+
+def clear_d3(res):
+    res.differential(3).entries.clear()
+    return res
+
+
+def stray_label(res):
+    c = [str(lab) for lab in res.bases[1]].index("(x1*x4^2; {3})")
+    res.bases[1][c] = CycleLabel(parse_monomial("x1*x3*x4", 4), (4,))
+    return res
+
+
+CORRUPTIONS = [
+    *WITNESS_CASES,
+    flip_sign,
+    unit_entry,
+    wrong_multidegree,
+    clear_d3,
+    scale_entry(linalg.PRIME),
+    scale_entry(2),
+    scale_entry(3),
+    stray_label,
+]
+
+
+def test_verifier_never_calls_the_formula(monkeypatch):
+    # the verifier reads the labels and matrices it is given; once they are
+    # built, the formula's free sets, decompositions and label lists are
+    # out of reach, and its verdicts and witnesses do not change.  Check (d)
+    # compares against betti_table on purpose, so that stays reachable.
+    w8 = build_resolution(*roadmap_workload(1, (6, 8), 3))
+    ideal, t = ex_resolution_ideal()
+    plain = [verify_resolution(corrupt(build_resolution(ideal, t)), 6)
+             for corrupt in CORRUPTIONS]
+    assert not any(rep.ok for rep in plain)
+    built = [corrupt(build_resolution(ideal, t)) for corrupt in CORRUPTIONS]
+
+    def formula(*args):
+        raise AssertionError("the verifier called the resolution formula")
+
+    with monkeypatch.context() as m:
+        m.setattr(resolution, "free_indices", formula)
+        m.setattr(resolution, "decomposition_function", formula)
+        m.setattr(koszul, "spread_labels", formula)
+        with pytest.raises(AssertionError):
+            build_resolution(ideal, t)
+        assert verify_resolution(w8, 8).ok
+        for res, rep in zip(built, plain):
+            again = verify_resolution(res, 6)
+            assert (again.checks, again.failures) == (rep.checks, rep.failures)
 
 
 def test_one_stability_check_per_call(monkeypatch):
@@ -326,6 +400,25 @@ def test_column_support_bound():
             assert nonzero <= 2 * (i - 1)
 
 
+def test_zero_terms_are_dropped():
+    x1, x2 = parse_monomial("x1", 2), parse_monomial("x2", 2)
+    zero = MonomialMatrix(1, 1, {(0, 0): {x1: 0}})
+    assert zero.is_zero and zero.ascii() == "[ 0 ]"
+    assert MonomialMatrix(1, 1, {(0, 0): {x1: 0, x2: -1}}).entries == {
+        (0, 0): {x2: -1}}
+    assert format_poly({x1: 0}) == "0" and format_poly({x1: 0, x2: -1}) == "-x2"
+    # a product that cancels keeps no entry
+    a = MonomialMatrix(1, 2, {(0, 0): {x1: 1}, (0, 1): {x2: 1}})
+    b = MonomialMatrix(2, 1, {(0, 0): {x2: 1}, (1, 0): {x1: -1}})
+    assert a.compose(b).is_zero
+    # a zero unit term written into entries by hand is no constant term
+    ideal, t = ex_resolution_ideal()
+    res = build_resolution(ideal, t)
+    res.differential(2).entries[(0, 0)][unit(4)] = 0
+    rep = verify_resolution(res, 6)
+    assert rep.ok, rep.failures
+
+
 def test_matrix_compose_shapes():
     a = MonomialMatrix(2, 1)
     a.add_to_entry(0, 0, parse_monomial("x1", 3), 1)
@@ -377,3 +470,133 @@ def test_accessor_errors():
     with pytest.raises(ValueError):
         res.basis(0)
     assert res.rank(0) == 1
+
+
+# -- reference routes ------------------------------------------------------------
+#
+# The product multiplied term by term on Monomials, and the differentials
+# with u_k, free(u_k) and v_k found anew for every label and every k in its
+# sigma: the two routes the library's compose and build_resolution must
+# agree with.
+
+
+def reference_compose(a, b):
+    if a.ncols != b.nrows:
+        raise ValueError(
+            f"cannot compose {a.nrows}x{a.ncols} with {b.nrows}x{b.ncols}")
+    by_row = {}
+    for (m, c), q in b.entries.items():
+        by_row.setdefault(m, []).append((c, q))
+    out = MonomialMatrix(a.nrows, b.ncols)
+    for (r, m), p in a.entries.items():
+        for c, q in by_row.get(m, ()):
+            for mono1, c1 in p.items():
+                for mono2, c2 in q.items():
+                    out.add_to_entry(r, c, mono1.mul(mono2), c1 * c2)
+    return out
+
+
+def reference_build_resolution(ideal, t):
+    bases = []
+    while not ideal.is_zero:
+        labels = homology_basis_labels(ideal, t, len(bases) + 1)
+        if not labels:
+            break
+        bases.append(labels)
+    n = ideal.ambient_n
+    diffs = []
+    for i, cols in enumerate(bases, start=1):
+        if i == 1:
+            d = MonomialMatrix(1, len(cols))
+            for c, lab in enumerate(cols):
+                d.add_to_entry(0, c, lab.generator, 1)
+            diffs.append(d)
+            continue
+        rows = {lab: r for r, lab in enumerate(bases[i - 2])}
+        d = MonomialMatrix(len(rows), len(cols))
+        for c, lab in enumerate(cols):
+            u, sigma = lab.generator, lab.sigma
+            for pos, k in enumerate(sigma):
+                sign = -1 if pos % 2 else 1
+                tau = sigma[:pos] + sigma[pos + 1:]
+                d.add_to_entry(rows[CycleLabel(u, tau)], c, variable(k, n), -sign)
+                w = u.times_var(k)
+                u_k = decomposition_function(ideal, t, w)
+                if set(tau) <= set(free_indices(u_k, t)):
+                    d.add_to_entry(rows[CycleLabel(u_k, tau)], c,
+                                   w.divide(u_k), sign)
+        diffs.append(d)
+    return Resolution(ideal, t, bases, diffs)
+
+
+@st.composite
+def matrix_pairs(draw):
+    """Two sparse polynomial matrices over a few variables, written into
+    entries by hand: zero coefficients and, when `mixed`, terms of a second
+    ambient included; the inner sizes agree unless `misfit`."""
+    n = draw(st.integers(1, 3))
+    mixed, misfit = draw(st.booleans()), draw(st.integers(0, 4)) == 0
+    rows, inner, cols = (draw(st.integers(1, 3)) for _ in range(3))
+
+    def matrix(nrows, ncols):
+        out = MonomialMatrix(nrows, ncols)
+        keys = draw(st.sets(st.tuples(st.integers(0, nrows - 1),
+                                      st.integers(0, ncols - 1))))
+        for key in sorted(keys):
+            terms = draw(st.lists(st.tuples(
+                st.lists(st.integers(1, n), max_size=2), st.integers(-2, 2),
+                st.booleans()), min_size=1, max_size=3))
+            out.entries[key] = {
+                Monomial(sorted(idx), n + (mixed and other)): coeff
+                for idx, coeff, other in terms}
+        return out
+
+    return matrix(rows, inner), matrix(inner + misfit, cols)
+
+
+def compose_outcome(compose, a, b):
+    """The error text, or the shape and the entries (equal monomials compare
+    equal whatever their ambients)."""
+    try:
+        prod = compose(a, b)
+    except ValueError as exc:
+        return str(exc)
+    return prod.nrows, prod.ncols, prod.entries
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix_pairs())
+def test_compose_matches_reference(pair):
+    a, b = pair
+    assert (compose_outcome(MonomialMatrix.compose, a, b)
+            == compose_outcome(reference_compose, a, b))
+
+
+def test_compose_sums_equal_monomials_across_ambients():
+    # x1 * x1 in ambient 1 and in ambient 2 are one monomial: inner index 0
+    # multiplies in ambient 1, inner index 1 in ambient 2, and they cancel
+    x1, y1 = parse_monomial("x1", 1), parse_monomial("x1", 2)
+    a = MonomialMatrix(1, 2, {(0, 0): {x1: 1}, (0, 1): {y1: 1}})
+    b = MonomialMatrix(2, 1, {(0, 0): {x1: 1}, (1, 0): {y1: -1}})
+    assert a.compose(b).is_zero and reference_compose(a, b).is_zero
+    b.entries[(1, 0)][y1] = 1
+    [(square, coeff)] = a.compose(b).entries[(0, 0)].items()
+    assert (square.indices, square.ambient_n, coeff) == ((1, 1), 1, 2)
+
+
+def test_builders_agree():
+    rng = random.Random(41)
+    cases = [ex_resolution_ideal(6), roadmap_workload(1, (6, 8), 3)]
+    while len(cases) < 24:
+        width = rng.randint(1, 3)
+        ones = rng.randint(0, width)
+        t = SpreadVector(tuple([1] * ones + [0] * (width - ones)))
+        ideal = random_strongly_stable_ideal(rng, rng.randint(2, 7), t)
+        if not ideal.is_unit:
+            cases.append((ideal, t))
+    for ideal, t in cases:
+        new, ref = build_resolution(ideal, t), reference_build_resolution(ideal, t)
+        assert new.bases == ref.bases
+        for d, e in zip(new.diffs, ref.diffs, strict=True):
+            assert (d.nrows, d.ncols) == (e.nrows, e.ncols)
+            assert list(d.entries.items()) == list(e.entries.items())
