@@ -4,7 +4,7 @@ The formula side evaluates binomial counts attached to the minimal
 generators of a strongly stable spread ideal.  The oracle side knows nothing
 about that: it assembles exact matrices of the Koszul differential on graded
 pieces and measures kernels and images by their ranks over Q (certified
-over F_2 or mod p, see `linalg.FiniteComplex`), so the two routes
+over F_2 or taken over Z, see `linalg.FiniteComplex`), so the two routes
 cross-check each other.
 
 Both the oracle and the basis verifier work one multidegree at a time.  The
@@ -145,18 +145,11 @@ def betti_table(ideal: MonomialIdeal, t, view: str = "ideal") -> BettiTable:
 
 def poincare_pd_reg(ideal: MonomialIdeal, t) -> tuple[list[int], int, int]:
     """Total Betti numbers of the ideal plus projective dimension and
-    regularity, straight from the generator data."""
-    t = SpreadVector.coerce(t)
-    require_strongly_stable(ideal, t)
+    regularity, read off the formula's Betti table."""
+    table = betti_table(ideal, t)
     if ideal.is_zero:
         raise ValueError("the zero ideal has no Poincare data")
-    if ideal.is_unit:
-        return [1], 0, 0
-    frees = [len(free_indices(u, t)) for u in ideal.generators]
-    pd = max(frees)
-    reg = max(u.degree for u in ideal.generators)
-    coeffs = [sum(comb(c, i) for c in frees) for i in range(pd + 1)]
-    return coeffs, pd, reg
+    return table.totals(), table.projective_dimension, table.regularity
 
 
 # -- multidegree blocks of the Koszul complex ---------------------------------
@@ -270,13 +263,14 @@ class BasisCheckReport:
 
 
 def _cycle_column(bits: dict[int, int], index: dict[int, int],
-                  chain) -> Optional[list[tuple[int, int]]]:
+                  degree: list[int], chain) -> Optional[list[tuple[int, int]]]:
     """Sparse integer coordinates of a chain over a block's wedge basis, or
     None when a term falls outside it; bits maps each variable of the
-    support to its bit."""
+    support to its bit, and degree lists the block's multidegree a as
+    variables, so a term x^b e_tau is in the block when b + 1_tau = a."""
     col: dict[int, int] = {}
-    for wedge, _, coeff in chain.terms():
-        if not all(k in bits for k in wedge):
+    for wedge, residue, coeff in chain.terms():
+        if sorted(residue.indices + wedge) != degree:
             return None
         r = index.get(sum(bits[k] for k in wedge))
         if r is None:
@@ -357,6 +351,7 @@ def _sweep(ideal: MonomialIdeal, t, degrees: list[int],
             continue
         cx, support, index = block
         bits = {k + 1: 1 << p for p, k in enumerate(support)}
+        degree = [k + 1 for k in support for _ in range(a[k])]
         for i in hom_range:
             # a label (u, sigma) of degree i has sigma and max(u) inside
             # supp(a): past the block's top there are no labels, no homology
@@ -366,7 +361,7 @@ def _sweep(ideal: MonomialIdeal, t, degrees: list[int],
             for label, ch in here:
                 if label.hom_degree != i:
                     continue
-                col = _cycle_column(bits, index[i], ch)
+                col = _cycle_column(bits, index[i], degree, ch)
                 if col is None:
                     failures.append(f"cycle {label} leaves its block")
                     continue

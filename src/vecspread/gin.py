@@ -78,7 +78,6 @@ class CoordinateChange:
     """
 
     matrix: tuple[tuple[int, ...], ...]
-    bound: int
 
     def __post_init__(self):
         n = len(self.matrix)
@@ -269,7 +268,7 @@ def random_coordinate_change(n: int, rng: random.Random, bound: int) -> Coordina
         matrix = tuple(tuple(rng.randint(-bound, bound) for _ in range(n))
                        for _ in range(n))
         try:
-            return CoordinateChange(matrix, bound)
+            return CoordinateChange(matrix)
         except ValueError:
             continue  # singular draw: draw again
 

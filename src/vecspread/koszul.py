@@ -317,8 +317,7 @@ def cycle_sign_parity(u: Monomial, sigma, subset) -> int:
 
 
 def _direct_cycle(ideal: MonomialIdeal, u: Monomial,
-                  sigma: tuple[int, ...],
-                  keep=lambda F: True) -> KoszulChain:
+                  sigma: tuple[int, ...]) -> KoszulChain:
     """Closed-form expansion over subsets F of sigma (u any t-spread member)."""
     chain = KoszulChain(ideal, len(sigma) + 1)
     max_u = u.max_index
@@ -327,8 +326,6 @@ def _direct_cycle(ideal: MonomialIdeal, u: Monomial,
     m = len(sigma)
     for mask in range(1 << m):
         F = tuple(sigma[p] for p in range(m) if mask >> p & 1)
-        if not keep(F):
-            continue
         rest = [sigma[p] for p in range(m) if not (mask >> p & 1)]
         wedge_seq = rest + [succ[k] for k in F] + [max_u]
         tup, sign = _sorted_wedge(wedge_seq)
@@ -401,7 +398,9 @@ def remainder_split(ideal: MonomialIdeal, t, u: Monomial, sigma
     """Split the cycle as e_{k_1} ^ e(u; sigma minus k_1) plus a remainder.
 
     The remainder collects exactly the expansion terms whose subset contains
-    the smallest sigma index, so no wedge in it involves e_{k_1}.
+    the smallest sigma index k_1, which are the terms whose wedge lacks
+    e_{k_1}: a subset without k_1 keeps it in the wedge, and a subset with
+    it puts only successors and max(u), all above k_1, in its place.
     """
     t = SpreadVector.coerce(t)
     sigma = _validate_label(ideal, t, u, tuple(sigma))
@@ -409,5 +408,8 @@ def remainder_split(ideal: MonomialIdeal, t, u: Monomial, sigma
         raise ValueError("sigma must be non-empty to split")
     k1 = sigma[0]
     head = _direct_cycle(ideal, u, sigma[1:]).wedge_var_left(k1)
-    rest = _direct_cycle(ideal, u, sigma, keep=lambda F: k1 in F)
+    cycle = _direct_cycle(ideal, u, sigma)
+    rest = KoszulChain(ideal, cycle.hom_degree)
+    rest._terms = {(tup, mono): c for (tup, mono), c in cycle._terms.items()
+                   if k1 not in tup}
     return head, rest

@@ -1,8 +1,8 @@
 """Exact integer linear algebra and the shared multidegree engine.
 
 Every matrix here holds int entries: the Koszul chains and the resolution
-differentials they are read from carry int coefficients.  A rank over Q is
-taken in three tiers, one kernel each, all on rows packed into Python ints:
+differentials they are read from carry int coefficients.  Ranks over Q come
+from three kernels, each on rows packed into Python ints:
 
 1. over F_2 by `rank_mod_2`, each row a bitmask of its odd entries;
 2. over F_p, p = PRIME, by `pivot_columns_mod_p`, each row one int with a
@@ -10,12 +10,14 @@ taken in three tiers, one kernel each, all on rows packed into Python ints:
 3. over Z by fraction-free (Bareiss) elimination, `pivot_columns` and
    `rank_int`, on dense rows.
 
-Reducing mod 2 or mod p can only lose rank: a minor that is odd, or non-zero
-mod p, is non-zero over Z.  So a modular rank is a lower bound of the rank
-over Q, and one that reaches an upper bound of the rational rank is that
-rank.  `FiniteComplex` and its `augmented_rank` argue their bounds tier by
-tier, and only what no modular tier certifies is ranked over Z.  No floating
-point and no rational arithmetic is involved anywhere.
+Complexes are ranked over F_2 and then over Z, and gin over F_p alone, so
+each consumer has one modular field.  Reducing mod 2 or mod p can only lose
+rank: a minor that is odd, or non-zero mod p, is non-zero over Z.  So a
+modular rank is a lower bound of the rank over Q, and one that reaches an
+upper bound of the rational rank is that rank.  `FiniteComplex` and its
+`augmented_rank` argue their bounds over F_2, and only what F_2 does not
+certify is ranked over Z.  No floating point and no rational arithmetic is
+involved anywhere.
 
 The Koszul complex of a monomial quotient and a multigraded free resolution
 both split into finitely many strands, one per exponent vector a, and each
@@ -234,9 +236,9 @@ class FiniteComplex:
     in at most one position.  Then they are the ranks over Q: an odd minor
     is non-zero over Z, so r_Q >= r_2 and h_Q <= h_2; d o d = 0 gives h_Q >=
     0, and the Euler characteristic does not depend on the field, so h_Q =
-    h_2, and r_Q = r_2 follows by induction from r_0 = 0.  Torsion can put
-    h_2 in two positions; then the same argument is tried mod p, and what
-    neither certifies is ranked over Z on dense rows.
+    h_2, and r_Q = r_2 follows by induction from r_0 = 0.  2-torsion can put
+    h_2 in two positions; then, and for any map that is not vouched for,
+    the ranks are taken over Z on dense rows.
     """
 
     def __init__(self, sizes: Sequence[int],
@@ -245,10 +247,9 @@ class FiniteComplex:
         self.sizes = list(sizes)
         self.columns = [[], *columns, []]
         if is_complex:
-            for tier in (_rank_2, _rank_p):
-                self.ranks = [tier(cols) for cols in self.columns]
-                if sum(1 for i in range(len(self.sizes)) if self.homology(i)) <= 1:
-                    return
+            self.ranks = [_rank_2(cols) for cols in self.columns]
+            if sum(1 for i in range(len(self.sizes)) if self.homology(i)) <= 1:
+                return
         self.ranks = [_rank_z(cols) for cols in self.columns]
 
     def homology(self, i: int) -> int:
@@ -259,13 +260,13 @@ class FiniteComplex:
         """Rank over Q of d_{i+1} with sparse columns over the basis of C_i
         appended.
 
-        It is at most ranks[i + 1] + len(columns), so a rank mod 2 or mod p
-        that reaches that bound is the rank over Q; below it, the rank is
-        taken over Z.
+        It is at most ranks[i + 1] + len(columns), so a rank over F_2 that
+        reaches that bound is the rank over Q; below it, the rank is taken
+        over Z.
         """
         cols = [*self.columns[i + 1], *columns]
         bound = self.ranks[i + 1] + len(columns)
-        if _rank_2(cols) == bound or _rank_p(cols) == bound:
+        if _rank_2(cols) == bound:
             return bound
         return _rank_z(cols)
 
@@ -275,11 +276,6 @@ class FiniteComplex:
 
 def _rank_2(columns: Sequence[Column]) -> int:
     return rank_mod_2(sum(1 << r for r, v in col if v & 1) for col in columns)
-
-
-def _rank_p(columns: Sequence[Column]) -> int:
-    return rank_mod_p(sum(v % PRIME << (r << 6) for r, v in col)
-                      for col in columns)
 
 
 def _rank_z(columns: Sequence[Column]) -> int:

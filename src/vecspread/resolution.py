@@ -313,8 +313,8 @@ def verify_resolution(res: Resolution, max_degree: int) -> ResolutionReport:
     """Check the complex property, minimality, graded exactness and ranks.
 
     Exactness is certified multidegree by multidegree with ranks over Q:
-    taken over F_2, then mod p, and certified by the Euler characteristic
-    (see `FiniteComplex`) once d o d = 0 has passed, and over Z otherwise.
+    taken over F_2 and certified by the Euler characteristic (see
+    `FiniteComplex`) once d o d = 0 has passed, and over Z otherwise.
     Each strand is handed over as sparse columns, read off the
     differentials' scalar entries at the strand's labels.  The
     strand at a holds position 0 (S itself) and the labels on

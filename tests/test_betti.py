@@ -9,6 +9,7 @@ import pytest
 
 import vecspread.betti
 import vecspread.koszul
+import vecspread.linalg
 from vecspread import (
     BettiTable,
     KoszulChain,
@@ -261,6 +262,34 @@ def test_oracle_matches_box_walk():
             ideal.generators
 
 
+def rp2_ideal():
+    """The Stanley-Reisner ideal of the 6-vertex real projective plane: its
+    10 non-faces, the 3-subsets of [6] that are no facet."""
+    facets = {"124", "126", "135", "136", "145", "234", "235", "256", "346",
+              "456"}
+    gens = ["*".join(f"x{k}" for k in trip)
+            for trip in map("".join, combinations("123456", 3))
+            if trip not in facets]
+    return MonomialIdeal([parse_monomial(g, 6) for g in gens], 6)
+
+
+def test_oracle_on_two_torsion(monkeypatch):
+    # H_2(RP^2; Z) = Z/2 sits in the full-support block: its ranks over F_2
+    # put homology in two positions, so that block alone reaches rank_int,
+    # and the answer is the rational one (over F_2: 1, 10, 15, 7, 1)
+    ideal = rp2_ideal()
+    assert len(ideal.generators) == 10
+    block, rank_int = vecspread.betti._koszul_block, vecspread.linalg.rank_int
+    visited, exact = [], []
+    monkeypatch.setattr(vecspread.betti, "_koszul_block",
+                        lambda ideal, a: visited.append(a) or block(ideal, a))
+    monkeypatch.setattr(vecspread.linalg, "rank_int",
+                        lambda rows: exact.append(visited[-1]) or rank_int(rows))
+    assert homology_dimensions(ideal, 6) == {
+        (0, 0): 1, (1, 3): 10, (2, 4): 15, (3, 5): 6}
+    assert exact and set(exact) == {(1,) * 6}
+
+
 @pytest.mark.parametrize("fixture", [ex_spread_ideal, ex_resolution_ideal])
 def test_oracle_never_calls_the_formula(monkeypatch, fixture):
     ideal, _ = fixture()
@@ -338,6 +367,100 @@ def test_verify_basis_flags_label_off_the_lattice(monkeypatch):
     rep = verify_homology_basis_range(ideal, t, 4)
     assert not rep.ok
     assert any("multidegree (1, 1, 0, 1)" in f for f in rep.failures), rep.failures
+
+
+def sweep_with_cycles(monkeypatch, replace):
+    """verify_homology_basis_range on the first worked ideal up to degree 8,
+    each label's cycle c handed to the sweep as replace(label, c)."""
+    ideal, t = ex_spread_ideal()
+    cycle = vecspread.betti.koszul_cycle
+    monkeypatch.setattr(
+        vecspread.betti, "koszul_cycle",
+        lambda ideal, t, u, sigma: replace(
+            (str(u), tuple(sigma)), cycle(ideal, t, u, sigma)))
+    return verify_homology_basis_range(ideal, t, 8)
+
+
+def one_term_chain(ideal, wedge, residue):
+    """eps(residue) e_wedge, with residue a monomial string over x1..x6."""
+    chain = KoszulChain(ideal, len(wedge))
+    chain.add_term(wedge, parse_monomial(residue, 6), 1)
+    return chain
+
+
+def test_verify_basis_flags_a_vanished_cycle(monkeypatch):
+    target = ("x2*x3*x4*x6", (1, 3))
+    rep = sweep_with_cycles(monkeypatch, lambda label, c:
+                            c.scale(0) if label == target else c)
+    assert not rep.ok
+    assert "cycle of (x2*x3*x4*x6; {1,3}) vanished" in rep.failures
+    # its multidegree keeps one homology class no label covers
+    assert any(f.startswith("cycles at multidegree (1, 1, 2, 1, 0, 1), i=3 "
+                            "do not span") for f in rep.failures), rep.failures
+
+
+def test_verify_basis_flags_a_non_cycle(monkeypatch):
+    # eps(x2) e3 has differential x2*x3, which lies outside the ideal
+    ideal, _ = ex_spread_ideal()
+    bogus = one_term_chain(ideal, (3,), "x2")
+    rep = sweep_with_cycles(monkeypatch, lambda label, c:
+                            bogus if label == ("x2*x3^2", ()) else c)
+    assert not rep.ok
+    assert "differential of cycle (x2*x3^2; {}) is non-zero" in rep.failures
+
+
+def test_verify_basis_flags_a_cycle_leaving_its_block(monkeypatch):
+    # the cycle eps(x2*x4^2) e6 of (x2*x4^2*x6; {}) uses e6, and the block
+    # of (x2*x3^2; {}) at x2*x3^2 has no x6
+    ideal, t = ex_spread_ideal()
+    other = vecspread.betti.koszul_cycle(
+        ideal, t, parse_monomial("x2*x4^2*x6", 6), ())
+    rep = sweep_with_cycles(monkeypatch, lambda label, c:
+                            other if label == ("x2*x3^2", ()) else c)
+    assert not rep.ok
+    assert "cycle (x2*x3^2; {}) leaves its block" in rep.failures
+
+
+def test_verify_basis_flags_a_repeated_cycle(monkeypatch):
+    # the cycle of (x2*x3*x4*x6; {3}) has the wedge e3^e6, which is also a
+    # basis wedge at the multidegree of (x2*x4^2*x6; {3}), but its residue
+    # x2*x3*x4 belongs to x2*x3^2*x4*x6: read by wedge alone it would pass
+    ideal, t = ex_spread_ideal()
+    other = vecspread.betti.koszul_cycle(
+        ideal, t, parse_monomial("x2*x3*x4*x6", 6), (3,))
+    rep = sweep_with_cycles(monkeypatch, lambda label, c:
+                            other if label == ("x2*x4^2*x6", (3,)) else c)
+    assert not rep.ok
+    assert rep.failures == [
+        "cycle (x2*x4^2*x6; {3}) leaves its block",
+        "cycles at multidegree (0, 1, 1, 2, 0, 1), i=2 do not span: "
+        "kernel 4, boundaries 3, cycles 0"]
+
+
+def test_verify_basis_flags_a_boundary_for_a_cycle(monkeypatch):
+    # no two labels share a multidegree here, so a dependent column comes
+    # from a boundary: d(eps(x4*x6) e2^e3^e4) at the multidegree x2*x3*x4^2*x6
+    # of (x2*x4^2*x6; {3}), non-zero and zero modulo boundaries
+    ideal, _ = ex_spread_ideal()
+    boundary = vecspread.koszul.koszul_differential(
+        one_term_chain(ideal, (2, 3, 4), "x4*x6"))
+    assert not boundary.is_zero
+    rep = sweep_with_cycles(monkeypatch, lambda label, c:
+                            boundary if label == ("x2*x4^2*x6", (3,)) else c)
+    assert not rep.ok
+    assert rep.failures == ["cycles at multidegree (0, 1, 1, 2, 0, 1), i=2 "
+                            "are dependent modulo boundaries"]
+
+
+def test_verify_basis_reaches_rank_int_on_even_cycles(monkeypatch):
+    # 2c is zero over F_2 but the same Q-basis: every labelled block misses
+    # its bound over F_2 and is decided by rank_int, which keeps it ok
+    rank_int, exact = vecspread.linalg.rank_int, []
+    monkeypatch.setattr(vecspread.linalg, "rank_int",
+                        lambda rows: exact.append(rows) or rank_int(rows))
+    rep = sweep_with_cycles(monkeypatch, lambda label, c: c.scale(2))
+    assert rep.ok, rep.failures
+    assert rep.checked_labels == len(exact) == 11
 
 
 def test_unit_ideal_has_no_cycles():

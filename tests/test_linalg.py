@@ -195,7 +195,8 @@ def exact_calls(monkeypatch):
 
 @pytest.fixture
 def mod_p_calls(monkeypatch):
-    """The packed rows handed to the mod-p tier."""
+    """The packed rows handed to the mod-p kernel, which serves gin alone:
+    complexes must never call it."""
     calls = []
 
     def counted(rows):
@@ -208,15 +209,16 @@ def mod_p_calls(monkeypatch):
 
 
 @pytest.fixture
-def mod_p_alone(monkeypatch):
-    """The stack without its F_2 tier: a rank of 0 is a lower bound that
-    certifies only zero maps."""
+def f2_blind(monkeypatch):
+    """The stack with an F_2 tier that sees nothing: a rank of 0 is a lower
+    bound that certifies only zero maps."""
     monkeypatch.setattr(linalg, "rank_mod_2", lambda rows: 0)
 
 
 # integer matrices that lose rank mod PRIME
 TORSION = [[[PRIME]], [[1, 1], [1, 1 + PRIME]], [[2 * PRIME, 0], [0, 0]]]
-# integer matrices that lose rank mod 2 but not mod PRIME
+# integer matrices that lose rank mod 2 but not mod PRIME: the complexes'
+# one modular tier misses them
 TWO_TORSION = [[[2]], [[1, 1], [1, -1]]]
 # integer matrices that lose rank both mod 2 and mod PRIME
 BOTH_TORSION = [[[2 * PRIME, 0], [0, 0]], [[2, 0], [0, PRIME]]]
@@ -260,9 +262,9 @@ def test_pivot_columns_mod_p_edges():
 
 
 @pytest.mark.parametrize("mat", TORSION)
-def test_torsion_complex_takes_the_exact_path(mat, mod_p_alone, exact_calls):
-    # 0 -> Z^c -> Z^r -> 0 is exact over Q, but mod p both ends carry
-    # homology, so the modular ranks certify nothing
+def test_torsion_complex_takes_the_exact_path(mat, f2_blind, exact_calls):
+    # 0 -> Z^c -> Z^r -> 0 is exact over Q, but under a rank of 0 both ends
+    # carry homology, so the blind ranks certify nothing
     cx = FiniteComplex([len(mat), len(mat[0])], [columns(mat)])
     assert exact_calls
     assert cx.ranks == [0, rank_int(mat), 0]
@@ -279,17 +281,19 @@ def test_p_torsion_is_certified_over_f2(mat, mod_p_calls, exact_calls):
 
 
 @pytest.mark.parametrize("mat", TWO_TORSION)
-def test_two_torsion_falls_through_to_mod_p(mat, mod_p_calls, exact_calls):
+def test_two_torsion_falls_through_to_bareiss(mat, mod_p_calls, exact_calls):
+    # over F_2 both ends carry homology, and no second modular field is tried
     cx = FiniteComplex([len(mat), len(mat[0])], [columns(mat)])
     assert cx.ranks == [0, rank_int(mat), 0]
-    assert mod_p_calls and not exact_calls
+    assert exact_calls == [[list(row) for row in zip(*mat)]]
+    assert not mod_p_calls
 
 
 @pytest.mark.parametrize("mat", BOTH_TORSION)
 def test_torsion_at_two_and_p_reaches_bareiss(mat, mod_p_calls, exact_calls):
     cx = FiniteComplex([len(mat), len(mat[0])], [columns(mat)])
     assert cx.ranks == [0, rank_int(mat), 0]
-    assert mod_p_calls and exact_calls
+    assert exact_calls and not mod_p_calls
 
 
 def test_exact_complex_needs_no_fallback(exact_calls):
@@ -301,16 +305,16 @@ def test_exact_complex_needs_no_fallback(exact_calls):
 
 
 def test_non_complex_is_ranked_exactly(exact_calls):
-    # d1 d2 = p != 0: mod p the homology sits in degree 0 alone, which would
-    # certify rank d1 = 0; without d o d = 0 nothing is certified
-    cx = FiniteComplex([1, 1, 1], [columns([[PRIME]]), columns([[1]])],
+    # d1 d2 = 2 != 0: over F_2 the homology sits in degree 0 alone, which
+    # would certify rank d1 = 0; without d o d = 0 nothing is certified
+    cx = FiniteComplex([1, 1, 1], [columns([[2]]), columns([[1]])],
                        is_complex=False)
     assert cx.ranks == [0, 1, 1, 0]
     assert exact_calls
 
 
 @pytest.mark.parametrize("mat", TORSION)
-def test_torsion_augmented_rank_takes_the_exact_path(mat, mod_p_alone,
+def test_torsion_augmented_rank_takes_the_exact_path(mat, f2_blind,
                                                      exact_calls):
     # C_0 alone, with the matrix's columns appended to the zero map d_1
     cx = FiniteComplex([len(mat)], [])
@@ -327,11 +331,21 @@ def test_both_torsion_augmented_rank_reaches_bareiss(mat, exact_calls):
     assert exact_calls
 
 
-@pytest.mark.parametrize("mat", TORSION[:2] + TWO_TORSION)
-def test_one_torsion_augmented_rank_is_certified(mat, exact_calls):
+@pytest.mark.parametrize("mat", TWO_TORSION)
+def test_two_torsion_augmented_rank_reaches_bareiss(mat, mod_p_calls,
+                                                    exact_calls):
     cx = FiniteComplex([len(mat)], [])
     assert cx.augmented_rank(0, columns(mat)) == rank_int(mat)
-    assert not exact_calls
+    assert exact_calls and not mod_p_calls
+
+
+@pytest.mark.parametrize("mat", TORSION[:2])
+def test_one_torsion_augmented_rank_is_certified(mat, mod_p_calls,
+                                                 exact_calls):
+    # p-torsion is odd where it matters: F_2 reaches the bound
+    cx = FiniteComplex([len(mat)], [])
+    assert cx.augmented_rank(0, columns(mat)) == rank_int(mat)
+    assert not mod_p_calls and not exact_calls
 
 
 def test_full_augmented_rank_needs_no_fallback(exact_calls):
@@ -416,7 +430,8 @@ def test_certified_ranks_are_exact(complex_, data):
 
 @settings(max_examples=100, deadline=None)
 @given(integer_complexes(), st.data())
-def test_mod_p_tier_alone_certifies_exact_ranks(complex_, data):
+def test_blind_f2_tier_still_gives_exact_ranks(complex_, data):
+    # a rank of 0 certifies only zero maps; everything else reaches Bareiss
     with patch.object(linalg, "rank_mod_2", lambda rows: 0):
         assert_certified_ranks_are_exact(*complex_, data)
 

@@ -157,52 +157,54 @@ def test_verify_rescaled_basis_element():
 
 
 @pytest.fixture
-def modular_calls(monkeypatch):
-    """The packed rows whose rank is taken over F_2 or mod p."""
+def f2_calls(monkeypatch):
+    """The packed rows whose rank is taken over F_2, the strands' one
+    modular tier."""
     calls = []
-    for name in ("rank_mod_2", "rank_mod_p"):
-        def counted(rows, tier=getattr(linalg, name)):
-            rows = list(rows)
-            calls.append(rows)
-            return tier(rows)
-        monkeypatch.setattr(linalg, name, counted)
+    rank_mod_2 = linalg.rank_mod_2
+
+    def counted(rows):
+        rows = list(rows)
+        calls.append(rows)
+        return rank_mod_2(rows)
+
+    monkeypatch.setattr(linalg, "rank_mod_2", counted)
     return calls
 
 
 def exact_witnesses(res, monkeypatch):
-    """The checks and failures of verify_resolution with every rank of
-    every tier taken by rank_int."""
+    """The checks and failures of verify_resolution with every rank taken
+    by rank_int."""
     with monkeypatch.context() as m:
         m.setattr(linalg, "_rank_2", linalg._rank_z)
-        m.setattr(linalg, "_rank_p", linalg._rank_z)
         exact = verify_resolution(res, 6)
     return exact.checks, exact.failures
 
 
-def assert_scaled_entry_is_ranked_exactly(scale, modular_calls, monkeypatch):
+def assert_scaled_entry_is_ranked_exactly(scale, f2_calls, monkeypatch):
     ideal, t = ex_resolution_ideal()
     res = build_resolution(ideal, t)
-    assert verify_resolution(res, 6).ok and modular_calls
+    assert verify_resolution(res, 6).ok and f2_calls
     scale_entry(scale)(res)
-    modular_calls.clear()
+    f2_calls.clear()
     rep = verify_resolution(res, 6)
     assert rep.checks["complex"] is False
     assert any(f.startswith("not exact at position") for f in rep.failures)
-    assert not modular_calls
+    assert not f2_calls
     assert (rep.checks, rep.failures) == exact_witnesses(res, monkeypatch)
 
 
-def test_verify_torsion_entry_is_ranked_exactly(modular_calls, monkeypatch):
+def test_verify_torsion_entry_is_ranked_exactly(f2_calls, monkeypatch):
     # an entry scaled by p breaks d o d = 0 and vanishes mod p: once the
     # complex check fails, no strand is ranked modularly, and the witnesses
     # are those of exact elimination
-    assert_scaled_entry_is_ranked_exactly(linalg.PRIME, modular_calls,
+    assert_scaled_entry_is_ranked_exactly(linalg.PRIME, f2_calls,
                                           monkeypatch)
 
 
-def test_verify_two_scaled_entry_is_ranked_exactly(modular_calls, monkeypatch):
+def test_verify_two_scaled_entry_is_ranked_exactly(f2_calls, monkeypatch):
     # the same with an entry scaled by 2, which vanishes over F_2
-    assert_scaled_entry_is_ranked_exactly(2, modular_calls, monkeypatch)
+    assert_scaled_entry_is_ranked_exactly(2, f2_calls, monkeypatch)
 
 
 def test_verify_rejects_non_int_coefficient():
@@ -217,7 +219,7 @@ def test_verify_rejects_non_int_coefficient():
         verify_resolution(res, 6)
 
 
-def test_verify_flags_label_off_the_generators(modular_calls):
+def test_verify_flags_label_off_the_generators(f2_calls):
     # (x1*x3*x4; {4}) has the multidegree and position of (x1*x4^2; {3}),
     # but x1*x3*x4 is no minimal generator: its label matches no strand scan,
     # so the strands drop it, are no complexes and are ranked exactly
@@ -226,7 +228,7 @@ def test_verify_flags_label_off_the_generators(modular_calls):
     assert rep.checks["multigraded"] is True
     assert rep.checks["exactness"] is False
     assert "labels on x1*x3*x4, not a minimal generator" in rep.failures
-    assert rep.checks["complex"] is True and not modular_calls
+    assert rep.checks["complex"] is True and not f2_calls
 
 
 def zero_entry(res, i, key):
