@@ -8,6 +8,10 @@ success (or property holds), 1 means a property violation with a witness,
 Every setting is a flag with its default declared on it (`--help` lists
 them); no environment variable is read, so a printed command line, with the
 seed that gin and shift print, reproduces its result.
+
+Each call builds the argument parser of its own subcommand only, from the
+`_COMMANDS` table.  The full tree of all seven is built for top-level help
+and errors alone: no command, an unknown one, or an option before it.
 """
 
 from __future__ import annotations
@@ -225,63 +229,57 @@ def _cmd_shift(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="vecspread",
-        description="Spread monomial ideals: enumeration, stability classes, "
-                    "Koszul homology, Betti tables, resolutions, shifting.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_format(p, default="ascii"):
+    p.add_argument("--format", choices=("ascii", "json"), default=default)
 
-    def add_format(p, default="ascii"):
-        p.add_argument("--format", choices=("ascii", "json"), default=default)
 
-    p = sub.add_parser("enumerate", help="list spread monomials of one degree")
+def _enumerate_args(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--deg", type=int, required=True)
     p.add_argument("--t", required=True, help="comma-separated spread entries")
-    add_format(p)
-    p.set_defaults(func=_cmd_enumerate)
+    _add_format(p)
 
-    p = sub.add_parser("verify", help="check a stability class membership")
+
+def _verify_args(p):
     p.add_argument("--ideal", required=True)
     p.add_argument("--class", dest="cls", required=True,
                    choices=("stable", "strongly-stable", "lex"))
-    add_format(p)
-    p.set_defaults(func=_cmd_verify)
+    _add_format(p)
 
-    p = sub.add_parser("betti", help="graded Betti numbers by the closed formula")
+
+def _betti_args(p):
     p.add_argument("--ideal", required=True)
     p.add_argument("--module", choices=("ideal", "quotient"), default="quotient")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against exact Koszul ranks")
-    add_format(p)
-    p.set_defaults(func=_cmd_betti)
+    _add_format(p)
 
-    p = sub.add_parser("homology-basis", help="distinguished Koszul cycles")
+
+def _homology_basis_args(p):
     p.add_argument("--ideal", required=True)
     p.add_argument("--i", type=int, required=True, help="homological degree")
     p.add_argument("--expand", action="store_true",
                    help="print the full chains, not just the labels")
-    add_format(p)
-    p.set_defaults(func=_cmd_homology_basis)
+    _add_format(p)
 
-    p = sub.add_parser("resolution", help="labelled minimal free resolution")
+
+def _resolution_args(p):
     p.add_argument("--ideal", required=True)
     p.add_argument("--verify", action="store_true")
     p.add_argument("--max-degree", type=int, default=8,
                    help="degree cap of the verification (default 8)")
-    add_format(p)
-    p.set_defaults(func=_cmd_resolution)
+    _add_format(p)
 
-    p = sub.add_parser("gin", help="generic initial ideal (degrevlex)")
+
+def _gin_args(p):
     p.add_argument("--ideal", required=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--bound", type=int, default=100,
                    help="coefficient bound of the coordinate changes (default 100)")
-    add_format(p, default="json")
-    p.set_defaults(func=_cmd_gin)
+    _add_format(p, default="json")
 
-    p = sub.add_parser("shift", help="t-spread algebraic shifting")
+
+def _shift_args(p):
     p.add_argument("--ideal", required=True)
     p.add_argument("--t", required=True, help="target spread, comma-separated")
     p.add_argument("--seed", type=int)
@@ -291,15 +289,54 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-degree", type=int,
                    help="degree cap of the Hilbert-function check "
                         "(default: top generator degree + 3)")
-    add_format(p, default="json")
-    p.set_defaults(func=_cmd_shift)
+    _add_format(p, default="json")
 
+
+# name -> (handler, help text, adds the subcommand's arguments), in help order
+_COMMANDS = {
+    "enumerate": (_cmd_enumerate, "list spread monomials of one degree",
+                  _enumerate_args),
+    "verify": (_cmd_verify, "check a stability class membership",
+               _verify_args),
+    "betti": (_cmd_betti, "graded Betti numbers by the closed formula",
+              _betti_args),
+    "homology-basis": (_cmd_homology_basis, "distinguished Koszul cycles",
+                       _homology_basis_args),
+    "resolution": (_cmd_resolution, "labelled minimal free resolution",
+                   _resolution_args),
+    "gin": (_cmd_gin, "generic initial ideal (degrevlex)", _gin_args),
+    "shift": (_cmd_shift, "t-spread algebraic shifting", _shift_args),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The argparse tree of every subcommand, or of `command` alone.
+
+    A one-command tree names every subcommand in its usage line, so the
+    usage it prints with an error is the full tree's.  The full tree keeps
+    the default metavar: a set one would replace "command" in its errors.
+    """
+    parser = argparse.ArgumentParser(
+        prog="vecspread",
+        description="Spread monomial ideals: enumeration, stability classes, "
+                    "Koszul homology, Betti tables, resolutions, shifting.")
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (func, help_text, add_arguments) in _COMMANDS.items():
+        if command is None or command == name:
+            p = sub.add_parser(name, help=help_text)
+            add_arguments(p)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # anything but a subcommand first is top-level help or an error, whose
+    # message lists every subcommand
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, GenericityError) as exc:

@@ -12,6 +12,7 @@ consecutive indices: u is t-spread when j_{i+1} - j_i >= t_i for every i.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
@@ -204,6 +205,8 @@ def parse_monomial(text: str, n: int) -> Monomial:
             raise ValueError(f"variable index must be >= 1 in {factor!r}")
         if e < 1:
             raise ValueError(f"exponent must be >= 1 in {factor!r}")
+        if e > sys.maxsize:
+            raise ValueError(f"exponent exceeds {sys.maxsize} in {factor!r}")
         if k > n:
             raise ValueError(f"variable x{k} exceeds ambient n={n}")
         indices.extend([k] * e)

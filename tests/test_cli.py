@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
 
+from vecspread import cli
 from vecspread.cli import main
 
 FIX_A = {
@@ -325,6 +327,8 @@ def test_malformed_json(capsys, tmp_path):
                  id="generator-int"),
     pytest.param({"n": 3, "t": [1], "generators": "x1"}, "generators",
                  id="generators-string"),
+    pytest.param({"n": 3, "t": [1], "generators": ["x1^99999999999999999999"]},
+                 "x1^99999999999999999999", id="huge-exponent"),
 ])
 def test_bad_generator_token(capsys, write_ideal, record, needle):
     path = write_ideal(record)
@@ -367,3 +371,103 @@ def test_environment_is_not_read(capsys, write_ideal, monkeypatch):
     for argv, expected in zip(runs, plain):
         assert main(argv) == 0
         assert capsys.readouterr().out == expected
+
+
+# -- parser ----------------------------------------------------------------------
+
+# "A" and "B" stand for files holding FIX_A and FIX_B
+VALID_ARGV = {
+    "enumerate": ["--n", "5", "--deg", "4", "--t", "1,0,2"],
+    "verify": ["--ideal", "A", "--class", "strongly-stable"],
+    "betti": ["--ideal", "A", "--oracle"],
+    "homology-basis": ["--ideal", "A", "--i", "2"],
+    "resolution": ["--ideal", "B", "--verify"],
+    "gin": ["--ideal", "B", "--seed", "7"],
+    "shift": ["--ideal", "B", "--t", "0,0", "--seed", "7"],
+}
+PARITY_ARGV = [
+    argv
+    for name, rest in VALID_ARGV.items()
+    # valid, asking for help, and without the first required flag
+    for argv in ([name, *rest], [name, "--help"], [name, *rest[2:]])
+] + [
+    ["verify", "--ideal", "A", "--class", "mystery"],
+    ["enumerate", "--n", "five", "--deg", "4", "--t", "1"],
+    ["gin", "--ideal", "B", "--seed", "7", "--nope"],
+    ["gin", "--ideal", "B", "--seed", "7", "stray"],
+    [], ["--help"], ["-h"], ["bogus"], ["-x", "shift"], ["shift", "shift"],
+]
+
+
+@pytest.fixture
+def run_cli(capsys, monkeypatch, write_ideal):
+    """Run main on argv with "A"/"B" bound to files: (exit code, out, err)."""
+    monkeypatch.setenv("COLUMNS", "80")
+    paths = {"A": write_ideal(FIX_A, "a.json"), "B": write_ideal(FIX_B, "b.json")}
+
+    def _run(argv):
+        try:
+            code = main([paths.get(arg, arg) for arg in argv])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+    return _run
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGV,
+                         ids=lambda argv: " ".join(argv) or "no-argv")
+def test_parser_parity_with_full_tree(run_cli, monkeypatch, argv):
+    got = run_cli(argv)
+    full_tree = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_tree())
+    assert got == run_cli(argv)
+
+
+@pytest.mark.parametrize("argv, needle", [
+    pytest.param(["bogus"], "argument command: invalid choice: 'bogus'",
+                 id="bogus"),
+    pytest.param([], "the following arguments are required: command",
+                 id="no-argv"),
+])
+def test_command_errors_name_the_command(run_cli, argv, needle):
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert needle in err
+
+
+@pytest.mark.parametrize("argv, added", [
+    *[pytest.param([name, *rest], [name], id=name)
+      for name, rest in VALID_ARGV.items()],
+    pytest.param(["--help"], list(VALID_ARGV), id="--help"),
+    pytest.param(["bogus"], list(VALID_ARGV), id="bogus"),
+    pytest.param([], list(VALID_ARGV), id="no-argv"),
+])
+def test_one_subparser_per_call(run_cli, monkeypatch, argv, added):
+    seen = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        seen.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    run_cli(argv)
+    assert seen == added
+
+
+def test_help_lists_every_command(run_cli):
+    code, out, _ = run_cli(["--help"])
+    assert code == 0
+    choices, *lines = (out.split("positional arguments:\n", 1)[1]
+                       .split("\n\n", 1)[0].splitlines())
+    assert choices == "  {enumerate,verify,betti,homology-basis,resolution,gin,shift}"
+    assert [line.split(None, 1) for line in lines] == [
+        ["enumerate", "list spread monomials of one degree"],
+        ["verify", "check a stability class membership"],
+        ["betti", "graded Betti numbers by the closed formula"],
+        ["homology-basis", "distinguished Koszul cycles"],
+        ["resolution", "labelled minimal free resolution"],
+        ["gin", "generic initial ideal (degrevlex)"],
+        ["shift", "t-spread algebraic shifting"],
+    ]
