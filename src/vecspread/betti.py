@@ -262,21 +262,20 @@ class BasisCheckReport:
                 + "; ".join(self.failures[:4]))
 
 
-def _cycle_column(bits: dict[int, int], index: dict[int, int],
-                  degree: list[int], chain) -> Optional[list[tuple[int, int]]]:
+def _cycle_column(support: list[int], index: dict[int, int],
+                  a: tuple[int, ...], chain) -> Optional[list[tuple[int, int]]]:
     """Sparse integer coordinates of a chain over a block's wedge basis, or
-    None when a term falls outside it; bits maps each variable of the
-    support to its bit, and degree lists the block's multidegree a as
-    variables, so a term x^b e_tau is in the block when b + 1_tau = a."""
-    col: dict[int, int] = {}
-    for wedge, residue, coeff in chain.terms():
-        if sorted(residue.indices + wedge) != degree:
+    None when a term falls outside it.  A term x^b e_tau is in the block when
+    b + 1_tau = a; its wedge is then read over the support positions of a."""
+    col = []
+    for (mask, b), coeff in chain._terms.items():
+        if b != tuple(ak - (mask >> k & 1) for k, ak in enumerate(a)):
             return None
-        r = index.get(sum(bits[k] for k in wedge))
+        r = index.get(sum(1 << p for p, k in enumerate(support) if mask >> k & 1))
         if r is None:
             return None
-        col[r] = coeff
-    return list(col.items())
+        col.append((r, coeff))
+    return col
 
 
 def verify_homology_basis(ideal: MonomialIdeal, t, hom_degree: int,
@@ -350,8 +349,6 @@ def _sweep(ideal: MonomialIdeal, t, degrees: list[int],
                     f"homology-free multidegree {a}")
             continue
         cx, support, index = block
-        bits = {k + 1: 1 << p for p, k in enumerate(support)}
-        degree = [k + 1 for k in support for _ in range(a[k])]
         for i in hom_range:
             # a label (u, sigma) of degree i has sigma and max(u) inside
             # supp(a): past the block's top there are no labels, no homology
@@ -361,7 +358,7 @@ def _sweep(ideal: MonomialIdeal, t, degrees: list[int],
             for label, ch in here:
                 if label.hom_degree != i:
                     continue
-                col = _cycle_column(bits, index[i], degree, ch)
+                col = _cycle_column(support, index[i], a, ch)
                 if col is None:
                     failures.append(f"cycle {label} leaves its block")
                     continue

@@ -38,7 +38,7 @@ from .monomials import (
     count_spread_monomials,
     format_monomial,
     is_spread,
-    spread_monomials,
+    iter_spread_monomials,
 )
 from .resolution import build_resolution, verify_resolution
 
@@ -88,9 +88,9 @@ def _emit(obj: dict, text: str, fmt: str) -> None:
 
 def _cmd_enumerate(args) -> int:
     t = _parse_t(args.t)
-    monos = spread_monomials(args.n, args.deg, t)
+    # one monomial at a time: each holds an exponent vector of length n
+    lines = [format_monomial(m) for m in iter_spread_monomials(args.n, args.deg, t)]
     count = count_spread_monomials(args.n, args.deg, t)
-    lines = [format_monomial(m) for m in monos]
     _emit({"monomials": lines, "count": count},
           "\n".join(lines + [f"count: {count}"]), args.format)
     return 0

@@ -47,9 +47,9 @@ class MonomialIdeal:
                     raise ValueError(f"generator set is not minimal: "
                                      f"{gens[j]} divides {gens[i]}")
         self.generators = gens
+        self.generator_set = frozenset(gens)
         self.ambient_n = ambient_n
         self._exp_cache: dict[tuple[int, ...], bool] = {}
-        self._gen_exps = exps
 
     @classmethod
     def from_generators(cls, generators: Iterable[Monomial],
@@ -78,7 +78,8 @@ class MonomialIdeal:
         """The exponent vectors of the generators dividing x^exps (exps of
         length ambient_n), lazily and in the stored descending plex order,
         so the first one is the plex-largest divisor."""
-        return (g for g in self._gen_exps if all(map(le, g, exps)))
+        return (g.exponents for g in self.generators
+                if all(map(le, g.exponents, exps)))
 
     def contains_exponents(self, exps: tuple[int, ...]) -> bool:
         """Membership test on a raw exponent vector of length ambient_n."""
@@ -115,11 +116,10 @@ class MonomialIdeal:
     def __eq__(self, other) -> bool:
         if not isinstance(other, MonomialIdeal):
             return NotImplemented
-        return (frozenset(g.indices for g in self.generators)
-                == frozenset(g.indices for g in other.generators))
+        return self.generator_set == other.generator_set
 
     def __hash__(self) -> int:
-        return hash(frozenset(g.indices for g in self.generators))
+        return hash(self.generator_set)
 
     def __repr__(self) -> str:
         gens = ", ".join(str(g) for g in self.generators)
@@ -373,8 +373,8 @@ def hilbert_function(ideal: MonomialIdeal, max_degree: int) -> list[int]:
                 walk(var + 1, nxt, degree + e)
 
     # each generator with the last index of its support, -1 for the unit
-    walk(0, [(g, max((i for i in range(n) if g[i]), default=-1))
-             for g in ideal._gen_exps], 0)
+    walk(0, [(g.exponents, max((i for i, e in enumerate(g.exponents) if e),
+                               default=-1)) for g in ideal.generators], 0)
     return counts
 
 

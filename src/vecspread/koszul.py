@@ -2,11 +2,12 @@
 
 A chain in homological degree i is an integer combination of wedge basis
 elements e_{k_1} ^ ... ^ e_{k_i} (k_1 < ... < k_i) with monomial residues
-taken in S/I: terms whose residue lies in I are dropped on insertion.
-Coefficients are int (the distinguished cycles only carry +-1); one that
-is not, a rational or a float, raises TypeError.  The differential sends
-e_tau to sum_l (-1)^(l+1) x_{k_l} e_{tau minus k_l}, again reducing
-residues mod I.
+taken in S/I: terms whose residue lies in I are dropped on insertion.  A
+term is keyed by its wedge bitmask (bit k - 1 for e_k) and its residue's
+exponent vector, as the multidegree blocks of betti.py read them.  Integer
+coefficients only (cycles carry +-1); a rational or a float raises
+TypeError.  The differential sends e_tau to sum_l (-1)^(l+1) x_{k_l}
+e_{tau minus k_l}, again reducing residues mod I.
 
 For a t-spread strongly stable ideal, each label (u, sigma) with u a minimal
 generator and sigma inside [max(u)-1] minus the spread support of u carries
@@ -36,20 +37,18 @@ from .monomials import (
 WedgeIndex = tuple[int, ...]
 
 
-def _sorted_wedge(seq: Iterable[int]) -> tuple[Optional[WedgeIndex], int]:
-    """Sort wedge indices, tracking the transposition sign; repeats give None."""
-    arr = list(seq)
+def _wedge_mask(seq: Iterable[int], mask: int = 0) -> tuple[int, int]:
+    """The bitmask of e_mask ^ e_seq (bit k - 1 for e_k) and its sorting sign:
+    appending e_k passes each set bit above k.  A repeat gives sign 0."""
     sign = 1
-    for i in range(1, len(arr)):
-        j = i
-        while j > 0 and arr[j - 1] > arr[j]:
-            arr[j - 1], arr[j] = arr[j], arr[j - 1]
+    for k in seq:
+        bit = 1 << (k - 1)
+        if mask & bit:
+            return 0, 0
+        if (mask >> k).bit_count() & 1:
             sign = -sign
-            j -= 1
-    for a, b in zip(arr, arr[1:]):
-        if a == b:
-            return None, 0
-    return tuple(arr), sign
+        mask |= bit
+    return mask, sign
 
 
 class KoszulChain:
@@ -60,7 +59,7 @@ class KoszulChain:
             raise ValueError("homological degree must be non-negative")
         self.ideal = ideal
         self.hom_degree = hom_degree
-        self._terms: dict[tuple[WedgeIndex, Monomial], int] = {}
+        self._terms: dict[tuple[int, tuple[int, ...]], int] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -74,23 +73,24 @@ class KoszulChain:
         coeff = index(coeff)
         if coeff == 0:
             return
-        tup, sign = _sorted_wedge(wedge)
-        if tup is None:
+        seq, n = tuple(wedge), self.ideal.ambient_n
+        if min(seq, default=1) < 1 or max((*seq, *residue.indices), default=0) > n:
+            raise ValueError(f"wedge {tuple(sorted(seq))} or residue {residue} "
+                             f"out of range for n={n}")
+        mask, sign = _wedge_mask(seq)
+        if not sign:
             return
-        if len(tup) != self.hom_degree:
-            raise ValueError(
-                f"wedge {tup} has length {len(tup)}, chain lives in degree "
-                f"{self.hom_degree}")
-        if tup and (tup[0] < 1 or tup[-1] > self.ideal.ambient_n):
-            raise ValueError(f"wedge {tup} out of range for n={self.ideal.ambient_n}")
-        if self.ideal.contains(residue):
-            return
-        key = (tup, residue)
-        new = self._terms.get(key, 0) + sign * coeff
-        if new == 0:
-            self._terms.pop(key, None)
-        else:
-            self._terms[key] = new
+        if len(seq) != self.hom_degree:
+            raise ValueError(f"wedge {tuple(sorted(seq))} has length {len(seq)}, "
+                             f"chain lives in degree {self.hom_degree}")
+        self._add(mask, residue.exponents_over(n), sign * coeff)
+
+    def _add(self, mask: int, exps: tuple[int, ...], coeff: int) -> None:
+        """Insert coeff * x^exps * e_mask, dropping residues in the ideal."""
+        if not self.ideal.contains_exponents(exps):
+            new = self._terms.pop((mask, exps), 0) + coeff
+            if new:
+                self._terms[mask, exps] = new
 
     def copy(self) -> "KoszulChain":
         dup = KoszulChain(self.ideal, self.hom_degree)
@@ -105,19 +105,22 @@ class KoszulChain:
 
     def terms(self) -> Iterator[tuple[WedgeIndex, Monomial, int]]:
         """Terms sorted by descending wedge order (ascending index tuples)."""
-        for (tup, mono), coeff in sorted(
-                self._terms.items(), key=lambda kv: (kv[0][0], kv[0][1].indices)):
-            yield tup, mono, coeff
+        yield from sorted(
+            ((tuple(k + 1 for k in range(mask.bit_length()) if mask >> k & 1),
+              Monomial.from_exponents(exps), coeff)
+             for (mask, exps), coeff in self._terms.items()),
+            key=lambda term: (term[0], term[1].indices))
 
     def coefficient(self, wedge: Iterable[int], residue: Monomial) -> int:
-        tup, sign = _sorted_wedge(wedge)
-        if tup is None:
+        seq, n = tuple(wedge), self.ideal.ambient_n
+        if min(seq, default=1) < 1 or max((*seq, *residue.indices), default=0) > n:
             return 0
-        return sign * self._terms.get((tup, residue), 0)
+        mask, sign = _wedge_mask(seq)
+        return sign * self._terms.get((mask, residue.exponents_over(n)), 0)
 
     def internal_degree(self) -> Optional[int]:
         """deg(residue) + |wedge|, which all terms must share."""
-        degs = {m.degree + len(tup) for (tup, m) in self._terms}
+        degs = {mask.bit_count() + sum(exps) for mask, exps in self._terms}
         if not degs:
             return None
         if len(degs) > 1:
@@ -128,8 +131,7 @@ class KoszulChain:
         """The term with the largest wedge (smallest index tuple)."""
         if self.is_zero:
             raise ValueError("the zero chain has no leading term")
-        key = min(self._terms, key=lambda k: (k[0], k[1].indices))
-        return key[0], key[1], self._terms[key]
+        return next(self.terms())
 
     # -- algebra -----------------------------------------------------------
 
@@ -137,8 +139,8 @@ class KoszulChain:
         if self.hom_degree != other.hom_degree:
             raise ValueError("cannot add chains of different homological degree")
         out = self.copy()
-        for (tup, mono), coeff in other._terms.items():
-            out.add_term(tup, mono, coeff)
+        for (mask, exps), coeff in other._terms.items():
+            out._add(mask, exps, coeff)
         return out
 
     __add__ = add
@@ -160,16 +162,13 @@ class KoszulChain:
 
     def wedge_var_right(self, k: int) -> "KoszulChain":
         """self ^ e_k."""
+        if not 1 <= k <= self.ideal.ambient_n:
+            raise ValueError(f"e{k} out of range for n={self.ideal.ambient_n}")
         out = KoszulChain(self.ideal, self.hom_degree + 1)
-        for (tup, mono), coeff in self._terms.items():
-            out.add_term(tup + (k,), mono, coeff)
-        return out
-
-    def wedge_var_left(self, k: int) -> "KoszulChain":
-        """e_k ^ self."""
-        out = KoszulChain(self.ideal, self.hom_degree + 1)
-        for (tup, mono), coeff in self._terms.items():
-            out.add_term((k,) + tup, mono, coeff)
+        for (mask, exps), coeff in self._terms.items():
+            wedge, sign = _wedge_mask((k,), mask)
+            if sign:
+                out._terms[wedge, exps] = sign * coeff
         return out
 
     def __eq__(self, other) -> bool:
@@ -205,10 +204,13 @@ def koszul_differential(chain: KoszulChain) -> KoszulChain:
     if chain.hom_degree == 0:
         raise ValueError("cannot differentiate a degree-0 chain")
     out = KoszulChain(chain.ideal, chain.hom_degree - 1)
-    for (tup, mono), coeff in chain._terms.items():
-        for pos, k in enumerate(tup):
-            sign = -1 if pos % 2 else 1
-            out.add_term(tup[:pos] + tup[pos + 1:], mono.times_var(k), sign * coeff)
+    for (mask, exps), coeff in chain._terms.items():
+        # drop the wedge's indices from the lowest up with signs +, -, +, ...
+        for k in range(len(exps)):
+            if mask >> k & 1:
+                out._add(mask ^ (1 << k), exps[:k] + (exps[k] + 1,) + exps[k + 1:],
+                         coeff)
+                coeff = -coeff
     return out
 
 
@@ -271,7 +273,7 @@ def spread_labels(ideal: MonomialIdeal, t: SpreadVector,
 
 def _validate_label(ideal: MonomialIdeal, t: SpreadVector, u: Monomial,
                     sigma: tuple[int, ...]) -> tuple[int, ...]:
-    if not any(g.indices == u.indices for g in ideal.generators):
+    if u not in ideal.generator_set:
         raise ValueError(f"{u} is not a minimal generator of the ideal")
     sigma = tuple(sorted(set(sigma)))
     allowed = set(free_indices(u, t))
@@ -321,25 +323,23 @@ def _direct_cycle(ideal: MonomialIdeal, u: Monomial,
     """Closed-form expansion over subsets F of sigma (u any t-spread member)."""
     chain = KoszulChain(ideal, len(sigma) + 1)
     max_u = u.max_index
-    u_prime = u.over_var(max_u)
+    u_prime = list(u.exponents_over(ideal.ambient_n))
+    u_prime[max_u - 1] -= 1
     succ = {k: next_support_index(u, k) for k in sigma}
     m = len(sigma)
-    for mask in range(1 << m):
-        F = tuple(sigma[p] for p in range(m) if mask >> p & 1)
-        rest = [sigma[p] for p in range(m) if not (mask >> p & 1)]
-        wedge_seq = rest + [succ[k] for k in F] + [max_u]
-        tup, sign = _sorted_wedge(wedge_seq)
-        if tup is None:
+    for subset in range(1 << m):
+        F = tuple(sigma[p] for p in range(m) if subset >> p & 1)
+        rest = [sigma[p] for p in range(m) if not (subset >> p & 1)]
+        wedge, sign = _wedge_mask(rest + [succ[k] for k in F] + [max_u])
+        if not sign:
             continue
         # with a repeat-free wedge the successor product always divides u'
-        residue_idx = list(u_prime.indices)
+        residue = list(u_prime)
         for k in F:
-            residue_idx.remove(succ[k])
-        residue = Monomial(sorted(residue_idx + list(F)), u.ambient_n)
-        if ideal.contains(residue):
-            continue
+            residue[succ[k] - 1] -= 1
+            residue[k - 1] += 1
         parity = cycle_sign_parity(u, sigma, F)
-        chain.add_term(tup, residue, -sign if parity else sign)
+        chain._add(wedge, tuple(residue), -sign if parity else sign)
     return chain
 
 
@@ -407,9 +407,11 @@ def remainder_split(ideal: MonomialIdeal, t, u: Monomial, sigma
     if not sigma:
         raise ValueError("sigma must be non-empty to split")
     k1 = sigma[0]
-    head = _direct_cycle(ideal, u, sigma[1:]).wedge_var_left(k1)
+    # e_k ^ c = (-1)^deg(c) c ^ e_k, and the shorter cycle has degree |sigma|
+    head = _direct_cycle(ideal, u, sigma[1:]).wedge_var_right(k1).scale(
+        (-1) ** len(sigma))
     cycle = _direct_cycle(ideal, u, sigma)
     rest = KoszulChain(ideal, cycle.hom_degree)
-    rest._terms = {(tup, mono): c for (tup, mono), c in cycle._terms.items()
-                   if k1 not in tup}
+    rest._terms = {key: c for key, c in cycle._terms.items()
+                   if not key[0] >> (k1 - 1) & 1}
     return head, rest

@@ -29,9 +29,10 @@ class Monomial:
 
     Equality and hashing use the index sequence only; the ambient size is
     contextual (spread maps routinely move monomials between ambients).
+    `exponents` is the exponent vector over x_1..x_n, built once.
     """
 
-    __slots__ = ("indices", "ambient_n", "_hash")
+    __slots__ = ("indices", "ambient_n", "_hash", "exponents")
 
     def __init__(self, indices: Iterable[int], ambient_n: int):
         idx = tuple(indices)
@@ -44,9 +45,13 @@ class Monomial:
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "ambient_n", ambient_n)
         object.__setattr__(self, "_hash", hash(idx))
+        object.__setattr__(self, "exponents", self.exponents_over(ambient_n))
 
     def __setattr__(self, name, value):
         raise AttributeError("Monomial is immutable")
+
+    def __reduce__(self):
+        return Monomial, (self.indices, self.ambient_n)
 
     # -- structure ---------------------------------------------------------
 
@@ -75,10 +80,6 @@ class Monomial:
     def from_exponents(cls, exps: tuple[int, ...]) -> "Monomial":
         """The monomial x^exps of K[x_1..x_len(exps)]."""
         return cls([k + 1 for k, e in enumerate(exps) for _ in range(e)], len(exps))
-
-    @property
-    def exponents(self) -> tuple[int, ...]:
-        return self.exponents_over(self.ambient_n)
 
     def exponents_over(self, n: int) -> tuple[int, ...]:
         """The exponent vector over x_1..x_n; variables past n are dropped."""

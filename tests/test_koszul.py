@@ -6,11 +6,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vecspread import (
     CycleLabel,
     KoszulChain,
+    Monomial,
+    MonomialIdeal,
     SpreadVector,
+    admissible_shape,
     cycle_sign_parity,
     format_monomial,
     free_indices,
@@ -24,12 +29,14 @@ from vecspread import (
     simple_cycle,
     unit,
 )
+from vecspread.betti import _cycle_column, _koszul_block
 
 from util import (
     ex_resolution_ideal,
     ex_spread_ideal,
     random_spread_vector,
     random_strongly_stable_ideal,
+    roadmap_workload,
 )
 
 
@@ -102,6 +109,9 @@ def test_wedge_length_checked():
         c.add_term((1,), unit(6), 1)
     with pytest.raises(ValueError):
         c.add_term((1, 7), unit(6), 1)  # exceeds ambient
+    j, _ = ex_resolution_ideal()
+    with pytest.raises(ValueError):  # a residue past the ambient n = 4
+        KoszulChain(j, 1).add_term((1,), Monomial((5,), 5), 1)
 
 
 def test_internal_degree():
@@ -337,3 +347,223 @@ def test_remainder_split_needs_sigma():
     ideal, t = ex_spread_ideal()
     with pytest.raises(ValueError):
         remainder_split(ideal, t, parse_monomial("x1", 6), ())
+
+
+# -- the tuple-keyed reference route --------------------------------------------
+#
+# Chains were once keyed by (sorted wedge index tuple, Monomial), and the sweep
+# translated each term onto a block's wedge bitmasks.  That route is kept here
+# as the reference for the bitmask-and-exponent-vector keys.
+
+
+def _sorted_wedge(seq):
+    """Sort wedge indices, tracking the transposition sign; repeats give None."""
+    arr = list(seq)
+    sign = 1
+    for i in range(1, len(arr)):
+        j = i
+        while j > 0 and arr[j - 1] > arr[j]:
+            arr[j - 1], arr[j] = arr[j], arr[j - 1]
+            sign = -sign
+            j -= 1
+    for a, b in zip(arr, arr[1:]):
+        if a == b:
+            return None, 0
+    return tuple(arr), sign
+
+
+class ReferenceChain:
+    """A chain keyed by (sorted index tuple, Monomial)."""
+
+    def __init__(self, ideal, hom_degree):
+        self.ideal, self.hom_degree, self._terms = ideal, hom_degree, {}
+
+    def add_term(self, wedge, residue, coeff):
+        if coeff == 0:
+            return
+        tup, sign = _sorted_wedge(wedge)
+        if tup is None:
+            return
+        if len(tup) != self.hom_degree:
+            raise ValueError(f"wedge {tup} has the wrong length")
+        if tup and (tup[0] < 1 or tup[-1] > self.ideal.ambient_n):
+            raise ValueError(f"wedge {tup} out of range")
+        if self.ideal.contains(residue):
+            return
+        key = (tup, residue)
+        new = self._terms.get(key, 0) + sign * coeff
+        if new == 0:
+            self._terms.pop(key, None)
+        else:
+            self._terms[key] = new
+
+    def terms(self):
+        for (tup, mono), coeff in sorted(
+                self._terms.items(), key=lambda kv: (kv[0][0], kv[0][1].indices)):
+            yield tup, mono, coeff
+
+    def coefficient(self, wedge, residue):
+        tup, sign = _sorted_wedge(wedge)
+        return 0 if tup is None else sign * self._terms.get((tup, residue), 0)
+
+    def internal_degree(self):
+        degs = {m.degree + len(tup) for (tup, m) in self._terms}
+        if len(degs) > 1:
+            raise ValueError("mixed internal degrees")
+        return degs.pop() if degs else None
+
+    def wedge_var_right(self, k):
+        out = ReferenceChain(self.ideal, self.hom_degree + 1)
+        for (tup, mono), coeff in self._terms.items():
+            out.add_term(tup + (k,), mono, coeff)
+        return out
+
+    def wedge_var_left(self, k):
+        out = ReferenceChain(self.ideal, self.hom_degree + 1)
+        for (tup, mono), coeff in self._terms.items():
+            out.add_term((k,) + tup, mono, coeff)
+        return out
+
+    def __str__(self):
+        if not self._terms:
+            return "0"
+        pieces = []
+        for tup, mono, coeff in self.terms():
+            wedge = "^".join(f"e{k}" for k in tup)
+            body = f"eps({format_monomial(mono)}) {wedge}"
+            if coeff == 1:
+                pieces.append(("+ " if pieces else "") + body)
+            elif coeff == -1:
+                pieces.append(("- " if pieces else "-") + body)
+            else:
+                sign = "- " if coeff < 0 else ("+ " if pieces else "")
+                pieces.append(f"{sign}{abs(coeff)}*{body}")
+        return " ".join(pieces)
+
+
+def reference_differential(chain):
+    out = ReferenceChain(chain.ideal, chain.hom_degree - 1)
+    for (tup, mono), coeff in chain._terms.items():
+        for pos, k in enumerate(tup):
+            sign = -1 if pos % 2 else 1
+            out.add_term(tup[:pos] + tup[pos + 1:], mono.times_var(k), sign * coeff)
+    return out
+
+
+def reference_cycle_column(bits, index, degree, chain):
+    """The sweep's old translation: bits maps each support variable to its
+    bit, degree lists the multidegree a as variables."""
+    col = {}
+    for wedge, residue, coeff in chain.terms():
+        if sorted(residue.indices + wedge) != degree:
+            return None
+        r = index.get(sum(bits[k] for k in wedge))
+        if r is None:
+            return None
+        col[r] = coeff
+    return list(col.items())
+
+
+def as_reference(chain):
+    ref = ReferenceChain(chain.ideal, chain.hom_degree)
+    for wedge, residue, coeff in chain.terms():
+        ref.add_term(wedge, residue, coeff)
+    return ref
+
+
+def outcome(f, *args):
+    """f(*args), or the type of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError:
+        return ValueError
+
+
+# wedges unsorted and with repeats, residues of degree <= 4, small coefficients
+_chain_terms = st.integers(0, 4).flatmap(lambda i: st.tuples(
+    st.just(i),
+    st.lists(st.tuples(st.lists(st.integers(1, 6), min_size=i, max_size=i),
+                       st.lists(st.integers(1, 6), max_size=4),
+                       st.integers(-3, 3)), max_size=6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.booleans(), _chain_terms)
+def test_chain_matches_tuple_keyed_reference(zero_ideal, spec):
+    ideal = MonomialIdeal.zero(6) if zero_ideal else ex_spread_ideal()[0]
+    i, terms = spec
+    new, ref = KoszulChain(ideal, i), ReferenceChain(ideal, i)
+    for wedge, residue, coeff in terms:
+        new.add_term(wedge, monomial(residue, 6), coeff)
+        ref.add_term(wedge, monomial(residue, 6), coeff)
+    assert list(new.terms()) == list(ref.terms())
+    assert str(new) == str(ref)
+    for wedge, residue, _ in terms:
+        assert (new.coefficient(wedge, monomial(residue, 6))
+                == ref.coefficient(wedge, monomial(residue, 6)))
+    assert outcome(new.internal_degree) == outcome(ref.internal_degree)
+    if not new.is_zero:
+        assert new.leading_term() == next(ref.terms())
+    if i:
+        d_new, d_ref = koszul_differential(new), reference_differential(ref)
+        assert list(d_new.terms()) == list(d_ref.terms())
+        assert str(d_new) == str(d_ref)
+    for k in range(1, 7):
+        assert (list(new.wedge_var_right(k).terms())
+                == list(ref.wedge_var_right(k).terms()))
+
+
+def _labels(ideal, t):
+    labels, i = [], 1
+    while True:
+        level = homology_basis_labels(ideal, t, i)
+        if not level:
+            return labels
+        labels += level
+        i += 1
+
+
+def _non_admissible_cases(seed, count):
+    rng, cases = random.Random(seed), []
+    while len(cases) < count:
+        t = random_spread_vector(rng)
+        ideal = random_strongly_stable_ideal(rng, rng.randint(4, 7), t)
+        if not admissible_shape(t) and not ideal.is_unit:
+            cases.append((ideal, t))
+    return cases
+
+
+def test_cycle_column_matches_the_old_translation():
+    # each label's cycle read in its own block and in the next label's,
+    # so both the coordinates and the None of a foreign block are compared
+    for ideal, t in [roadmap_workload(1, (6, 8), 3), *_non_admissible_cases(41, 6)]:
+        labels = _labels(ideal, t)
+        blocks = {}
+        for label, other in zip(labels, labels[1:] + labels[:1]):
+            chain = koszul_cycle(ideal, t, label.generator, label.sigma)
+            ref = as_reference(chain)
+            for a in {label.multidegree(), other.multidegree()}:
+                if a not in blocks:
+                    blocks[a] = _koszul_block(ideal, a)
+                if blocks[a] is None or label.hom_degree >= len(blocks[a][2]):
+                    continue
+                _, support, index = blocks[a]
+                bits = {k + 1: 1 << p for p, k in enumerate(support)}
+                degree = [k + 1 for k in support for _ in range(a[k])]
+                new = _cycle_column(support, index[label.hom_degree], a, chain)
+                old = reference_cycle_column(
+                    bits, index[label.hom_degree], degree, ref)
+                assert (new if new is None else sorted(new)) == (
+                    old if old is None else sorted(old)), (str(label), a)
+
+
+def test_remainder_split_head_is_the_reference_left_wedge():
+    for ideal, t in [ex_spread_ideal(), *_non_admissible_cases(43, 8)]:
+        for label in _labels(ideal, t):
+            if not label.sigma:
+                continue
+            u, sigma = label.generator, label.sigma
+            head, _ = remainder_split(ideal, t, u, sigma)
+            shorter = as_reference(koszul_cycle(ideal, t, u, sigma[1:]))
+            assert (list(head.terms())
+                    == list(shorter.wedge_var_left(sigma[0]).terms())), str(label)

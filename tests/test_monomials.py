@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -51,6 +53,26 @@ def test_unit_monomial():
     assert one.degree == 0
     assert one.exponents == (0,) * 5
     assert format_monomial(one) == "1"
+
+
+def test_copy_and_pickle_round_trips():
+    # Monomial refuses attribute writes, so copy and pickle rebuild it
+    # through __init__; the types holding monomials follow
+    from vecspread import CycleLabel, MonomialIdeal, build_resolution
+    ideal = MonomialIdeal([parse_monomial(s, 4)
+                           for s in ("x1*x2", "x1*x3", "x1*x4^2")], 4)
+    u = ideal.generators[2]
+    views = [
+        (u, lambda m: (m.indices, m.ambient_n, m.exponents, hash(m))),
+        (ideal, lambda i: (i.generators, i.ambient_n, i.contains(u.times_var(4)))),
+        (CycleLabel(u, (2, 3)), lambda lab: (lab, str(lab), lab.multidegree())),
+        (build_resolution(ideal, (1, 0)), lambda res: res.to_json_obj()),
+    ]
+    for obj, view in views:
+        for twin in (copy.copy(obj), copy.deepcopy(obj),
+                     pickle.loads(pickle.dumps(obj))):
+            assert type(twin) is type(obj)
+            assert view(twin) == view(obj)
 
 
 def test_monomial_rejects_bad_indices():
