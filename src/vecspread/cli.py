@@ -3,7 +3,8 @@
 Subcommands: enumerate, verify, betti, homology-basis, resolution, gin,
 shift.  Results go to stdout, diagnostics to stderr; exit code 0 means
 success (or property holds), 1 means a property violation with a witness,
-2 means a usage or input error.
+2 means a usage or input error, and 141 (128 + SIGPIPE) means the reader
+closed stdout early, as `| head` does.
 
 Every setting is a flag with its default declared on it (`--help` lists
 them); no environment variable is read, so a printed command line, with the
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from typing import Optional
@@ -193,7 +195,7 @@ def _generator_text(ideal: MonomialIdeal, seed: int) -> str:
 def _cmd_gin(args) -> int:
     ideal, _ = parse_ideal_file(args.ideal)
     seed = _seed(args)
-    result = gin(ideal, seed=seed, bound=args.bound)
+    result = gin(ideal, seed=seed)
     payload = ideal_to_dict(result)
     payload["seed"] = seed
     _emit(payload, _generator_text(result, seed), args.format)
@@ -207,10 +209,10 @@ def _cmd_shift(args) -> int:
     report = None
     if args.verify:
         report = verify_shift_properties(ideal, t, max_degree=args.max_degree,
-                                         seed=seed, bound=args.bound)
+                                         seed=seed)
         result = report.shifted
     else:
-        result = shift(ideal, t, seed=seed, bound=args.bound)
+        result = shift(ideal, t, seed=seed)
     payload = ideal_to_dict(result, t)
     payload["seed"] = seed
     text = _generator_text(result, seed)
@@ -274,8 +276,6 @@ def _resolution_args(p):
 def _gin_args(p):
     p.add_argument("--ideal", required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--bound", type=int, default=100,
-                   help="coefficient bound of the coordinate changes (default 100)")
     _add_format(p, default="json")
 
 
@@ -283,8 +283,6 @@ def _shift_args(p):
     p.add_argument("--ideal", required=True)
     p.add_argument("--t", required=True, help="target spread, comma-separated")
     p.add_argument("--seed", type=int)
-    p.add_argument("--bound", type=int, default=100,
-                   help="coefficient bound of the coordinate changes (default 100)")
     p.add_argument("--verify", action="store_true")
     p.add_argument("--max-degree", type=int,
                    help="degree cap of the Hilbert-function check "
@@ -338,10 +336,18 @@ def main(argv=None) -> int:
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     args = build_parser(command).parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (ValueError, GenericityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: give it somewhere to go
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

@@ -278,24 +278,26 @@ def _classic_spread(ideal: MonomialIdeal) -> SpreadVector:
     return SpreadVector((0,) * max(1, top - 1))
 
 
-# coefficient-bound doublings after the first try before gin gives up
+# the coefficient bound of gin's first coordinate changes, and the number
+# of its doublings after the first try before gin gives up
+FIRST_BOUND = 100
 MAX_RETRIES = 3
 
 
-def gin(ideal: MonomialIdeal, *, seed: Optional[int] = None,
-        bound: int = 100) -> MonomialIdeal:
+def gin(ideal: MonomialIdeal, *, seed: Optional[int] = None) -> MonomialIdeal:
     """Generic initial ideal under degrevlex.
 
     Two independent random coordinate changes must yield identical initial
     ideals, and the agreed result must be classically strongly stable; on
-    any mismatch the coefficient bound doubles and the computation retries,
-    MAX_RETRIES = 3 times, before raising GenericityError.
+    any mismatch the coefficient bound (FIRST_BOUND = 100 at first) doubles
+    and the computation retries, MAX_RETRIES = 3 times, before raising
+    GenericityError.
     """
     if ideal.is_zero or ideal.is_unit:
         return ideal
     rng = random.Random(seed)
     shared = _SharedWork()
-    b = bound
+    b = FIRST_BOUND
     for _ in range(MAX_RETRIES + 1):
         first, second = [
             initial_ideal(ideal, random_coordinate_change(ideal.ambient_n, rng, b),
@@ -312,11 +314,10 @@ def gin(ideal: MonomialIdeal, *, seed: Optional[int] = None,
 # -- shifting -------------------------------------------------------------------
 
 
-def shift(ideal: MonomialIdeal, t, *, seed: Optional[int] = None,
-          bound: int = 100) -> MonomialIdeal:
+def shift(ideal: MonomialIdeal, t, *, seed: Optional[int] = None) -> MonomialIdeal:
     """The t-spread shift: the image of Gin(I) under the 0-to-t spread map."""
     t = SpreadVector.coerce(t)
-    g = gin(ideal, seed=seed, bound=bound)
+    g = gin(ideal, seed=seed)
     if g.is_zero or g.is_unit:
         return g
     top = max(u.degree for u in g.generators)
@@ -349,7 +350,7 @@ class ShiftReport:
 
 def verify_shift_properties(ideal: MonomialIdeal, t, other: Optional[MonomialIdeal] = None,
                             *, max_degree: Optional[int] = None,
-                            seed: Optional[int] = None, bound: int = 100) -> ShiftReport:
+                            seed: Optional[int] = None) -> ShiftReport:
     """Check the four shifting properties on one ideal (and optionally a pair).
 
     The shift must be t-spread strongly stable; it must fix t-spread strongly
@@ -361,7 +362,7 @@ def verify_shift_properties(ideal: MonomialIdeal, t, other: Optional[MonomialIde
     results: dict[str, Optional[bool]] = {}
     witnesses: list[str] = []
 
-    shifted = shift(ideal, t, seed=rng.randrange(2 ** 62), bound=bound)
+    shifted = shift(ideal, t, seed=rng.randrange(2 ** 62))
 
     try:
         results["strongly_stable"] = is_strongly_stable(shifted, t)
@@ -400,7 +401,7 @@ def verify_shift_properties(ideal: MonomialIdeal, t, other: Optional[MonomialIde
         if not other.contains_ideal(ideal):
             raise ValueError("containment check needs the first ideal inside "
                              "the second")
-        shifted_other = shift(other, t, seed=rng.randrange(2 ** 62), bound=bound)
+        shifted_other = shift(other, t, seed=rng.randrange(2 ** 62))
         results["containment"] = shifted_other.contains_ideal(shifted)
         if not results["containment"]:
             witnesses.append(

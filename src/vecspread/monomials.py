@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress
 from math import comb
 from typing import Iterable, Iterator
 
@@ -175,18 +175,17 @@ def variable(k: int, n: int) -> Monomial:
 _FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 
 
-def format_monomial(m: Monomial) -> str:
-    """Render as x<k> / x<k>^<e> factors joined by '*'; the unit is '1'."""
-    if m.is_unit:
-        return "1"
+def format_exponents(exps: tuple[int, ...]) -> str:
+    """Render x^exps as x<k> / x<k>^<e> factors joined by '*'; the unit is '1'."""
     parts = []
-    seen: dict[int, int] = {}
-    for j in m.indices:
-        seen[j] = seen.get(j, 0) + 1
-    for j in sorted(seen):
-        e = seen[j]
-        parts.append(f"x{j}" if e == 1 else f"x{j}^{e}")
-    return "*".join(parts)
+    for k in compress(range(1, len(exps) + 1), exps):  # the support, in C
+        e = exps[k - 1]
+        parts.append(f"x{k}" if e == 1 else f"x{k}^{e}")
+    return "*".join(parts) or "1"
+
+
+def format_monomial(m: Monomial) -> str:
+    return format_exponents(m.exponents)
 
 
 def parse_monomial(text: str, n: int) -> Monomial:

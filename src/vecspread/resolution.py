@@ -36,33 +36,23 @@ from .linalg import FiniteComplex, lcm_lattice
 from .monomials import (
     Monomial,
     SpreadVector,
-    format_monomial,
+    format_exponents,
     free_indices,
-    plex_key,
-    variable,
 )
 
-Poly = dict[Monomial, int]
-
-
-def _poly_add(dst: Poly, mono: Monomial, coeff: int) -> None:
-    new = dst.get(mono, 0) + coeff
-    if new == 0:
-        dst.pop(mono, None)
-    else:
-        dst[mono] = new
+# a polynomial: exponent vector over x_1..x_n -> int coefficient
+Poly = dict[tuple[int, ...], int]
 
 
 def format_poly(poly: Poly) -> str:
     """The terms in descending plex order; a zero coefficient shows nothing."""
     pieces = []
-    for mono, coeff in sorted(poly.items(), key=lambda kv: plex_key(kv[0]),
-                              reverse=True):
+    for exps, coeff in sorted(poly.items(), reverse=True):
         if not coeff:
             continue
         mag = abs(coeff)
-        body = format_monomial(mono) if mag == 1 else \
-            f"{mag}*{format_monomial(mono)}"
+        body = format_exponents(exps) if mag == 1 else \
+            f"{mag}*{format_exponents(exps)}"
         if not pieces:
             pieces.append(body if coeff > 0 else f"-{body}")
         else:
@@ -71,7 +61,8 @@ def format_poly(poly: Poly) -> str:
 
 
 class MonomialMatrix:
-    """A sparse matrix whose entries are polynomials with int coefficients.
+    """A sparse matrix whose entries are polynomials with int coefficients,
+    each keyed by its terms' exponent vectors.
 
     Construction and `add_to_entry` keep no zero term and no empty entry.
     `entries` is public and may be edited in place, so nothing here checks
@@ -86,20 +77,29 @@ class MonomialMatrix:
         self.entries: dict[tuple[int, int], Poly] = {}
         if entries:
             for (r, c), poly in entries.items():
-                if not (0 <= r < nrows and 0 <= c < ncols):
-                    raise ValueError(f"entry ({r},{c}) outside {nrows}x{ncols}")
-                poly = {mono: coeff for mono, coeff in poly.items() if coeff}
+                self._check_index(r, c)
+                poly = {exps: coeff for exps, coeff in poly.items() if coeff}
                 if poly:
                     self.entries[(r, c)] = poly
+
+    def _check_index(self, r: int, c: int) -> None:
+        if not (0 <= r < self.nrows and 0 <= c < self.ncols):
+            raise ValueError(
+                f"entry ({r},{c}) outside {self.nrows}x{self.ncols}")
 
     def entry(self, r: int, c: int) -> Poly:
         return dict(self.entries.get((r, c), {}))
 
-    def add_to_entry(self, r: int, c: int, mono: Monomial, coeff) -> None:
+    def add_to_entry(self, r: int, c: int, exps: tuple[int, ...], coeff) -> None:
+        self._check_index(r, c)
         poly = self.entries.setdefault((r, c), {})
-        _poly_add(poly, mono, coeff)
-        if not poly:
-            del self.entries[(r, c)]
+        new = poly.get(exps, 0) + coeff
+        if new:
+            poly[exps] = new
+        else:
+            poly.pop(exps, None)
+            if not poly:
+                del self.entries[(r, c)]
 
     @property
     def is_zero(self) -> bool:
@@ -108,44 +108,29 @@ class MonomialMatrix:
     def compose(self, other: "MonomialMatrix") -> "MonomialMatrix":
         """Matrix product self @ other (apply other first).
 
-        Terms are multiplied and summed on exponent vectors; each term of
-        the product is made a Monomial once, and zero sums are dropped.
-        Multiplying two terms of different ambients raises ValueError.
+        Terms are multiplied and summed on exponent vectors, and zero sums
+        are dropped.  Multiplying two terms of unequal length raises
+        ValueError.
         """
         if self.ncols != other.nrows:
             raise ValueError(
                 f"cannot compose {self.nrows}x{self.ncols} with "
                 f"{other.nrows}x{other.ncols}")
-        by_row: dict[int, list[tuple[int, list]]] = {}
+        by_row: dict[int, list[tuple[int, Poly]]] = {}
         for (m, c), q in other.entries.items():
-            by_row.setdefault(m, []).append(
-                (c, [(mono.exponents, coeff) for mono, coeff in q.items()]))
-        sums: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}
+            by_row.setdefault(m, []).append((c, q))
+        sums: dict[tuple[int, int], Poly] = {}
         for (r, m), p in self.entries.items():
-            row = by_row.get(m)
-            if not row:
-                continue
-            p = [(mono.exponents, coeff) for mono, coeff in p.items()]
-            for c, q in row:
+            for c, q in by_row.get(m, ()):
                 acc = sums.setdefault((r, c), {})
-                for e1, c1 in p:
-                    for e2, c2 in q:
+                for e1, c1 in p.items():
+                    for e2, c2 in q.items():
                         if len(e1) != len(e2):
                             raise ValueError("cannot multiply monomials with "
                                              "different ambients")
                         e = tuple(map(add, e1, e2))
                         acc[e] = acc.get(e, 0) + c1 * c2
-        out = MonomialMatrix(self.nrows, other.ncols)
-        for key, acc in sums.items():
-            # equal monomials of different ambients have different exponent
-            # vectors: they meet, and may cancel, only here
-            poly: Poly = {}
-            for e, coeff in acc.items():
-                if coeff:
-                    _poly_add(poly, Monomial.from_exponents(e), coeff)
-            if poly:
-                out.entries[key] = poly
-        return out
+        return MonomialMatrix(self.nrows, other.ncols, sums)  # drops the zeros
 
     def ascii(self) -> str:
         cells = [[format_poly(self.entries.get((r, c), {}))
@@ -258,15 +243,18 @@ def build_resolution(ideal: MonomialIdeal, t) -> Resolution:
 
     diffs: list[MonomialMatrix] = []
     n = ideal.ambient_n
-    xs = [None] + [variable(k, n) for k in range(1, n + 1)]
+    # the exponent vectors of x_1..x_n
+    xs = [None] + [tuple(int(j == k) for j in range(1, n + 1))
+                   for k in range(1, n + 1)]
     # (u_k, free(u_k), v_k) for each (generator u, k): none depends on sigma
-    steps: dict[tuple[Monomial, int], tuple[Monomial, frozenset[int], Monomial]] = {}
+    steps: dict[tuple[Monomial, int],
+                tuple[Monomial, frozenset[int], tuple[int, ...]]] = {}
     for i in range(1, len(bases) + 1):
         cols = bases[i - 1]
         if i == 1:
             d = MonomialMatrix(1, len(cols))
             for c, lab in enumerate(cols):
-                d.add_to_entry(0, c, lab.generator, 1)
+                d.add_to_entry(0, c, lab.generator.exponents, 1)
             diffs.append(d)
             continue
         rows = {(lab.generator, lab.sigma): r for r, lab in enumerate(bases[i - 2])}
@@ -282,7 +270,8 @@ def build_resolution(ideal: MonomialIdeal, t) -> Resolution:
                     w = u.times_var(k)
                     u_k = decomposition_function(ideal, t, w)
                     step = steps[u, k] = (
-                        u_k, frozenset(free_indices(u_k, t)), w.divide(u_k))
+                        u_k, frozenset(free_indices(u_k, t)),
+                        tuple(map(sub, w.exponents, u_k.exponents)))
                 u_k, free_k, v_k = step
                 if free_k.issuperset(tau):
                     d.add_to_entry(rows[u_k, tau], c, v_k, sign)
@@ -352,7 +341,7 @@ def verify_resolution(res: Resolution, max_degree: int) -> ResolutionReport:
     ok = True
     for i in range(1, res.length + 1):
         for (r, c), poly in res.differential(i).entries.items():
-            if any(m.is_unit and coeff for m, coeff in poly.items()):
+            if any(coeff and not any(e) for e, coeff in poly.items()):
                 ok = False
                 failures.append(
                     f"d{i} entry ({r},{c}) = {format_poly(poly)} has a "
@@ -370,14 +359,14 @@ def verify_resolution(res: Resolution, max_degree: int) -> ResolutionReport:
         cols = [[] for _ in mdegs[i]]
         for (r, c), poly in res.differential(i).entries.items():
             want = tuple(map(sub, mdegs[i][c], mdegs[i - 1][r]))
-            for mono, coeff in poly.items():
+            for e, coeff in poly.items():
                 coeff = index(coeff)  # a rational would truncate in Bareiss
                 if not coeff:
                     continue
-                if mono.exponents != want:
+                if e != want:
                     ok = False
                     failures.append(
-                        f"d{i} entry ({r},{c}) term {format_monomial(mono)} "
+                        f"d{i} entry ({r},{c}) term {format_exponents(e)} "
                         f"breaks the multigrading")
                 else:
                     cols[c].append((r, coeff))
@@ -404,8 +393,8 @@ def verify_resolution(res: Resolution, max_degree: int) -> ResolutionReport:
         for g, group in groups.items():
             if next(ideal.generators_dividing(g), None) != g:
                 ok = False
-                stray = format_monomial(Monomial.from_exponents(g))
-                failures.append(f"labels on {stray}, not a minimal generator")
+                failures.append(f"labels on {format_exponents(g)}, not a "
+                                f"minimal generator")
                 continue
             labelled.extend(m for _, _, m in group)
             by_mask: dict[int, list[tuple[int, int]]] = {}

@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import vecspread
 from vecspread import cli
 from vecspread.cli import main
 
@@ -471,3 +476,23 @@ def test_help_lists_every_command(run_cli):
         ["gin", "generic initial ideal (degrevlex)"],
         ["shift", "t-spread algebraic shifting"],
     ]
+
+
+# -- a reader that leaves early ---------------------------------------------------
+
+
+def test_closed_stdout_pipe_exits_141_without_traceback():
+    # 37,820 lines, far more than a pipe buffers: the writer is still
+    # printing when the reader closes its end, as `| head -n 1` does
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(vecspread.__file__).parent.parent))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "vecspread.cli", "enumerate", "--n", "60",
+         "--deg", "3", "--t", "0,0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"x1^3\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert "Traceback" not in err and err == ""

@@ -367,12 +367,6 @@ def test_gin_preserves_hilbert_function():
         done += 1
 
 
-def test_gin_bound_guard():
-    ideal, _ = ex_resolution_ideal()
-    with pytest.raises(ValueError):
-        gin(ideal, seed=0, bound=0)
-
-
 # -- shift ----------------------------------------------------------------------------
 
 

@@ -8,7 +8,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vecspread import (
@@ -17,6 +17,7 @@ from vecspread import (
     compare,
     count_spread_monomials,
     degrevlex_key,
+    format_exponents,
     format_monomial,
     free_indices,
     is_spread,
@@ -141,6 +142,33 @@ def test_parse_rejects_out_of_range():
 def test_parse_format_roundtrip(indices):
     m = monomial(indices, 6)
     assert parse_monomial(format_monomial(m), 6) == m
+
+
+def reference_format_monomial(m):
+    """The reference printer: a walk of the index sequence, counting repeats."""
+    if m.is_unit:
+        return "1"
+    parts = []
+    seen = {}
+    for j in m.indices:
+        seen[j] = seen.get(j, 0) + 1
+    for j in sorted(seen):
+        e = seen[j]
+        parts.append(f"x{j}" if e == 1 else f"x{j}^{e}")
+    return "*".join(parts)
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(1, n), max_size=8))))
+@example((4, []))
+@example((3, [2, 2, 3]))
+@example((11, [1, 11, 11, 11, 11, 11, 11, 11, 11, 11, 11]))
+def test_format_exponents_matches_the_index_walk(case):
+    n, indices = case
+    m = monomial(indices, n)
+    assert format_exponents(m.exponents) == reference_format_monomial(m)
+    assert format_monomial(m) == reference_format_monomial(m)
 
 
 # -- orders ------------------------------------------------------------------

@@ -25,7 +25,6 @@ from vecspread import (
     free_indices,
     homology_basis_labels,
     parse_monomial,
-    unit,
     variable,
     verify_homology_basis_range,
     verify_resolution,
@@ -276,17 +275,17 @@ def test_verify_exactness_names_a_witness(corrupt):
 
 
 def flip_sign(res):
-    res.differential(2).add_to_entry(0, 0, parse_monomial("x3", 4), -2)
+    res.differential(2).add_to_entry(0, 0, (0, 0, 1, 0), -2)  # x3
     return res
 
 
 def unit_entry(res):
-    res.differential(2).add_to_entry(2, 0, unit(4), 1)
+    res.differential(2).add_to_entry(2, 0, (0, 0, 0, 0), 1)
     return res
 
 
 def wrong_multidegree(res):
-    res.differential(2).add_to_entry(2, 0, parse_monomial("x4^2", 4), 1)
+    res.differential(2).add_to_entry(2, 0, (0, 0, 0, 2), 1)  # x4^2
     return res
 
 
@@ -321,6 +320,137 @@ CORRUPTIONS = [
     scale_entry(3),
     stray_label,
 ]
+CORRUPTION_IDS = [
+    "d2-entry", "d1-entry", "position-1-label", "sub-ideal", "flip-sign",
+    "unit-entry", "wrong-multidegree", "clear-d3", "scale-p", "scale-2",
+    "scale-3", "stray-label",
+]
+CHECKS = ("complex", "minimality", "multigraded", "exactness", "graded_ranks")
+
+# (failing checks, failures) of verify_resolution(corrupt(res), 6) for each
+# of CORRUPTIONS, in order; every other check passes
+CORRUPTION_WITNESSES = [
+    ("complex exactness", [
+        "d1 d2 is non-zero, e.g. entry (0, 0) = -x1*x2*x3",
+        "d2 d3 is non-zero, e.g. entry (0, 0) = x3*x4^2",
+        "not exact at position 1, degree 5, multidegree (1, 1, 1, 2): "
+        "kernel 2, next image 3",
+        "not exact at position 2, degree 5, multidegree (1, 1, 1, 2): "
+        "kernel 0, next image 1",
+    ]),
+    ("complex exactness", [
+        "d1 d2 is non-zero, e.g. entry (0, 0) = -x1*x2*x3",
+        "not exact at position 0, degree 2, multidegree (1, 1, 0, 0): "
+        "kernel 1, next image 0",
+        "not exact at position 1, degree 2, multidegree (1, 1, 0, 0): "
+        "kernel 1, next image 0",
+    ]),
+    ("complex exactness graded_ranks", [
+        "d1 d2 is non-zero, e.g. entry (0, 0) = -x1*x2*x3",
+        "not exact at position 1, degree 3, multidegree (1, 1, 1, 0): "
+        "kernel 0, next image 1",
+        "not exact at position 1, degree 4, multidegree (1, 1, 0, 2): "
+        "kernel 0, next image 1",
+        "not exact at position 1, degree 5, multidegree (1, 1, 1, 2): "
+        "kernel 1, next image 2",
+        "cokernel at position 0 has dimension 9 in degree 2, Hilbert "
+        "function says 8",
+        "cokernel at position 0 has dimension 15 in degree 3, Hilbert "
+        "function says 12",
+        "cokernel at position 0 has dimension 22 in degree 4, Hilbert "
+        "function says 17",
+        "cokernel at position 0 has dimension 30 in degree 5, Hilbert "
+        "function says 23",
+        "cokernel at position 0 has dimension 39 in degree 6, Hilbert "
+        "function says 30",
+        "graded ranks [((0, 0), 1), ((1, 2), 1), ((1, 3), 1), ((2, 3), 1), "
+        "((2, 4), 2), ((3, 5), 1)] differ from the Betti formula [((0, 0), "
+        "1), ((1, 2), 2), ((1, 3), 1), ((2, 3), 1), ((2, 4), 2), ((3, 5), "
+        "1)]",
+    ]),
+    ("exactness graded_ranks", [
+        "cokernel at position 0 has dimension 13 in degree 3, Hilbert "
+        "function says 12",
+        "cokernel at position 0 has dimension 19 in degree 4, Hilbert "
+        "function says 17",
+        "cokernel at position 0 has dimension 26 in degree 5, Hilbert "
+        "function says 23",
+        "cokernel at position 0 has dimension 34 in degree 6, Hilbert "
+        "function says 30",
+        "graded ranks [((0, 0), 1), ((1, 2), 2), ((2, 3), 1)] differ from "
+        "the Betti formula [((0, 0), 1), ((1, 2), 2), ((1, 3), 1), ((2, 3),"
+        " 1), ((2, 4), 2), ((3, 5), 1)]",
+    ]),
+    ("complex exactness", [
+        "d1 d2 is non-zero, e.g. entry (0, 0) = -2*x1*x2*x3",
+        "d2 d3 is non-zero, e.g. entry (0, 0) = 2*x3*x4^2",
+        "not exact at position 1, degree 5, multidegree (1, 1, 1, 2): "
+        "kernel 2, next image 3",
+        "not exact at position 2, degree 5, multidegree (1, 1, 1, 2): "
+        "kernel 0, next image 1",
+    ]),
+    ("complex minimality multigraded exactness", [
+        "d1 d2 is non-zero, e.g. entry (0, 0) = x1*x4^2",
+        "d2 d3 is non-zero, e.g. entry (2, 0) = -x4^2",
+        "d2 entry (2,0) = 1 has a constant term",
+        "d2 entry (2,0) term 1 breaks the multigrading",
+        "exactness skipped: differentials not multigraded",
+    ]),
+    ("complex multigraded exactness", [
+        "d1 d2 is non-zero, e.g. entry (0, 0) = x1*x4^4",
+        "d2 d3 is non-zero, e.g. entry (2, 0) = -x4^4",
+        "d2 entry (2,0) term x4^2 breaks the multigrading",
+        "exactness skipped: differentials not multigraded",
+    ]),
+    ("exactness", [
+        "not exact at position 2, degree 5, multidegree (1, 1, 1, 2): "
+        "kernel 1, next image 0",
+        "not exact at position 3, degree 5, multidegree (1, 1, 1, 2): "
+        "kernel 1, next image 0",
+    ]),
+    ("complex exactness", [
+        "d1 d2 is non-zero, e.g. entry (0, 0) = 2147483646*x1*x2*x3",
+        "d2 d3 is non-zero, e.g. entry (0, 0) = -2147483646*x3*x4^2",
+        "not exact at position 1, degree 5, multidegree (1, 1, 1, 2): "
+        "kernel 2, next image 3",
+        "not exact at position 2, degree 5, multidegree (1, 1, 1, 2): "
+        "kernel 0, next image 1",
+    ]),
+    ("complex exactness", [
+        "d1 d2 is non-zero, e.g. entry (0, 0) = x1*x2*x3",
+        "d2 d3 is non-zero, e.g. entry (0, 0) = -x3*x4^2",
+        "not exact at position 1, degree 5, multidegree (1, 1, 1, 2): "
+        "kernel 2, next image 3",
+        "not exact at position 2, degree 5, multidegree (1, 1, 1, 2): "
+        "kernel 0, next image 1",
+    ]),
+    ("complex exactness", [
+        "d1 d2 is non-zero, e.g. entry (0, 0) = 2*x1*x2*x3",
+        "d2 d3 is non-zero, e.g. entry (0, 0) = -2*x3*x4^2",
+        "not exact at position 1, degree 5, multidegree (1, 1, 1, 2): "
+        "kernel 2, next image 3",
+        "not exact at position 2, degree 5, multidegree (1, 1, 1, 2): "
+        "kernel 0, next image 1",
+    ]),
+    ("exactness", [
+        "labels on x1*x3*x4, not a minimal generator",
+        "not exact at position 1, degree 4, multidegree (1, 0, 1, 2): "
+        "kernel 1, next image 0",
+        "not exact at position 2, degree 5, multidegree (1, 1, 1, 2): "
+        "kernel 0, next image 1",
+    ]),
+]
+
+
+@pytest.mark.parametrize("corrupt, witness",
+                         zip(CORRUPTIONS, CORRUPTION_WITNESSES),
+                         ids=CORRUPTION_IDS)
+def test_corruption_witnesses_are_pinned(corrupt, witness):
+    failing, failures = witness
+    ideal, t = ex_resolution_ideal()
+    rep = verify_resolution(corrupt(build_resolution(ideal, t)), 6)
+    assert rep.checks == {k: k not in failing.split() for k in CHECKS}
+    assert rep.failures == failures
 
 
 def test_verifier_never_calls_the_formula(monkeypatch):
@@ -403,7 +533,7 @@ def test_column_support_bound():
 
 
 def test_zero_terms_are_dropped():
-    x1, x2 = parse_monomial("x1", 2), parse_monomial("x2", 2)
+    x1, x2 = (1, 0), (0, 1)
     zero = MonomialMatrix(1, 1, {(0, 0): {x1: 0}})
     assert zero.is_zero and zero.ascii() == "[ 0 ]"
     assert MonomialMatrix(1, 1, {(0, 0): {x1: 0, x2: -1}}).entries == {
@@ -416,16 +546,28 @@ def test_zero_terms_are_dropped():
     # a zero unit term written into entries by hand is no constant term
     ideal, t = ex_resolution_ideal()
     res = build_resolution(ideal, t)
-    res.differential(2).entries[(0, 0)][unit(4)] = 0
+    res.differential(2).entries[(0, 0)][(0, 0, 0, 0)] = 0
     rep = verify_resolution(res, 6)
     assert rep.ok, rep.failures
 
 
+def test_add_to_entry_checks_the_index():
+    # as the constructor does: an entry past the shape would be dropped by
+    # ascii but printed by JSON and read by compose
+    m = MonomialMatrix(1, 1)
+    for r, c in ((5, 5), (1, 0), (0, 1), (-1, 0)):
+        with pytest.raises(ValueError, match=r"outside 1x1"):
+            m.add_to_entry(r, c, (1,), 1)
+    assert m.is_zero
+    with pytest.raises(ValueError, match=r"outside 1x1"):
+        MonomialMatrix(1, 1, {(5, 5): {(1,): 1}})
+
+
 def test_matrix_compose_shapes():
     a = MonomialMatrix(2, 1)
-    a.add_to_entry(0, 0, parse_monomial("x1", 3), 1)
+    a.add_to_entry(0, 0, (1, 0, 0), 1)
     b = MonomialMatrix(1, 2)
-    b.add_to_entry(0, 1, parse_monomial("x2", 3), 3)
+    b.add_to_entry(0, 1, (0, 1, 0), 3)
     ab = a.compose(b)
     assert ab.nrows == 2 and ab.ncols == 2
     assert format_poly(ab.entry(0, 1)) == "3*x1*x2"
@@ -476,7 +618,7 @@ def test_accessor_errors():
 
 # -- reference routes ------------------------------------------------------------
 #
-# The product multiplied term by term on Monomials, and the differentials
+# The product multiplied term by term as Monomials, and the differentials
 # with u_k, free(u_k) and v_k found anew for every label and every k in its
 # sigma: the two routes the library's compose and build_resolution must
 # agree with.
@@ -492,9 +634,11 @@ def reference_compose(a, b):
     out = MonomialMatrix(a.nrows, b.ncols)
     for (r, m), p in a.entries.items():
         for c, q in by_row.get(m, ()):
-            for mono1, c1 in p.items():
-                for mono2, c2 in q.items():
-                    out.add_to_entry(r, c, mono1.mul(mono2), c1 * c2)
+            for e1, c1 in p.items():
+                for e2, c2 in q.items():
+                    product = Monomial.from_exponents(e1).mul(
+                        Monomial.from_exponents(e2))
+                    out.add_to_entry(r, c, product.exponents, c1 * c2)
     return out
 
 
@@ -511,7 +655,7 @@ def reference_build_resolution(ideal, t):
         if i == 1:
             d = MonomialMatrix(1, len(cols))
             for c, lab in enumerate(cols):
-                d.add_to_entry(0, c, lab.generator, 1)
+                d.add_to_entry(0, c, lab.generator.exponents, 1)
             diffs.append(d)
             continue
         rows = {lab: r for r, lab in enumerate(bases[i - 2])}
@@ -521,12 +665,13 @@ def reference_build_resolution(ideal, t):
             for pos, k in enumerate(sigma):
                 sign = -1 if pos % 2 else 1
                 tau = sigma[:pos] + sigma[pos + 1:]
-                d.add_to_entry(rows[CycleLabel(u, tau)], c, variable(k, n), -sign)
+                d.add_to_entry(rows[CycleLabel(u, tau)], c,
+                               variable(k, n).exponents, -sign)
                 w = u.times_var(k)
                 u_k = decomposition_function(ideal, t, w)
                 if set(tau) <= set(free_indices(u_k, t)):
                     d.add_to_entry(rows[CycleLabel(u_k, tau)], c,
-                                   w.divide(u_k), sign)
+                                   w.divide(u_k).exponents, sign)
         diffs.append(d)
     return Resolution(ideal, t, bases, diffs)
 
@@ -534,8 +679,8 @@ def reference_build_resolution(ideal, t):
 @st.composite
 def matrix_pairs(draw):
     """Two sparse polynomial matrices over a few variables, written into
-    entries by hand: zero coefficients and, when `mixed`, terms of a second
-    ambient included; the inner sizes agree unless `misfit`."""
+    entries by hand: zero coefficients and, when `mixed`, exponent vectors
+    one longer included; the inner sizes agree unless `misfit`."""
     n = draw(st.integers(1, 3))
     mixed, misfit = draw(st.booleans()), draw(st.integers(0, 4)) == 0
     rows, inner, cols = (draw(st.integers(1, 3)) for _ in range(3))
@@ -549,7 +694,7 @@ def matrix_pairs(draw):
                 st.lists(st.integers(1, n), max_size=2), st.integers(-2, 2),
                 st.booleans()), min_size=1, max_size=3))
             out.entries[key] = {
-                Monomial(sorted(idx), n + (mixed and other)): coeff
+                Monomial(sorted(idx), n + (mixed and other)).exponents: coeff
                 for idx, coeff, other in terms}
         return out
 
@@ -557,8 +702,7 @@ def matrix_pairs(draw):
 
 
 def compose_outcome(compose, a, b):
-    """The error text, or the shape and the entries (equal monomials compare
-    equal whatever their ambients)."""
+    """The error text, or the shape and the entries."""
     try:
         prod = compose(a, b)
     except ValueError as exc:
@@ -572,18 +716,6 @@ def test_compose_matches_reference(pair):
     a, b = pair
     assert (compose_outcome(MonomialMatrix.compose, a, b)
             == compose_outcome(reference_compose, a, b))
-
-
-def test_compose_sums_equal_monomials_across_ambients():
-    # x1 * x1 in ambient 1 and in ambient 2 are one monomial: inner index 0
-    # multiplies in ambient 1, inner index 1 in ambient 2, and they cancel
-    x1, y1 = parse_monomial("x1", 1), parse_monomial("x1", 2)
-    a = MonomialMatrix(1, 2, {(0, 0): {x1: 1}, (0, 1): {y1: 1}})
-    b = MonomialMatrix(2, 1, {(0, 0): {x1: 1}, (1, 0): {y1: -1}})
-    assert a.compose(b).is_zero and reference_compose(a, b).is_zero
-    b.entries[(1, 0)][y1] = 1
-    [(square, coeff)] = a.compose(b).entries[(0, 0)].items()
-    assert (square.indices, square.ambient_n, coeff) == ((1, 1), 1, 2)
 
 
 def test_builders_agree():
