@@ -18,6 +18,14 @@ the tau meeting every tight set.  Two shapes need no elimination: with no
 divisor every residue survives and the block is the (exact) chain complex
 of a full simplex; when some tight set is empty every residue lies in the
 ideal and the block is zero.
+
+The divisors and their distinct tight sets are read off a divisor index of
+the ideal, bitsets of the generators with g_k <= v and with g_k = v, so no
+multidegree scans the generators.  A block depends only on its shape, the
+size of supp a and the set of tight sets, and many multidegrees share one:
+each call of the oracle or the sweep builds and ranks a shape once, in a
+memo that lives as long as the call.  The memo is keyed on tight sets
+alone, so the oracle still never reads the formula.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from math import comb
 from typing import Optional
 
 from .ideals import MonomialIdeal, require_strongly_stable
-from .koszul import CycleLabel, koszul_cycle, koszul_differential, spread_labels
+from .koszul import CycleLabel, _direct_cycle, koszul_differential, spread_labels
 from .linalg import FiniteComplex, lcm_lattice
 from .monomials import SpreadVector, free_indices
 
@@ -155,12 +163,15 @@ def poincare_pd_reg(ideal: MonomialIdeal, t) -> tuple[list[int], int, int]:
 # -- multidegree blocks of the Koszul complex ---------------------------------
 
 
-# the complex, the support positions (0-based variables) and, per degree,
-# each wedge's bitmask over the support positions -> its basis position
+# a block's complex and, per degree, each wedge's bitmask over the support
+# positions -> its basis position; both depend only on the block's shape
+_Shape = tuple[FiniteComplex, list[dict[int, int]]]
+# the complex, the support positions (0-based variables) and the wedge index
 _Block = tuple[FiniteComplex, list[int], list[dict[int, int]]]
 
 
-def _koszul_block(ideal: MonomialIdeal, a: tuple[int, ...]) -> Optional[_Block]:
+def _koszul_block(ideal: MonomialIdeal, a: tuple[int, ...],
+                  shapes: Optional[dict] = None) -> Optional[_Block]:
     """Koszul complex in multidegree a with its wedge index, or None when it
     needs no elimination.
 
@@ -168,16 +179,34 @@ def _koszul_block(ideal: MonomialIdeal, a: tuple[int, ...]) -> Optional[_Block]:
     support positions; the wedges kept are those meeting every mask, that
     is every inclusion-minimal one.  No divisor means the full simplex
     (exact for a != 0, H_0 = K at a = 0, which callers count themselves); an
-    empty mask means the zero block.  Each boundary column is emitted
-    sparse: the faces of a wedge, dropping its support positions from the
-    lowest up, carry the signs +1, -1, +1, ...
+    empty mask means the zero block.  The distinct masks are read off the
+    ideal's divisor index (`MonomialIdeal.tight_masks`), with no scan of
+    the generators.
+
+    The complex and its wedge index depend only on the shape (|supp a|, set
+    of masks), so a caller visiting many multidegrees passes one dict as
+    `shapes` and each shape is built and ranked once; only the support is
+    per point.
     """
-    support = [k for k in range(len(a)) if a[k]]  # 0-based here
-    s = len(support)
-    masks = {sum(1 << p for p, k in enumerate(support) if g[k] == a[k])
-             for g in ideal.generators_dividing(a)}
+    support = [k for k, ak in enumerate(a) if ak]  # 0-based here
+    masks = ideal.tight_masks(a, support)
     if not masks or 0 in masks:
         return None
+    key = (len(support), masks)
+    if shapes is None:
+        shapes = {}
+    shape = shapes.get(key)
+    if shape is None:
+        shape = shapes[key] = _block_shape(*key)
+    cx, index = shape
+    return cx, support, index
+
+
+def _block_shape(s: int, masks: frozenset[int]) -> _Shape:
+    """The block on s support positions whose divisors have the given tight
+    masks.  Each boundary column is emitted sparse: the faces of a wedge,
+    dropping its support positions from the lowest up, carry the signs +1,
+    -1, +1, ..."""
     minimal = [m for m in masks if not any(o != m and o & m == o for o in masks)]
 
     # the wedges as one bitset over all 2^s of them: bit tau of zeros[p] is
@@ -214,7 +243,7 @@ def _koszul_block(ideal: MonomialIdeal, a: tuple[int, ...]) -> Optional[_Block]:
                 sign, rest = -sign, rest ^ low
             cols.append(col)
         columns.append(cols)
-    return FiniteComplex([len(ix) for ix in index], columns), support, index
+    return FiniteComplex([len(ix) for ix in index], columns), index
 
 
 def homology_dimensions(ideal: MonomialIdeal, max_degree: int) -> dict[tuple[int, int], int]:
@@ -230,11 +259,14 @@ def homology_dimensions(ideal: MonomialIdeal, max_degree: int) -> dict[tuple[int
     surviving wedges onto themselves, and the block is a cone on k, which is
     exact.  So a block can carry homology only when a is such an lcm.
     """
+    if max_degree < 0:
+        raise ValueError("max_degree must be non-negative")
     dims: dict[tuple[int, int], int] = {}
     if not ideal.is_unit:
         dims[(0, 0)] = 1  # H_0 = K in multidegree zero
+    shapes: dict = {}
     for a in lcm_lattice([g.exponents for g in ideal.generators], max_degree):
-        block = _koszul_block(ideal, a)
+        block = _koszul_block(ideal, a, shapes)
         if block is None:
             continue
         cx, q = block[0], sum(a)
@@ -281,12 +313,16 @@ def _cycle_column(support: list[int], index: dict[int, int],
 def verify_homology_basis(ideal: MonomialIdeal, t, hom_degree: int,
                           internal_degree: int) -> BasisCheckReport:
     """Check the distinguished cycles at one (i, q) spot; see _sweep."""
+    if internal_degree < 0:
+        raise ValueError("max_degree must be non-negative")
     return _sweep(ideal, t, [internal_degree], hom_degree)
 
 
 def verify_homology_basis_range(ideal: MonomialIdeal, t,
                                 max_internal_degree: int) -> BasisCheckReport:
     """Check the distinguished cycles at every i and q <= the bound."""
+    if max_internal_degree < 0:
+        raise ValueError("max_degree must be non-negative")
     return _sweep(ideal, t, list(range(1, max_internal_degree + 1)), None)
 
 
@@ -322,7 +358,8 @@ def _sweep(ideal: MonomialIdeal, t, degrees: list[int],
         for label in spread_labels(ideal, t, i):
             if label.internal_degree not in degree_set:
                 continue
-            chain = koszul_cycle(ideal, t, label.generator, label.sigma)
+            # spread_labels built the label, so it needs no validation
+            chain = _direct_cycle(ideal, label.generator, label.sigma)
             checked += 1
             key = (i, label.internal_degree)
             label_counts[key] = label_counts.get(key, 0) + 1
@@ -338,9 +375,10 @@ def _sweep(ideal: MonomialIdeal, t, degrees: list[int],
         a for a in lcm_lattice([g.exponents for g in ideal.generators],
                                max(degree_set, default=0))
         if sum(a) in degree_set)
+    shapes: dict = {}
     for a in sorted(points, key=lambda a: (sum(a), a)):
         q = sum(a)
-        block = _koszul_block(ideal, a)
+        block = _koszul_block(ideal, a, shapes)
         here = by_mdeg.get(a, [])
         if block is None:
             if here:
@@ -367,10 +405,9 @@ def _sweep(ideal: MonomialIdeal, t, degrees: list[int],
             if h:
                 key = (i, q)
                 homology_counts[key] = homology_counts.get(key, 0) + h
-            if not cols and not cx.sizes[i]:
-                continue
             b_rank = cx.ranks[i + 1]
-            if cx.augmented_rank(i, cols) != b_rank + len(cols):
+            # with no cycle appended, the rank is ranks[i + 1] itself
+            if cols and cx.augmented_rank(i, cols) != b_rank + len(cols):
                 failures.append(
                     f"cycles at multidegree {a}, i={i} are dependent "
                     f"modulo boundaries")

@@ -9,6 +9,7 @@ Hilbert function counting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from operator import le
 from typing import Iterable, Iterator, Optional
@@ -80,6 +81,68 @@ class MonomialIdeal:
         so the first one is the plex-largest divisor."""
         return (g.exponents for g in self.generators
                 if all(map(le, g.exponents, exps)))
+
+    @cached_property
+    def _divisor_index(self) -> tuple[list[list[int]], list[list[int]]]:
+        """le[k][v] and eq[k][v], v = 0..max g_k: the bitsets of the
+        generators with g_k <= v and with g_k = v, bit j standing for the
+        j-th generator in the stored order.  Built on first use."""
+        exps = [g.exponents for g in self.generators]
+        le, eq = [], []
+        for k in range(self.ambient_n):
+            column = [e[k] for e in exps]
+            eq_k = [0] * (max(column, default=0) + 1)
+            for j, v in enumerate(column):
+                eq_k[v] |= 1 << j
+            le_k, below = [], 0
+            for bits in eq_k:
+                below |= bits
+                le_k.append(below)
+            le.append(le_k)
+            eq.append(eq_k)
+        return le, eq
+
+    def divisor_bits(self, exps: tuple[int, ...]) -> int:
+        """The generators dividing x^exps as a bitset over the stored order:
+        the AND of le[k][exps_k] over k, a value past max g_k reading all
+        generators."""
+        bits = (1 << len(self.generators)) - 1
+        for le_k, v in zip(self._divisor_index[0], exps):
+            if v < len(le_k):
+                bits &= le_k[v]
+        return bits
+
+    def tight_masks(self, exps: tuple[int, ...],
+                    support: list[int]) -> frozenset[int]:
+        """The distinct tight masks of the generators dividing x^exps: for a
+        divisor g, the bitmask of the positions p with g_k = exps_k, k =
+        support[p] (0-based variables).
+
+        The divisor bitset is split into classes of equal mask, one support
+        position at a time, by eq[k][exps_k], so the divisors are never
+        visited one by one.  Empty when no generator divides x^exps.
+        """
+        divisors = self.divisor_bits(exps)
+        if not divisors:
+            return frozenset()
+        eq = self._divisor_index[1]
+        classes = {0: divisors}
+        for p, k in enumerate(support):
+            eq_k, v = eq[k], exps[k]
+            tight = eq_k[v] & divisors if v < len(eq_k) else 0
+            if not tight:
+                continue
+            bit, split = 1 << p, {}
+            for mask, members in classes.items():
+                hit = members & tight
+                if hit:
+                    split[mask | bit] = hit
+                    if hit != members:
+                        split[mask] = members ^ hit
+                else:
+                    split[mask] = members
+            classes = split
+        return frozenset(classes)
 
     def contains_exponents(self, exps: tuple[int, ...]) -> bool:
         """Membership test on a raw exponent vector of length ambient_n."""

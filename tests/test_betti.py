@@ -19,6 +19,7 @@ from vecspread import (
     free_indices,
     homology_basis_labels,
     homology_dimensions,
+    is_strongly_stable,
     parse_monomial,
     poincare_pd_reg,
     verify_homology_basis,
@@ -26,6 +27,7 @@ from vecspread import (
 )
 
 from vecspread.betti import _koszul_block
+from vecspread.linalg import lcm_lattice
 
 from util import (
     ex_resolution_ideal,
@@ -34,6 +36,7 @@ from util import (
     random_monomial_ideal,
     random_spread_vector,
     random_strongly_stable_ideal,
+    roadmap_workload,
 )
 
 
@@ -282,12 +285,97 @@ def test_oracle_on_two_torsion(monkeypatch):
     block, rank_int = vecspread.betti._koszul_block, vecspread.linalg.rank_int
     visited, exact = [], []
     monkeypatch.setattr(vecspread.betti, "_koszul_block",
-                        lambda ideal, a: visited.append(a) or block(ideal, a))
+                        lambda ideal, a, shapes: visited.append(a)
+                        or block(ideal, a, shapes))
     monkeypatch.setattr(vecspread.linalg, "rank_int",
                         lambda rows: exact.append(visited[-1]) or rank_int(rows))
     assert homology_dimensions(ideal, 6) == {
         (0, 0): 1, (1, 3): 10, (2, 4): 15, (3, 5): 6}
     assert exact and set(exact) == {(1,) * 6}
+
+
+def unmemoised_homology_dimensions(ideal, max_degree):
+    """The oracle with every block built and ranked afresh: the reference
+    for the per-call shape memo."""
+    dims = {} if ideal.is_unit else {(0, 0): 1}
+    for a in lcm_lattice([g.exponents for g in ideal.generators], max_degree):
+        block = _koszul_block(ideal, a)
+        if block is None:
+            continue
+        cx = block[0]
+        for i in range(len(cx.sizes)):
+            if cx.homology(i):
+                dims[(i, sum(a))] = dims.get((i, sum(a)), 0) + cx.homology(i)
+    return dims
+
+
+def memo_cases():
+    """D12 at cap 10, RP^2, and 20 monomial ideals that are not strongly
+    stable."""
+    rng = random.Random(53)
+    cases = [(roadmap_workload(1, (6, 12), 3)[0], 10), (rp2_ideal(), 6)]
+    while len(cases) < 22:
+        ideal = random_monomial_ideal(rng, rng.randint(3, 6), max_degree=4,
+                                      max_gens=8)
+        if not is_strongly_stable(ideal, (0, 0, 0)):
+            cases.append((ideal, 8))
+    return cases
+
+
+def test_memoised_oracle_matches_the_unmemoised_one():
+    for ideal, cap in memo_cases():
+        got = homology_dimensions(ideal, cap)
+        assert list(got.items()) == list(
+            unmemoised_homology_dimensions(ideal, cap).items()), ideal.generators
+
+
+def test_oracle_builds_each_shape_once_per_call(monkeypatch):
+    ideal, _ = roadmap_workload(1, (6, 8), 3)
+    blocks = sum(_koszul_block(ideal, a) is not None
+                 for a in lcm_lattice([g.exponents for g in ideal.generators], 9))
+    shape, built = vecspread.betti._block_shape, []
+    monkeypatch.setattr(vecspread.betti, "_block_shape",
+                        lambda s, masks: built.append((s, masks)) or shape(s, masks))
+    first = homology_dimensions(ideal, 9)
+    once = len(built)
+    assert once == len(set(built)) < blocks
+    # the memo lasts one call: a second call builds every shape again
+    assert homology_dimensions(ideal, 9) == first
+    assert built[once:] == built[:once]
+
+
+def test_sweep_with_and_without_the_shape_memo(monkeypatch):
+    cases = [roadmap_workload(1, (6, 8), 3)]
+    rng = random.Random(59)
+    while len(cases) < 6:
+        t = random_spread_vector(rng, max_len=2)
+        ideal = random_strongly_stable_ideal(rng, rng.randint(3, 6), t)
+        if not ideal.is_unit:
+            cases.append((ideal, t))
+    memoised = [verify_homology_basis_range(ideal, t, 7) for ideal, t in cases]
+    block = vecspread.betti._koszul_block
+    monkeypatch.setattr(vecspread.betti, "_koszul_block",
+                        lambda ideal, a, shapes: block(ideal, a))
+    for (ideal, t), rep in zip(cases, memoised):
+        assert rep == verify_homology_basis_range(ideal, t, 7), ideal.generators
+
+
+@pytest.mark.parametrize("call", [
+    lambda ideal, t: homology_dimensions(ideal, -1),
+    lambda ideal, t: verify_homology_basis_range(ideal, t, -1),
+    lambda ideal, t: verify_homology_basis(ideal, t, 1, -3),
+], ids=["oracle", "range", "spot"])
+def test_negative_degree_cap_is_refused(call):
+    ideal, t = ex_spread_ideal()
+    with pytest.raises(ValueError, match="^max_degree must be non-negative$"):
+        call(ideal, t)
+
+
+def test_zero_degree_cap():
+    ideal, t = ex_spread_ideal()
+    assert homology_dimensions(ideal, 0) == {(0, 0): 1}
+    rep = verify_homology_basis_range(ideal, t, 0)
+    assert rep.ok and rep.checked_labels == 0
 
 
 @pytest.mark.parametrize("fixture", [ex_spread_ideal, ex_resolution_ideal])
@@ -357,27 +445,31 @@ def test_verify_basis_flags_label_off_the_lattice(monkeypatch):
     bogus = KoszulChain(ideal, 3)
     bogus.add_term((1, 2, 4), parse_monomial("1", 4), 1)
     bogus = vecspread.koszul.koszul_differential(bogus)
-    free, cycle = vecspread.koszul.free_indices, vecspread.betti.koszul_cycle
+    free, cycle = vecspread.koszul.free_indices, vecspread.betti._direct_cycle
     monkeypatch.setattr(vecspread.koszul, "free_indices",
                         lambda m, t: (4,) if m == u else free(m, t))
-    monkeypatch.setattr(vecspread.betti, "koszul_cycle",
-                        lambda ideal, t, m, sigma: bogus if (m, sigma) == (u, (4,))
-                        else cycle(ideal, t, m, sigma))
+    monkeypatch.setattr(vecspread.betti, "_direct_cycle",
+                        lambda ideal, m, sigma: bogus if (m, sigma) == (u, (4,))
+                        else cycle(ideal, m, sigma))
     assert not bogus.is_zero
     rep = verify_homology_basis_range(ideal, t, 4)
     assert not rep.ok
     assert any("multidegree (1, 1, 0, 1)" in f for f in rep.failures), rep.failures
+    assert rep.failures == [
+        "cycles at multidegree (1, 1, 0, 1), i=2 are dependent modulo boundaries",
+        "cycles at multidegree (1, 1, 0, 1), i=2 do not span: "
+        "kernel 1, boundaries 1, cycles 1"]
 
 
 def sweep_with_cycles(monkeypatch, replace):
     """verify_homology_basis_range on the first worked ideal up to degree 8,
     each label's cycle c handed to the sweep as replace(label, c)."""
     ideal, t = ex_spread_ideal()
-    cycle = vecspread.betti.koszul_cycle
+    cycle = vecspread.betti._direct_cycle
     monkeypatch.setattr(
-        vecspread.betti, "koszul_cycle",
-        lambda ideal, t, u, sigma: replace(
-            (str(u), tuple(sigma)), cycle(ideal, t, u, sigma)))
+        vecspread.betti, "_direct_cycle",
+        lambda ideal, u, sigma: replace(
+            (str(u), tuple(sigma)), cycle(ideal, u, sigma)))
     return verify_homology_basis_range(ideal, t, 8)
 
 
@@ -397,6 +489,10 @@ def test_verify_basis_flags_a_vanished_cycle(monkeypatch):
     # its multidegree keeps one homology class no label covers
     assert any(f.startswith("cycles at multidegree (1, 1, 2, 1, 0, 1), i=3 "
                             "do not span") for f in rep.failures), rep.failures
+    assert rep.failures == [
+        "cycle of (x2*x3*x4*x6; {1,3}) vanished",
+        "cycles at multidegree (1, 1, 2, 1, 0, 1), i=3 do not span: "
+        "kernel 4, boundaries 3, cycles 0"]
 
 
 def test_verify_basis_flags_a_non_cycle(monkeypatch):
@@ -407,18 +503,26 @@ def test_verify_basis_flags_a_non_cycle(monkeypatch):
                             bogus if label == ("x2*x3^2", ()) else c)
     assert not rep.ok
     assert "differential of cycle (x2*x3^2; {}) is non-zero" in rep.failures
+    assert rep.failures == [
+        "differential of cycle (x2*x3^2; {}) is non-zero",
+        "cycles at multidegree (0, 1, 2, 0, 0, 0), i=1 do not span: "
+        "kernel 2, boundaries 1, cycles 0"]
 
 
 def test_verify_basis_flags_a_cycle_leaving_its_block(monkeypatch):
     # the cycle eps(x2*x4^2) e6 of (x2*x4^2*x6; {}) uses e6, and the block
     # of (x2*x3^2; {}) at x2*x3^2 has no x6
     ideal, t = ex_spread_ideal()
-    other = vecspread.betti.koszul_cycle(
+    other = vecspread.koszul.koszul_cycle(
         ideal, t, parse_monomial("x2*x4^2*x6", 6), ())
     rep = sweep_with_cycles(monkeypatch, lambda label, c:
                             other if label == ("x2*x3^2", ()) else c)
     assert not rep.ok
     assert "cycle (x2*x3^2; {}) leaves its block" in rep.failures
+    assert rep.failures == [
+        "cycle (x2*x3^2; {}) leaves its block",
+        "cycles at multidegree (0, 1, 2, 0, 0, 0), i=1 do not span: "
+        "kernel 2, boundaries 1, cycles 0"]
 
 
 def test_verify_basis_flags_a_repeated_cycle(monkeypatch):
@@ -426,7 +530,7 @@ def test_verify_basis_flags_a_repeated_cycle(monkeypatch):
     # basis wedge at the multidegree of (x2*x4^2*x6; {3}), but its residue
     # x2*x3*x4 belongs to x2*x3^2*x4*x6: read by wedge alone it would pass
     ideal, t = ex_spread_ideal()
-    other = vecspread.betti.koszul_cycle(
+    other = vecspread.koszul.koszul_cycle(
         ideal, t, parse_monomial("x2*x3*x4*x6", 6), (3,))
     rep = sweep_with_cycles(monkeypatch, lambda label, c:
                             other if label == ("x2*x4^2*x6", (3,)) else c)

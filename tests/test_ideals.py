@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import math
 import random
+from operator import le
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vecspread import (
     ExchangeViolation,
@@ -157,6 +160,44 @@ def test_contains_matches_divisibility():
         for _ in range(200):
             w = monomial([rng.randint(1, n) for _ in range(rng.randint(0, 5))], n)
             assert ideal.contains(w) == any(g.divides(w) for g in ideal.generators)
+
+
+@st.composite
+def ideal_and_point(draw):
+    """A monomial ideal in n <= 4 variables with exponents up to 3, and an
+    exponent vector a with entries up to 5, so a_k may lie past every
+    generator.  No generator gives the zero ideal, x^0 the unit ideal."""
+    n = draw(st.integers(1, 4))
+    vector = st.tuples(*[st.integers(0, 3)] * n)
+    gens = draw(st.lists(vector, max_size=7))
+    ideal = MonomialIdeal.from_generators(map(Monomial.from_exponents, gens), n)
+    return ideal, draw(st.tuples(*[st.integers(0, 5)] * n))
+
+
+def reference_tight_masks(ideal, a, support):
+    """Each divisor's tight mask summed position by position: the route the
+    Koszul blocks took before the divisor index."""
+    return {sum(1 << p for p, k in enumerate(support) if g[k] == a[k])
+            for g in ideal.generators_dividing(a)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(ideal_and_point())
+@example((MonomialIdeal.zero(3), (0, 2, 1)))
+@example((MonomialIdeal.unit_ideal(3), (0, 0, 0)))
+@example((MonomialIdeal.unit_ideal(3), (4, 0, 1)))
+@example((MonomialIdeal([parse_monomial("x1*x2^2", 3),
+                         parse_monomial("x3", 3)], 3), (5, 0, 5)))
+def test_divisor_index_matches_the_scan(case):
+    ideal, a = case
+    bits = ideal.divisor_bits(a)
+    assert bits >> len(ideal.generators) == 0
+    # in the stored order, so the lowest bit is the first divisor
+    assert [g for j, g in enumerate(ideal.generators) if bits >> j & 1] == [
+        g for g in ideal.generators if all(map(le, g.exponents, a))]
+    support = [k for k, ak in enumerate(a) if ak]
+    assert ideal.tight_masks(a, support) == reference_tight_masks(
+        ideal, a, support)
 
 
 # -- spread ideal classes -----------------------------------------------------
