@@ -204,9 +204,10 @@ def _koszul_block(ideal: MonomialIdeal, a: tuple[int, ...],
 
 def _block_shape(s: int, masks: frozenset[int]) -> _Shape:
     """The block on s support positions whose divisors have the given tight
-    masks.  Each boundary column is emitted sparse: the faces of a wedge,
-    dropping its support positions from the lowest up, carry the signs +1,
-    -1, +1, ..."""
+    masks.  Each boundary column is emitted as its parity row, and as
+    sparse signed columns only when a rank must be taken over Z: the faces
+    of a wedge, dropping its support positions from the lowest up, carry
+    the signs +1, -1, +1, ..."""
     minimal = [m for m in masks if not any(o != m and o & m == o for o in masks)]
 
     # the wedges as one bitset over all 2^s of them: bit tau of zeros[p] is
@@ -230,20 +231,21 @@ def _block_shape(s: int, masks: frozenset[int]) -> _Shape:
         wedges = index[tau.bit_count()]
         wedges[tau] = len(wedges)
 
-    columns = []
-    for i in range(1, s + 1):
-        rows, cols = index[i - 1], []
-        for tau in index[i]:
-            col, sign, rest = [], 1, tau
-            while rest:
-                low = rest & -rest
-                r = rows.get(tau ^ low)
-                if r is not None:
-                    col.append((r, sign))
-                sign, rest = -sign, rest ^ low
-            cols.append(col)
-        columns.append(cols)
-    return FiniteComplex([len(ix) for ix in index], columns), index
+    def faces(i: int, tau: int) -> list[tuple[int, int]]:
+        col, sign, rest = [], 1, tau
+        while rest:
+            low = rest & -rest
+            r = index[i - 1].get(tau ^ low)
+            if r is not None:
+                col.append((r, sign))
+            sign, rest = -sign, rest ^ low
+        return col
+
+    # every face carries a sign +-1, so each kept face is an odd entry
+    rows = [[sum(1 << r for r, _ in faces(i, tau)) for tau in index[i]]
+            for i in range(1, s + 1)]
+    return FiniteComplex([len(ix) for ix in index], rows,
+                         lambda i: [faces(i, tau) for tau in index[i]]), index
 
 
 def homology_dimensions(ideal: MonomialIdeal, max_degree: int) -> dict[tuple[int, int], int]:
@@ -407,7 +409,9 @@ def _sweep(ideal: MonomialIdeal, t, degrees: list[int],
                 homology_counts[key] = homology_counts.get(key, 0) + h
             b_rank = cx.ranks[i + 1]
             # with no cycle appended, the rank is ranks[i + 1] itself
-            if cols and cx.augmented_rank(i, cols) != b_rank + len(cols):
+            rows = [sum(1 << r for r, v in col if v & 1) for col in cols]
+            if rows and (cx.augmented_rank(i, rows, lambda: cols)
+                         != b_rank + len(rows)):
                 failures.append(
                     f"cycles at multidegree {a}, i={i} are dependent "
                     f"modulo boundaries")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 from operator import le
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .monomials import (
     Monomial,
@@ -84,33 +84,15 @@ class MonomialIdeal:
 
     @cached_property
     def _divisor_index(self) -> tuple[list[list[int]], list[list[int]]]:
-        """le[k][v] and eq[k][v], v = 0..max g_k: the bitsets of the
-        generators with g_k <= v and with g_k = v, bit j standing for the
-        j-th generator in the stored order.  Built on first use."""
-        exps = [g.exponents for g in self.generators]
-        le, eq = [], []
-        for k in range(self.ambient_n):
-            column = [e[k] for e in exps]
-            eq_k = [0] * (max(column, default=0) + 1)
-            for j, v in enumerate(column):
-                eq_k[v] |= 1 << j
-            le_k, below = [], 0
-            for bits in eq_k:
-                below |= bits
-                le_k.append(below)
-            le.append(le_k)
-            eq.append(eq_k)
-        return le, eq
+        """The `divisor_index` of the generators, in the stored order.
+        Built on first use."""
+        return divisor_index([g.exponents for g in self.generators],
+                             self.ambient_n)
 
     def divisor_bits(self, exps: tuple[int, ...]) -> int:
-        """The generators dividing x^exps as a bitset over the stored order:
-        the AND of le[k][exps_k] over k, a value past max g_k reading all
-        generators."""
-        bits = (1 << len(self.generators)) - 1
-        for le_k, v in zip(self._divisor_index[0], exps):
-            if v < len(le_k):
-                bits &= le_k[v]
-        return bits
+        """The generators dividing x^exps as a bitset over the stored order."""
+        return bits_below(self._divisor_index[0], exps,
+                          (1 << len(self.generators)) - 1)
 
     def tight_masks(self, exps: tuple[int, ...],
                     support: list[int]) -> frozenset[int]:
@@ -187,6 +169,61 @@ class MonomialIdeal:
     def __repr__(self) -> str:
         gens = ", ".join(str(g) for g in self.generators)
         return f"MonomialIdeal(({gens}), n={self.ambient_n})"
+
+
+def divisor_index(points: Sequence[tuple[int, ...]],
+                  n: int) -> tuple[list[list[int]], list[list[int]]]:
+    """le[k][v] and eq[k][v], v = 0..max p_k, for exponent vectors of
+    length n: the bitsets of the points with p_k <= v and with p_k = v,
+    bit j standing for points[j]."""
+    le, eq = [], []
+    for k in range(n):
+        column = [p[k] for p in points]
+        eq_k = [0] * (max(column, default=0) + 1)
+        for j, v in enumerate(column):
+            eq_k[v] |= 1 << j
+        le_k, below = [], 0
+        for bits in eq_k:
+            below |= bits
+            le_k.append(below)
+        le.append(le_k)
+        eq.append(eq_k)
+    return le, eq
+
+
+def bits_below(le: list[list[int]], exps: tuple[int, ...], bits: int) -> int:
+    """The points of bitset `bits` below exps componentwise, read off the le
+    part of a `divisor_index`: the AND of le[k][exps_k] over k, a value past
+    max p_k keeping every point."""
+    for le_k, v in zip(le, exps):
+        if v < len(le_k):
+            bits &= le_k[v]
+    return bits
+
+
+def minimal_exponents(points: Iterable[tuple[int, ...]]
+                      ) -> list[tuple[int, ...]]:
+    """The divisibility-minimal vectors among exponent vectors of one
+    length, each once, by ascending degree and then ascending tuple.
+
+    A vector dividing another one comes before it in that order, so each
+    vector is tested against the minimal ones kept so far: le[k][v] holds
+    the kept vectors with k-th entry <= v as a bitset, and a vector is
+    minimal when the AND of le[k][e_k] over k is empty.
+    """
+    pool = sorted(set(points), key=lambda e: (sum(e), e))
+    top = max((max(e, default=0) for e in pool), default=0)
+    le = [[0] * (top + 1) for _ in (pool[0] if pool else ())]
+    kept: list[tuple[int, ...]] = []
+    for e in pool:
+        if bits_below(le, e, (1 << len(kept)) - 1):
+            continue
+        bit = 1 << len(kept)
+        kept.append(e)
+        for le_k, v in zip(le, e):
+            for w in range(v, top + 1):
+                le_k[w] |= bit
+    return kept
 
 
 def minimalize(monomials: Iterable[Monomial]) -> list[Monomial]:

@@ -28,14 +28,16 @@ strands at lcms of generators (or of resolution labels) can differ from
 their neighbours (Gasharov-Peeva-Welker, The lcm-lattice in monomial
 resolutions), so the rank oracle, the cycle-basis sweep and the resolution
 verifier all walk an lcm lattice generated by `lcm_lattice` and measure each
-strand there as a `FiniteComplex`, handed over as sparse columns.
+strand there as a `FiniteComplex`.  A strand is handed over as the GF(2)
+parity rows of its boundary columns, with a callable that builds its sparse
+integer columns only if a rank must be taken over Z.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 PRIME = 2 ** 31 - 1
 
@@ -46,20 +48,22 @@ Column = Sequence[tuple[int, int]]
 def rank_mod_2(rows: Iterable[int]) -> int:
     """Rank over F_2 of rows packed as bitmasks, bit j holding column j.
 
-    XOR elimination with the lowest set bit as the pivot: a row is cleared
-    by the kept row holding its lowest set bit until that bit is new or the
-    row is zero.  Each XOR clears the lowest bit and sets only higher ones,
-    so the kept rows have distinct lowest bits and span the row space.
+    XOR elimination with the highest set bit as the pivot: a row is cleared
+    by the kept row holding its highest set bit until that bit is new or
+    the row is zero.  Each XOR clears the highest bit and sets only lower
+    ones, so the kept rows have distinct highest bits and span the row
+    space.  The pivot is keyed by `int.bit_length`, which reads only the
+    top digit, so no wide int is hashed or negated.
     """
     pivots: dict[int, int] = {}
     for row in rows:
         while row:
-            low = row & -row
-            top = pivots.get(low)
-            if top is None:
-                pivots[low] = row
+            top = row.bit_length()
+            other = pivots.get(top)
+            if other is None:
+                pivots[top] = row
                 break
-            row ^= top
+            row ^= other
     return len(pivots)
 
 
@@ -226,10 +230,17 @@ def lcm_lattice(points: Iterable[Sequence[int]],
 class FiniteComplex:
     """A complex 0 -> C_top -> ... -> C_1 -> C_0 -> 0 of based Q-spaces.
 
-    sizes[i] = dim C_i, and the i-th given column list (i >= 1) is d_i as
-    sizes[i] sparse int columns over the basis of C_{i - 1}.  columns[i] is
-    d_i for i = 0..top+1, the two ends being zero maps, and ranks[i] its
-    rank over Q.
+    sizes[i] = dim C_i.  d_i (1 <= i <= top) is given twice:
+    - rows[i - 1] holds its columns as GF(2) parity rows, bit r set when
+      the entry in row r is odd.  The rows may number the basis of C_{i-1}
+      by any injective labelling: a relabelling of coordinates does not
+      change a rank.
+    - columns(i) returns its sizes[i] sparse int columns, in the order of
+      rows[i - 1], over the basis of C_{i-1} numbered 0..sizes[i-1] - 1.
+      It is called only when a rank must be taken over Z, at most once
+      per i.
+    ranks[i] is the rank over Q of d_i for i = 0..top+1, the two ends being
+    zero maps.
 
     When the caller vouches that d o d = 0 over Q (is_complex), the ranks
     are taken over F_2, and kept if the homology h_2 they give is non-zero
@@ -241,42 +252,51 @@ class FiniteComplex:
     the ranks are taken over Z on dense rows.
     """
 
-    def __init__(self, sizes: Sequence[int],
-                 columns: Sequence[Sequence[Column]], *,
+    def __init__(self, sizes: Sequence[int], rows: Sequence[Sequence[int]],
+                 columns: Callable[[int], Sequence[Column]], *,
                  is_complex: bool = True):
         self.sizes = list(sizes)
-        self.columns = [[], *columns, []]
+        self.rows = [[], *rows, []]
+        self._columns = columns
+        self._exact: dict[int, Sequence[Column]] = {}
         if is_complex:
-            self.ranks = [_rank_2(cols) for cols in self.columns]
+            self.ranks = [rank_mod_2(r) for r in self.rows]
             if sum(1 for i in range(len(self.sizes)) if self.homology(i)) <= 1:
                 return
-        self.ranks = [_rank_z(cols) for cols in self.columns]
+        self.ranks = [_rank_z(self.columns(i)) for i in range(len(self.rows))]
+
+    def columns(self, i: int) -> Sequence[Column]:
+        """d_i as sparse int columns, built on first use; the two end maps
+        have none."""
+        if not 0 < i < len(self.sizes):
+            return []
+        cols = self._exact.get(i)
+        if cols is None:
+            cols = self._exact[i] = self._columns(i)
+        return cols
 
     def homology(self, i: int) -> int:
         """dim H_i = dim ker d_i - rank d_{i+1}, for 0 <= i <= top."""
         return self.sizes[i] - self.ranks[i] - self.ranks[i + 1]
 
-    def augmented_rank(self, i: int, columns: Sequence[Column]) -> int:
-        """Rank over Q of d_{i+1} with sparse columns over the basis of C_i
-        appended.
+    def augmented_rank(self, i: int, rows: Sequence[int],
+                       columns: Callable[[], Sequence[Column]]) -> int:
+        """Rank over Q of d_{i+1} with extra columns over the basis of C_i
+        appended, given as d_{i+1} is: their parity rows, in the labelling
+        of rows[i + 1], and a callable returning them as sparse int columns.
 
-        It is at most ranks[i + 1] + len(columns), so a rank over F_2 that
-        reaches that bound is the rank over Q; below it, the rank is taken
-        over Z.
+        It is at most ranks[i + 1] + len(rows), so a rank over F_2 that
+        reaches that bound is the rank over Q, and the exact columns are
+        never built; below it, the rank is taken over Z.
         """
-        cols = [*self.columns[i + 1], *columns]
-        bound = self.ranks[i + 1] + len(columns)
-        if _rank_2(cols) == bound:
+        bound = self.ranks[i + 1] + len(rows)
+        if rank_mod_2([*self.rows[i + 1], *rows]) == bound:
             return bound
-        return _rank_z(cols)
+        return _rank_z([*self.columns(i + 1), *columns()])
 
 
-# The tiers on sparse columns: a matrix and its transpose have one rank, so
-# each column is packed as a row.
-
-def _rank_2(columns: Sequence[Column]) -> int:
-    return rank_mod_2(sum(1 << r for r, v in col if v & 1) for col in columns)
-
+# the exact tier on sparse columns: a matrix and its transpose have one
+# rank, so each column is written as a dense row
 
 def _rank_z(columns: Sequence[Column]) -> int:
     width = 1 + max((r for col in columns for r, _ in col), default=-1)

@@ -20,15 +20,18 @@ at a time, against the independently counted Hilbert function.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import add, index, le, sub
-from typing import Optional
+from operator import add, index, sub
+from typing import Iterator, Optional
 
 from .betti import betti_table
 from .ideals import (
     MonomialIdeal,
     admissible_shape,
+    bits_below,
     decomposition_function,
+    divisor_index,
     hilbert_function,
+    minimal_exponents,
     require_strongly_stable,
 )
 from .koszul import CycleLabel, spread_labels
@@ -304,13 +307,13 @@ def verify_resolution(res: Resolution, max_degree: int) -> ResolutionReport:
     Exactness is certified multidegree by multidegree with ranks over Q:
     taken over F_2 and certified by the Euler characteristic (see
     `FiniteComplex`) once d o d = 0 has passed, and over Z otherwise.
-    Each strand is handed over as sparse columns, read off the
-    differentials' scalar entries at the strand's labels.  The
-    strand at a holds position 0 (S itself) and the labels on
-    minimal generators with multidegree <= a, so it is the strand at a', the
-    lcm of those multidegrees, and a' = 0 leaves position 0 alone.  Only the
-    lcms of such label multidegrees of degree <= max_degree are visited:
-    exactness at a is exactness at a'.
+    The strand at a holds position 0 (S itself) and the labels on minimal
+    generators with multidegree <= a, so it is the strand at a', the lcm of
+    those multidegrees, and a' = 0 leaves position 0 alone.  Only the lcms
+    of such label multidegrees of degree <= max_degree are visited:
+    exactness at a is exactness at a'.  Each strand is handed over as
+    parity rows, with its sparse integer columns built only if a rank must
+    be taken over Z (see `_strands`).
 
     Position 0 is checked in two steps.  Each visited a' lies above a label,
     hence above a generator, so (S/I)_a' = 0 and the strand must have no
@@ -319,7 +322,11 @@ def verify_resolution(res: Resolution, max_degree: int) -> ResolutionReport:
     the a of degree q with no label <= a, which is the Hilbert function of
     S/L for the ideal L spanned by the label multidegrees; that is compared
     against the directly counted Hilbert function of S/I.
+
+    A negative max_degree is refused with ValueError before any check.
     """
+    if max_degree < 0:
+        raise ValueError("max_degree must be non-negative")
     ideal = res.ideal
     n = ideal.ambient_n
     failures: list[str] = []
@@ -348,15 +355,31 @@ def verify_resolution(res: Resolution, max_degree: int) -> ResolutionReport:
                     f"constant term")
     checks["minimality"] = ok
 
-    # multidegree bookkeeping for exactness; entries must be multihomogeneous
-    # for the blockwise ranks to mean anything, so that is checked first
-    ok = True
+    # a label's multidegree is a multiple of its generator's, and the
+    # strands hold only the labels on minimal generators: a label on
+    # anything else would drop out of every strand unseen, so it is named.
+    # The kept basis elements of each position are renumbered 0, 1, ...
+    generators = {g.exponents for g in ideal.generators}
+    strays: list[tuple[int, ...]] = []
     mdegs: list[list[tuple[int, ...]]] = [[(0,) * n]]
+    kept: list[dict[int, int]] = [{0: 0}]  # basis index -> kept index
     for labels in res.bases:
         mdegs.append([lab.multidegree() for lab in labels])
-    columns: list[list[list[tuple[int, int]]]] = []  # scalar d_i, by column
+        kept.append({})
+        for c, lab in enumerate(labels):
+            g = lab.generator.exponents
+            if g in generators:
+                kept[-1][c] = len(kept[-1])
+            elif g not in strays:
+                strays.append(g)
+
+    # multidegree bookkeeping for exactness; entries must be multihomogeneous
+    # for the blockwise ranks to mean anything, so that is checked first.
+    # columns[i - 1] is the scalar d_i between kept basis elements
+    ok = True
+    columns: list[list[list[tuple[int, int]]]] = []
     for i in range(1, res.length + 1):
-        cols = [[] for _ in mdegs[i]]
+        rows, cols = kept[i - 1], [[] for _ in kept[i]]
         for (r, c), poly in res.differential(i).entries.items():
             want = tuple(map(sub, mdegs[i][c], mdegs[i - 1][r]))
             for e, coeff in poly.items():
@@ -368,83 +391,22 @@ def verify_resolution(res: Resolution, max_degree: int) -> ResolutionReport:
                     failures.append(
                         f"d{i} entry ({r},{c}) term {format_exponents(e)} "
                         f"breaks the multigrading")
-                else:
-                    cols[c].append((r, coeff))
+                elif c in kept[i] and r in rows:
+                    cols[kept[i][c]].append((rows[r], coeff))
         columns.append(cols)
     checks["multigraded"] = ok
 
     ok = True
     if checks["multigraded"]:
-        # a label's multidegree is a multiple of its generator's, so only the
-        # labels of generators dividing x^a can lie in the strand at a; the
-        # strands find those generators by the ideal's divisibility scan, so
-        # a label on anything else would drop out of every strand unseen.
-        # A label of g whose excess over g is a 0/1 vector, a set sigma, lies
-        # below a exactly when sigma is in g's slack set {k : a_k > g_k}, so
-        # its strands read it by that set as a bitmask; any other label is
-        # compared with a directly
-        groups: dict[tuple[int, ...], list[tuple[int, int, tuple[int, ...]]]] = {}
-        for i, labels in enumerate(res.bases, start=1):
-            for c, lab in enumerate(labels):
-                groups.setdefault(lab.generator.exponents, []).append(
-                    (i, c, mdegs[i][c]))
-        labelled: list[tuple[int, ...]] = []  # what the strands can hold
-        strands_on = {}
-        for g, group in groups.items():
-            if next(ideal.generators_dividing(g), None) != g:
-                ok = False
-                failures.append(f"labels on {format_exponents(g)}, not a "
-                                f"minimal generator")
-                continue
-            labelled.extend(m for _, _, m in group)
-            by_mask: dict[int, list[tuple[int, int]]] = {}
-            odd = []
-            for i, c, m in group:
-                excess = list(map(sub, m, g))
-                if all(e in (0, 1) for e in excess):
-                    mask = sum(1 << k for k, e in enumerate(excess) if e)
-                    by_mask.setdefault(mask, []).append((i, c))
-                else:
-                    odd.append((i, c, m))
-            # a's slack set is read on the sigma indices of g's labels alone
-            occurring = 0
-            for mask in by_mask:
-                occurring |= mask
-            slack = [(k, 1 << k) for k in range(len(g)) if occurring >> k & 1]
-            strands_on[g] = (slack, by_mask, odd)
+        for g in strays:
+            ok = False
+            failures.append(f"labels on {format_exponents(g)}, not a "
+                            f"minimal generator")
+        points = [[mdegs[i][c] for c in on] for i, on in enumerate(kept)]
         # a strand is a complex once d o d = 0 and no label was dropped from
         # it, and only then may its ranks be certified modularly
-        is_complex = checks["complex"] and ok
-        for a in lcm_lattice(labelled, max_degree):
-            # position 0 is S itself: its one basis element lies in every strand
-            active: list[list[int]] = [[0]] + [[] for _ in res.bases]
-            for g in ideal.generators_dividing(a):
-                on_g = strands_on.get(g)
-                if on_g is None:
-                    continue
-                slack, by_mask, odd = on_g
-                below = 0
-                for k, bit in slack:
-                    if a[k] > g[k]:
-                        below |= bit
-                part = below  # every subset of `below`, itself first, 0 last
-                while True:
-                    for i, c in by_mask.get(part, ()):
-                        active[i].append(c)
-                    if not part:
-                        break
-                    part = (part - 1) & below
-                for i, c, m in odd:
-                    if all(map(le, m, a)):
-                        active[i].append(c)
-            strand = []
-            for i in range(1, res.length + 1):
-                rlook = {r: p for p, r in enumerate(active[i - 1])}
-                strand.append([[(rlook[r], value)
-                                for r, value in columns[i - 1][c] if r in rlook]
-                               for c in active[i]])
-            cx = FiniteComplex([len(x) for x in active], strand,
-                               is_complex=is_complex)
+        for a, cx in _strands(points, columns, max_degree,
+                              checks["complex"] and ok):
             for i in range(res.length + 1):
                 if cx.homology(i):
                     ok = False
@@ -452,10 +414,15 @@ def verify_resolution(res: Resolution, max_degree: int) -> ResolutionReport:
                         f"not exact at position {i}, degree {sum(a)}, "
                         f"multidegree {a}: kernel {cx.sizes[i] - cx.ranks[i]}, "
                         f"next image {cx.ranks[i + 1]}")
-        spanned = MonomialIdeal.from_generators(
-            (Monomial.from_exponents(m) for m in labelled), n)
-        coker = hilbert_function(spanned, max_degree)
         hf = hilbert_function(ideal, max_degree)
+        # L = I when the label multidegrees have the generators of I as their
+        # minimal elements; only otherwise is S/L counted apart
+        spanned = minimal_exponents(m for on in points[1:] for m in on)
+        if set(spanned) == generators:
+            coker = hf
+        else:
+            coker = hilbert_function(MonomialIdeal(
+                map(Monomial.from_exponents, spanned), n), max_degree)
         for q in range(max_degree + 1):
             if coker[q] != hf[q]:
                 ok = False
@@ -478,3 +445,52 @@ def verify_resolution(res: Resolution, max_degree: int) -> ResolutionReport:
     checks["graded_ranks"] = ok
 
     return ResolutionReport(all(checks.values()), checks, failures)
+
+
+def _strands(points: list[list[tuple[int, ...]]],
+             columns: list[list[list[tuple[int, int]]]], max_degree: int,
+             is_complex: bool) -> Iterator[tuple[tuple[int, ...], FiniteComplex]]:
+    """Each strand of a complex of multigraded free modules, at every point a
+    of the lcm lattice of its basis multidegrees past position 0, capped at
+    max_degree: (a, the strand as a `FiniteComplex`).
+
+    points[i] lists the multidegrees of the position-i basis, and
+    columns[i - 1] is d_i as sparse scalar columns over position i - 1.
+    The strand at a holds the basis elements of multidegree <= a, one
+    bitmask per position, read off a `divisor_index` of each position as n
+    ANDs.  Each column c of d_i gets its parity mask over the position-(i-1)
+    basis once, and the strand's row for c is that mask ANDed with the
+    bitmask of position i - 1: the strand's column modulo 2, its rows
+    numbered by basis index instead of strand position, which leaves every
+    rank as it is.  Sparse columns renumbered onto the strand are built
+    only if `FiniteComplex` ranks over Z.
+    """
+    n = len(points[0][0])  # position 0 is S, of multidegree 0
+    below = [divisor_index(on, n)[0] for on in points]
+    full = [(1 << len(on)) - 1 for on in points]
+    parity = [[sum(1 << r for r, v in col if v & 1) for col in cols]
+              for cols in columns]
+    for a in lcm_lattice([m for on in points[1:] for m in on], max_degree):
+        active = [bits_below(le, a, bits) for le, bits in zip(below, full)]
+        members = [_set_bits(bits) for bits in active]
+        rows = [[parity[i][c] & active[i] for c in members[i + 1]]
+                for i in range(len(columns))]
+
+        def exact(i: int, members=members) -> list[list[tuple[int, int]]]:
+            where = {r: p for p, r in enumerate(members[i - 1])}
+            return [[(where[r], v) for r, v in columns[i - 1][c] if r in where]
+                    for c in members[i]]
+
+        yield a, FiniteComplex([len(m) for m in members], rows, exact,
+                               is_complex=is_complex)
+
+
+def _set_bits(bits: int) -> list[int]:
+    """The positions of the set bits, descending: each step reads the top
+    bit, which costs no wide negation."""
+    out = []
+    while bits:
+        top = bits.bit_length() - 1
+        out.append(top)
+        bits ^= 1 << top
+    return out

@@ -40,6 +40,7 @@ from vecspread import (
     unit,
     admissible_shape,
 )
+from vecspread.ideals import minimal_exponents
 
 from util import (
     ex_resolution_ideal,
@@ -198,6 +199,34 @@ def test_divisor_index_matches_the_scan(case):
     support = [k for k, ak in enumerate(a) if ak]
     assert ideal.tight_masks(a, support) == reference_tight_masks(
         ideal, a, support)
+
+
+@st.composite
+def exponent_pools(draw):
+    """Exponent vectors of one length with repeats, possibly the zero
+    vector, and chains of divisors: each chain climbs one coordinate at a
+    time from a drawn vector."""
+    n = draw(st.integers(1, 4))
+    vector = st.tuples(*[st.integers(0, 3)] * n)
+    pool = draw(st.lists(vector, max_size=10))
+    for start in draw(st.lists(vector, max_size=3)):
+        link = list(start)
+        for k in draw(st.lists(st.integers(0, n - 1), max_size=4)):
+            pool.append(tuple(link))
+            link[k] += 1
+    if draw(st.booleans()):
+        pool.append((0,) * n)
+    if pool:
+        pool += draw(st.lists(st.sampled_from(pool), max_size=4))
+    return draw(st.permutations(pool))
+
+
+@settings(max_examples=300, deadline=None)
+@given(exponent_pools())
+def test_minimal_exponents_matches_minimalize(pool):
+    expected = sorted((m.exponents for m in minimalize(
+        Monomial.from_exponents(e) for e in pool)), key=lambda e: (sum(e), e))
+    assert minimal_exponents(pool) == expected
 
 
 # -- spread ideal classes -----------------------------------------------------

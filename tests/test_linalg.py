@@ -124,7 +124,8 @@ def test_lcm_lattice_property(points, max_degree):
 
 
 def columns(mat, ncols=None):
-    """A dense matrix as the sparse (row, value) columns FiniteComplex takes."""
+    """A dense matrix as the sparse (row, value) columns FiniteComplex
+    builds lazily."""
     ncols = len(mat[0]) if ncols is None else ncols
     return [[(r, row[c]) for r, row in enumerate(mat) if row[c]]
             for c in range(ncols)]
@@ -132,6 +133,28 @@ def columns(mat, ncols=None):
 
 def sparse(col):
     return [(r, v) for r, v in enumerate(col) if v]
+
+
+def parity(cols):
+    """Sparse columns as the GF(2) parity rows FiniteComplex takes."""
+    return [sum(1 << r for r, v in col if v & 1) for col in cols]
+
+
+def complex_of(sizes, mats, built=None, **kwargs):
+    """The complex of the dense matrices d_1, d_2, ...: parity rows, and the
+    sparse columns on request, each request of d_i appended to `built`."""
+    cols = [columns(m, sizes[i + 1]) for i, m in enumerate(mats)]
+
+    def exact(i):
+        if built is not None:
+            built.append(i)
+        return cols[i - 1]
+
+    return FiniteComplex(sizes, [parity(c) for c in cols], exact, **kwargs)
+
+
+def augmented(cx, i, cols):
+    return cx.augmented_rank(i, parity(cols), lambda: cols)
 
 
 def packed_pivots(mat):
@@ -265,7 +288,7 @@ def test_pivot_columns_mod_p_edges():
 def test_torsion_complex_takes_the_exact_path(mat, f2_blind, exact_calls):
     # 0 -> Z^c -> Z^r -> 0 is exact over Q, but under a rank of 0 both ends
     # carry homology, so the blind ranks certify nothing
-    cx = FiniteComplex([len(mat), len(mat[0])], [columns(mat)])
+    cx = complex_of([len(mat), len(mat[0])], [mat])
     assert exact_calls
     assert cx.ranks == [0, rank_int(mat), 0]
     assert [cx.homology(i) for i in range(2)] == [
@@ -275,7 +298,7 @@ def test_torsion_complex_takes_the_exact_path(mat, f2_blind, exact_calls):
 @pytest.mark.parametrize("mat", TORSION[:2])
 def test_p_torsion_is_certified_over_f2(mat, mod_p_calls, exact_calls):
     # the same matrices are odd where it matters: F_2 sees their full rank
-    cx = FiniteComplex([len(mat), len(mat[0])], [columns(mat)])
+    cx = complex_of([len(mat), len(mat[0])], [mat])
     assert cx.ranks == [0, rank_int(mat), 0]
     assert not mod_p_calls and not exact_calls
 
@@ -283,7 +306,7 @@ def test_p_torsion_is_certified_over_f2(mat, mod_p_calls, exact_calls):
 @pytest.mark.parametrize("mat", TWO_TORSION)
 def test_two_torsion_falls_through_to_bareiss(mat, mod_p_calls, exact_calls):
     # over F_2 both ends carry homology, and no second modular field is tried
-    cx = FiniteComplex([len(mat), len(mat[0])], [columns(mat)])
+    cx = complex_of([len(mat), len(mat[0])], [mat])
     assert cx.ranks == [0, rank_int(mat), 0]
     assert exact_calls == [[list(row) for row in zip(*mat)]]
     assert not mod_p_calls
@@ -291,14 +314,14 @@ def test_two_torsion_falls_through_to_bareiss(mat, mod_p_calls, exact_calls):
 
 @pytest.mark.parametrize("mat", BOTH_TORSION)
 def test_torsion_at_two_and_p_reaches_bareiss(mat, mod_p_calls, exact_calls):
-    cx = FiniteComplex([len(mat), len(mat[0])], [columns(mat)])
+    cx = complex_of([len(mat), len(mat[0])], [mat])
     assert cx.ranks == [0, rank_int(mat), 0]
     assert exact_calls and not mod_p_calls
 
 
 def test_exact_complex_needs_no_fallback(exact_calls):
     # the full simplex on two vertices: C_2 -> C_1 -> C_0, exact but at 0
-    cx = FiniteComplex([1, 2, 1], [columns([[1, 1]]), columns([[-1], [1]])])
+    cx = complex_of([1, 2, 1], [[[1, 1]], [[-1], [1]]])
     assert cx.ranks == [0, 1, 1, 0]
     assert [cx.homology(i) for i in range(3)] == [0, 0, 0]
     assert not exact_calls
@@ -307,8 +330,7 @@ def test_exact_complex_needs_no_fallback(exact_calls):
 def test_non_complex_is_ranked_exactly(exact_calls):
     # d1 d2 = 2 != 0: over F_2 the homology sits in degree 0 alone, which
     # would certify rank d1 = 0; without d o d = 0 nothing is certified
-    cx = FiniteComplex([1, 1, 1], [columns([[2]]), columns([[1]])],
-                       is_complex=False)
+    cx = complex_of([1, 1, 1], [[[2]], [[1]]], is_complex=False)
     assert cx.ranks == [0, 1, 1, 0]
     assert exact_calls
 
@@ -317,25 +339,25 @@ def test_non_complex_is_ranked_exactly(exact_calls):
 def test_torsion_augmented_rank_takes_the_exact_path(mat, f2_blind,
                                                      exact_calls):
     # C_0 alone, with the matrix's columns appended to the zero map d_1
-    cx = FiniteComplex([len(mat)], [])
+    cx = complex_of([len(mat)], [])
     assert not exact_calls
-    assert cx.augmented_rank(0, columns(mat)) == rank_int(mat)
+    assert augmented(cx, 0, columns(mat)) == rank_int(mat)
     assert exact_calls
 
 
 @pytest.mark.parametrize("mat", BOTH_TORSION)
 def test_both_torsion_augmented_rank_reaches_bareiss(mat, exact_calls):
-    cx = FiniteComplex([len(mat)], [])
+    cx = complex_of([len(mat)], [])
     assert not exact_calls
-    assert cx.augmented_rank(0, columns(mat)) == rank_int(mat)
+    assert augmented(cx, 0, columns(mat)) == rank_int(mat)
     assert exact_calls
 
 
 @pytest.mark.parametrize("mat", TWO_TORSION)
 def test_two_torsion_augmented_rank_reaches_bareiss(mat, mod_p_calls,
                                                     exact_calls):
-    cx = FiniteComplex([len(mat)], [])
-    assert cx.augmented_rank(0, columns(mat)) == rank_int(mat)
+    cx = complex_of([len(mat)], [])
+    assert augmented(cx, 0, columns(mat)) == rank_int(mat)
     assert exact_calls and not mod_p_calls
 
 
@@ -343,19 +365,35 @@ def test_two_torsion_augmented_rank_reaches_bareiss(mat, mod_p_calls,
 def test_one_torsion_augmented_rank_is_certified(mat, mod_p_calls,
                                                  exact_calls):
     # p-torsion is odd where it matters: F_2 reaches the bound
-    cx = FiniteComplex([len(mat)], [])
-    assert cx.augmented_rank(0, columns(mat)) == rank_int(mat)
+    cx = complex_of([len(mat)], [])
+    assert augmented(cx, 0, columns(mat)) == rank_int(mat)
     assert not mod_p_calls and not exact_calls
 
 
 def test_full_augmented_rank_needs_no_fallback(exact_calls):
-    cx = FiniteComplex([1, 2, 1], [columns([[1, 1]]), columns([[-1], [1]])])
-    assert cx.augmented_rank(0, []) == 1
-    assert cx.augmented_rank(1, [sparse([1, 0])]) == 2
+    cx = complex_of([1, 2, 1], [[[1, 1]], [[-1], [1]]])
+    assert augmented(cx, 0, []) == 1
+    assert augmented(cx, 1, [sparse([1, 0])]) == 2
     assert not exact_calls
     # a dependent column cannot reach the bound: that is decided exactly
-    assert cx.augmented_rank(1, [sparse([-PRIME, PRIME])]) == 1
+    assert augmented(cx, 1, [sparse([-PRIME, PRIME])]) == 1
     assert exact_calls
+
+
+def test_exact_columns_are_built_only_for_ranks_over_z(exact_calls):
+    # the full simplex on two vertices is certified over F_2, with or
+    # without a column appended: no sparse column is ever built
+    built = []
+    cx = complex_of([1, 2, 1], [[[1, 1]], [[-1], [1]]], built)
+    assert cx.ranks == [0, 1, 1, 0]
+    assert cx.augmented_rank(1, [0b01], lambda: built.append("extra")) == 2
+    assert not built and not exact_calls
+    # 2-torsion: d_1 is built once, for its rank over Z, and an augmented
+    # rank that F_2 cannot certify reuses it
+    cx = complex_of([2, 2], [[[1, 1], [1, -1]]], built)
+    assert cx.ranks == [0, 2, 0] and built == [1]
+    assert augmented(cx, 0, [sparse([2, 0])]) == 2
+    assert built == [1] and len(exact_calls) == 2
 def integer_kernel(mat, ncols):
     """Integer vectors spanning the kernel of mat over Q."""
     rows = [[Fraction(x) for x in row] for row in mat]
@@ -411,15 +449,14 @@ def dense_boundary(sizes, mats, i):
 
 
 def assert_certified_ranks_are_exact(sizes, mats, data):
-    cx = FiniteComplex(sizes, [columns(m, sizes[i + 1])
-                               for i, m in enumerate(mats)])
+    cx = complex_of(sizes, mats)
     assert cx.ranks == [0, *(rank_int(m) for m in mats), 0]
     i = data.draw(st.integers(0, len(sizes) - 1))
     extra = data.draw(st.lists(
         st.lists(ENTRIES, min_size=sizes[i], max_size=sizes[i]), max_size=3))
     rows = [row + [col[r] for col in extra]
             for r, row in enumerate(dense_boundary(sizes, mats, i))]
-    assert cx.augmented_rank(i, [sparse(col) for col in extra]) == rank_int(rows)
+    assert augmented(cx, i, [sparse(col) for col in extra]) == rank_int(rows)
 
 
 @settings(max_examples=200, deadline=None)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import le
 
 import pytest
 from hypothesis import given, settings
@@ -173,10 +174,16 @@ def f2_calls(monkeypatch):
 
 def exact_witnesses(res, monkeypatch):
     """The checks and failures of verify_resolution with every rank taken
-    by rank_int."""
+    by rank_int: an F_2 tier that sees nothing certifies only zero maps, so
+    every strand with a non-zero map reaches the lazy exact columns."""
+    exact_calls = []
+    rank_int = linalg.rank_int
     with monkeypatch.context() as m:
-        m.setattr(linalg, "_rank_2", linalg._rank_z)
+        m.setattr(linalg, "rank_mod_2", lambda rows: 0)
+        m.setattr(linalg, "rank_int",
+                  lambda rows: exact_calls.append(rows) or rank_int(rows))
         exact = verify_resolution(res, 6)
+    assert exact_calls or not exact.checks["multigraded"]
     return exact.checks, exact.failures
 
 
@@ -451,6 +458,35 @@ def test_corruption_witnesses_are_pinned(corrupt, witness):
     rep = verify_resolution(corrupt(build_resolution(ideal, t)), 6)
     assert rep.checks == {k: k not in failing.split() for k in CHECKS}
     assert rep.failures == failures
+
+
+@pytest.mark.parametrize("corrupt, witness",
+                         zip(CORRUPTIONS, CORRUPTION_WITNESSES),
+                         ids=CORRUPTION_IDS)
+def test_exact_ranks_reproduce_the_pinned_witnesses(corrupt, witness,
+                                                    monkeypatch):
+    failing, failures = witness
+    ideal, t = ex_resolution_ideal()
+    checks, got = exact_witnesses(corrupt(build_resolution(ideal, t)),
+                                  monkeypatch)
+    assert checks == {k: k not in failing.split() for k in CHECKS}
+    assert got == failures
+
+
+@pytest.mark.parametrize("corrupt", [lambda res: res, wrong_multidegree],
+                         ids=["multigraded", "not-multigraded"])
+def test_negative_cap_is_refused_up_front(corrupt, monkeypatch):
+    # refused before the d o d compose, whether or not the exactness pass,
+    # which counts Hilbert functions up to the cap, would be reached
+    ideal, t = ex_resolution_ideal()
+    res = corrupt(build_resolution(ideal, t))
+
+    def compose(*args):
+        raise AssertionError("composed before the cap was checked")
+
+    monkeypatch.setattr(MonomialMatrix, "compose", compose)
+    with pytest.raises(ValueError, match="^max_degree must be non-negative$"):
+        verify_resolution(res, -1)
 
 
 def test_verifier_never_calls_the_formula(monkeypatch):
@@ -734,3 +770,83 @@ def test_builders_agree():
         for d, e in zip(new.diffs, ref.diffs, strict=True):
             assert (d.nrows, d.ncols) == (e.nrows, e.ncols)
             assert list(d.entries.items()) == list(e.entries.items())
+
+
+def reference_strands(points, columns, max_degree, is_complex):
+    """The strands as sparse columns: at each lattice point the labels are
+    found by comparing every multidegree with a, and each column of d_i is
+    renumbered onto the strand through a row lookup; the parity rows are
+    packed from those columns."""
+    for a in linalg.lcm_lattice([m for on in points[1:] for m in on],
+                                max_degree):
+        active = [[c for c, m in enumerate(on) if all(map(le, m, a))]
+                  for on in points]
+        strand = []
+        for i in range(1, len(points)):
+            rlook = {r: p for p, r in enumerate(active[i - 1])}
+            strand.append([[(rlook[r], value)
+                            for r, value in columns[i - 1][c] if r in rlook]
+                           for c in active[i]])
+        rows = [[sum(1 << r for r, v in col if v & 1) for col in cols]
+                for cols in strand]
+        yield a, linalg.FiniteComplex(
+            [len(x) for x in active], rows,
+            lambda i, strand=strand: strand[i - 1], is_complex=is_complex)
+
+
+def random_corruption(rng):
+    """A seeded corruption of a resolution: one entry of some d_i deleted,
+    negated, scaled by 2 or 3, or given a second term off its multidegree,
+    or a label moved to another generator."""
+    def corrupt(res):
+        i = rng.randint(1, res.length)
+        entries = res.differential(i).entries
+        if not entries:
+            return res
+        key = rng.choice(sorted(entries))
+        kind = rng.randrange(5)
+        if kind == 0:
+            del entries[key]
+        elif kind in (1, 2):
+            factor = (-1, 2, 3)[rng.randrange(3)]
+            for e in entries[key]:
+                entries[key][e] *= factor
+        elif kind == 3:
+            e = next(iter(entries[key]))
+            entries[key][tuple(v + 1 for v in e)] = 1
+        else:
+            labels = res.bases[i - 1]
+            c = rng.randrange(len(labels))
+            other = rng.choice(res.ideal.generators)
+            labels[c] = CycleLabel(other, labels[c].sigma)
+        return res
+    return corrupt
+
+
+def test_bitset_strands_match_the_sparse_reference(monkeypatch):
+    # every check and every witness of the bitset strands equals the sparse
+    # route's, on the worked example's corruptions and on random admissible
+    # ideals, both intact and corrupted
+    rng = random.Random(67)
+    ideal, t = ex_resolution_ideal()
+    cases = [(ideal, t, corrupt, 6) for corrupt in CORRUPTIONS]
+    while len(cases) < len(CORRUPTIONS) + 40:
+        width = rng.randint(1, 3)
+        ones = rng.randint(0, width)
+        t = SpreadVector(tuple([1] * ones + [0] * (width - ones)))
+        ideal = random_strongly_stable_ideal(rng, rng.randint(2, 6), t)
+        if ideal.is_unit or ideal.is_zero:
+            continue
+        corrupt = random_corruption(rng) if len(cases) % 2 else (lambda r: r)
+        cases.append((ideal, t, corrupt, rng.randint(0, 7)))
+    failing = 0
+    for ideal, t, corrupt, cap in cases:
+        res = corrupt(build_resolution(ideal, t))
+        fast = verify_resolution(res, cap)
+        with monkeypatch.context() as m:
+            m.setattr(resolution, "_strands", reference_strands)
+            ref = verify_resolution(res, cap)
+        assert (fast.checks, fast.failures) == (ref.checks, ref.failures), (
+            ideal.generators, str(t), cap)
+        failing += not fast.checks["exactness"]
+    assert failing > len(CORRUPTIONS)
