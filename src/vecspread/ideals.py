@@ -4,12 +4,18 @@ Membership, minimal generators, the stable / strongly stable / lex-segment
 predicates (checked degreewise on U_l = I intersect M_{n,l,t}), strongly
 stable closures, standard factorizations, decomposition functions, and exact
 Hilbert function counting.
+
+Each ideal builds a divisor index of its generators when it is made, and
+checks with it that they are minimal.  The stable and strongly stable
+predicates work on index tuples and read membership off that index: U_l is
+walked with the bitset of generators that can still divide, and an
+exchange's exponent vector is n ANDs.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from math import comb
 from operator import le
 from typing import Iterable, Iterator, Optional, Sequence
@@ -18,6 +24,7 @@ from .monomials import (
     Monomial,
     SpreadVector,
     format_monomial,
+    gaps_meet,
     is_spread,
     parse_monomial,
     plex_key,
@@ -42,11 +49,16 @@ class MonomialIdeal:
         # normalize every generator to the ideal's own ambient
         gens = tuple(Monomial(g.indices, ambient_n) for g in gens)
         exps = [g.exponents for g in gens]
+        # le[k][v] and eq[k][v] over the stored order: the lowest bit among
+        # the other divisors of a generator is its first divisor
+        self._divisor_index = divisor_index(exps, ambient_n)
+        everyone = (1 << len(gens)) - 1
         for i, e in enumerate(exps):
-            for j, f in enumerate(exps):
-                if j != i and all(map(le, f, e)):
-                    raise ValueError(f"generator set is not minimal: "
-                                     f"{gens[j]} divides {gens[i]}")
+            others = bits_below(self._divisor_index[0], e, everyone) & ~(1 << i)
+            if others:
+                j = (others & -others).bit_length() - 1
+                raise ValueError(f"generator set is not minimal: "
+                                 f"{gens[j]} divides {gens[i]}")
         self.generators = gens
         self.generator_set = frozenset(gens)
         self.ambient_n = ambient_n
@@ -81,13 +93,6 @@ class MonomialIdeal:
         so the first one is the plex-largest divisor."""
         return (g.exponents for g in self.generators
                 if all(map(le, g.exponents, exps)))
-
-    @cached_property
-    def _divisor_index(self) -> tuple[list[list[int]], list[list[int]]]:
-        """The `divisor_index` of the generators, in the stored order.
-        Built on first use."""
-        return divisor_index([g.exponents for g in self.generators],
-                             self.ambient_n)
 
     def divisor_bits(self, exps: tuple[int, ...]) -> int:
         """The generators dividing x^exps as a bitset over the stored order."""
@@ -139,10 +144,67 @@ class MonomialIdeal:
         # decide membership: w may be read in any ambient
         return self.contains_exponents(w.exponents_over(self.ambient_n))
 
+    def spread_member_indices(self, t, degree: int) -> list[tuple[int, ...]]:
+        """The index tuples of U_degree, the members of the ideal among the
+        t-spread monomials of that degree, ascending (the order of
+        `spread_monomials`).
+
+        The walk over index tuples carries the bitset of the generators that
+        can still divide: moving past variable k with exponent e ANDs
+        le[k][e], and skipping it ANDs le[k][0].  The bitset only shrinks as
+        the next index grows, so each loop stops at the first empty one and
+        no subtree without members is entered.
+        """
+        t = SpreadVector.coerce(t)
+        if degree < 0:
+            raise ValueError("degree must be non-negative")
+        if degree > t.d:
+            raise ValueError(f"degree {degree} exceeds the spread bound d={t.d}")
+        n, gaps, le = self.ambient_n, t.entries, self._divisor_index[0]
+        everyone = (1 << len(self.generators)) - 1
+        # past[k]: the generators with no support past variable k (1-based)
+        past = [everyone] * (n + 1)
+        for k in range(n - 1, -1, -1):
+            past[k] = past[k + 1] & le[k][0]
+        members: list[tuple[int, ...]] = []
+
+        def below(k: int, e: int) -> int:  # le[k][e], k 1-based
+            le_k = le[k - 1]
+            return le_k[e] if e < len(le_k) else everyone
+
+        def place(prefix: tuple[int, ...], e: int, bits: int) -> None:
+            # bits: the generators below prefix on x_1..x_{last - 1}, where
+            # the last index occurs e times at the end of prefix
+            last = prefix[-1]
+            if len(prefix) == degree:
+                if bits & below(last, e) & past[last]:
+                    members.append(prefix)
+                return
+            j = last + gaps[len(prefix) - 1]
+            if j == last:
+                place(prefix + (j,), e + 1, bits)
+                j += 1
+            bits &= below(last, e)
+            for k in range(last + 1, min(j, n + 1)):
+                bits &= le[k - 1][0]
+            extend(prefix, j, bits)
+
+        def extend(prefix: tuple[int, ...], j: int, bits: int) -> None:
+            # bits: the generators below prefix on x_1..x_{j - 1}
+            while bits and j <= n:
+                place(prefix + (j,), 1, bits)
+                bits &= le[j - 1][0]
+                j += 1
+
+        if degree == 0:
+            return [()] if past[0] else []
+        extend((), 1, everyone)
+        return members
+
     def degreewise_members(self, t, degree: int) -> list[Monomial]:
         """U_degree = members of the ideal among t-spread monomials."""
-        return [m for m in spread_monomials(self.ambient_n, degree, t)
-                if self.contains(m)]
+        return [Monomial(u, self.ambient_n)
+                for u in self.spread_member_indices(t, degree)]
 
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
         return all(any(g.divides(h) for g in self.generators)
@@ -284,33 +346,52 @@ def _check_spread_generators(ideal: MonomialIdeal, t: SpreadVector) -> None:
 
 
 def stable_violation(ideal: MonomialIdeal, t) -> Optional[ExchangeViolation]:
-    """Degreewise: exchanges at the last index must stay inside each U_l."""
+    """Degreewise: exchanges at the last index must stay inside each U_l.
+
+    U_l comes from `spread_member_indices`, and each exchange is an index
+    tuple looked up in the set of them.
+    """
     t = SpreadVector.coerce(t)
     _check_spread_generators(ideal, t)
     for degree in range(1, t.d + 1):
-        members = ideal.degreewise_members(t, degree)
+        members = ideal.spread_member_indices(t, degree)
         member_set = set(members)
         for u in members:
-            i = u.max_index
-            base = u.over_var(i)
+            i, base = u[-1], u[:-1]
             for j in range(1, i):
-                w = base.times_var(j)
-                if is_spread(w, t) and w not in member_set:
-                    return ExchangeViolation(u, i, j)
+                p = bisect_right(base, j)
+                w = base[:p] + (j,) + base[p:]
+                if w not in member_set and gaps_meet(w, t.entries):
+                    return ExchangeViolation(Monomial(u, ideal.ambient_n), i, j)
     return None
 
 
 def strongly_stable_violation(ideal: MonomialIdeal, t) -> Optional[ExchangeViolation]:
-    """Generator criterion: every spread exchange on a generator stays in I."""
+    """Generator criterion: every spread exchange on a generator stays in I.
+
+    Each exchange is an index tuple, tested for its gaps, and then for
+    membership by `bits_below` on its exponent vector.
+    """
     t = SpreadVector.coerce(t)
     _check_spread_generators(ideal, t)
+    le = ideal._divisor_index[0]
+    everyone = (1 << len(ideal.generators)) - 1
     for u in ideal.generators:
+        exps = list(u.exponents)
         for i in u.support:
-            base = u.over_var(i)
+            p = u.indices.index(i)
+            base = u.indices[:p] + u.indices[p + 1:]
+            exps[i - 1] -= 1
             for j in range(1, i):
-                w = base.times_var(j)
-                if is_spread(w, t) and not ideal.contains(w):
+                q = bisect_right(base, j)
+                if not gaps_meet(base[:q] + (j,) + base[q:], t.entries):
+                    continue
+                exps[j - 1] += 1
+                hit = bits_below(le, exps, everyone)
+                exps[j - 1] -= 1
+                if not hit:
                     return ExchangeViolation(u, i, j)
+            exps[i - 1] += 1
     return None
 
 

@@ -315,6 +315,29 @@ def cycle_sign_parity(u: Monomial, sigma, subset) -> int:
     return rec(sigma, chosen)
 
 
+def _subset_parity(subset: int, succ: list[int]) -> int:
+    """`cycle_sign_parity` of the subset with bit p for sigma[p], read off
+    succ[p], the next support index above sigma[p].
+
+    Successors grow with sigma, so the recursion only ever drops a top
+    segment of sigma: one element outside the subset, or the whole group
+    sharing the successor of an element inside it.
+    """
+    parity, h = 0, len(succ)
+    while subset:
+        size = subset.bit_count()
+        h -= 1
+        if subset >> h & 1:
+            top = h
+            while h and succ[h - 1] == succ[top]:
+                h -= 1
+            parity ^= ((top - h) * (size + 1) + 1) & 1
+            subset &= (1 << h) - 1
+        else:
+            parity ^= size & 1
+    return parity
+
+
 # -- cycles -------------------------------------------------------------------
 
 
@@ -325,20 +348,20 @@ def _direct_cycle(ideal: MonomialIdeal, u: Monomial,
     max_u = u.max_index
     u_prime = list(u.exponents_over(ideal.ambient_n))
     u_prime[max_u - 1] -= 1
-    succ = {k: next_support_index(u, k) for k in sigma}
+    succ = [next_support_index(u, k) for k in sigma]
     m = len(sigma)
     for subset in range(1 << m):
-        F = tuple(sigma[p] for p in range(m) if subset >> p & 1)
+        F = [p for p in range(m) if subset >> p & 1]
         rest = [sigma[p] for p in range(m) if not (subset >> p & 1)]
-        wedge, sign = _wedge_mask(rest + [succ[k] for k in F] + [max_u])
+        wedge, sign = _wedge_mask(rest + [succ[p] for p in F] + [max_u])
         if not sign:
             continue
         # with a repeat-free wedge the successor product always divides u'
         residue = list(u_prime)
-        for k in F:
-            residue[succ[k] - 1] -= 1
-            residue[k - 1] += 1
-        parity = cycle_sign_parity(u, sigma, F)
+        for p in F:
+            residue[succ[p] - 1] -= 1
+            residue[sigma[p] - 1] += 1
+        parity = _subset_parity(subset, succ)
         chain._add(wedge, tuple(residue), -sign if parity else sign)
     return chain
 

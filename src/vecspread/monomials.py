@@ -326,8 +326,13 @@ def is_spread(m: Monomial, t) -> bool:
     t = SpreadVector.coerce(t)
     if m.degree > t.d:
         return False
-    idx = m.indices
-    return all(idx[i + 1] - idx[i] >= t.entries[i] for i in range(len(idx) - 1))
+    return gaps_meet(m.indices, t.entries)
+
+
+def gaps_meet(indices: tuple[int, ...], entries: tuple[int, ...]) -> bool:
+    """True when j_{i+1} - j_i >= t_i for consecutive indices; the degree is
+    not checked against d."""
+    return all(b - a >= s for a, b, s in zip(indices, indices[1:], entries))
 
 
 def spread_support(m: Monomial, t) -> frozenset[int]:

@@ -112,6 +112,71 @@ def test_verify_lex_json(capsys, write_ideal):
     assert "x1*x3" in data["witness"]
 
 
+# (n, t, generators) -> the witness of stable, strongly-stable and lex, None
+# where the class holds; each is the first exchange or gap in the order the
+# predicates scan, so a change of that order shows here
+PINNED_WITNESSES = [
+    ((4, [1, 0], ["x1*x2", "x1*x3", "x2*x4"]),
+     ("x3*(x2*x4/x4) = x2*x3 not in ideal",
+      "x1*(x2*x4/x2) = x1*x4 not in ideal",
+      "x2*x3 >lex x2*x4 but is not in the ideal")),
+    ((3, [1], ["x2"]),
+     ("x1*(x2/x2) = x1 not in ideal",
+      "x1*(x2/x2) = x1 not in ideal",
+      "x1 >lex x2 but is not in the ideal")),
+    ((4, [0, 0], ["x1^2", "x1*x2", "x2^2", "x2*x3", "x2*x4"]),
+     (None,
+      "x1*(x2*x3/x2) = x1*x3 not in ideal",
+      "x1*x4 >lex x2^2 but is not in the ideal")),
+    ((3, [0], ["x1^2", "x1*x2", "x2^2"]),
+     (None, None, "x1*x3 >lex x2^2 but is not in the ideal")),
+    ((6, [1, 0, 2], ["x2*x3^2", "x1*x4"]),
+     ("x2*(x1*x4/x4) = x1*x2 not in ideal",
+      "x2*(x1*x4/x4) = x1*x2 not in ideal",
+      "x1*x3 >lex x1*x4 but is not in the ideal")),
+    ((5, [2, 0], ["x3*x5", "x1*x4^2"]),
+     ("x1*(x3*x5/x5) = x1*x3 not in ideal",
+      "x3*(x1*x4^2/x4) = x1*x3*x4 not in ideal",
+      "x2*x5 >lex x3*x5 but is not in the ideal")),
+    ((8, [0, 2, 1], ["x2^2*x5*x6", "x3*x6"]),
+     ("x1*(x3*x6/x6) = x1*x3 not in ideal",
+      "x1*(x2^2*x5*x6/x2) = x1*x2*x5*x6 not in ideal",
+      "x3*x5 >lex x3*x6 but is not in the ideal")),
+    ((5, [0, 0, 0], ["x5"]),
+     ("x1*(x5/x5) = x1 not in ideal",
+      "x1*(x5/x5) = x1 not in ideal",
+      "x4 >lex x5 but is not in the ideal")),
+    ((7, [1, 1], ["x1*x3*x5", "x2*x4*x6", "x4*x7"]),
+     ("x1*(x4*x7/x7) = x1*x4 not in ideal",
+      "x2*(x1*x3*x5/x3) = x1*x2*x5 not in ideal",
+      "x4*x6 >lex x4*x7 but is not in the ideal")),
+    ((6, [3], ["x1*x4", "x2*x6", "x3"]),
+     ("x1*(x3/x3) = x1 not in ideal",
+      "x1*(x2*x6/x2) = x1*x6 not in ideal",
+      "x2 >lex x3 but is not in the ideal")),
+    ((5, [0, 1], ["x1^2*x3", "x2*x4"]),
+     ("x1*(x2*x4/x4) = x1*x2 not in ideal",
+      "x2*(x1^2*x3/x3) = x1^2*x2 not in ideal",
+      "x2*x3 >lex x2*x4 but is not in the ideal")),
+]
+
+
+@pytest.mark.parametrize("record, witnesses", PINNED_WITNESSES)
+def test_verify_pinned_witnesses(capsys, write_ideal, record, witnesses):
+    n, t, gens = record
+    path = write_ideal({"n": n, "t": t, "generators": gens})
+    for cls, witness in zip(("stable", "strongly-stable", "lex"), witnesses):
+        code = 0 if witness is None else 1
+        assert main(["verify", "--ideal", path, "--class", cls]) == code
+        expected = (f"{cls}: true\n" if witness is None
+                    else f"{cls}: false\nwitness: {witness}\n")
+        assert capsys.readouterr().out == expected
+        assert main(["verify", "--ideal", path, "--class", cls,
+                     "--format", "json"]) == code
+        assert json.loads(capsys.readouterr().out) == {
+            "class": cls, "holds": witness is None, "witness": witness}
+
+
 def test_verify_unknown_class_usage_error(write_ideal):
     path = write_ideal(FIX_A)
     with pytest.raises(SystemExit) as exc:

@@ -292,6 +292,105 @@ def test_zero_and_unit_vacuously_in_all_classes():
             assert is_lex_segment(ideal, t)
 
 
+def reference_stable_violation(ideal: MonomialIdeal,
+                               t) -> ExchangeViolation | None:
+    """stable_violation on Monomial objects, each U_l listed by a membership
+    scan over every t-spread monomial: the route before the member walk."""
+    t = SpreadVector.coerce(t)
+    for degree in range(1, t.d + 1):
+        members = [m for m in spread_monomials(ideal.ambient_n, degree, t)
+                   if ideal.contains(m)]
+        member_set = set(members)
+        for u in members:
+            i = u.max_index
+            base = u.over_var(i)
+            for j in range(1, i):
+                w = base.times_var(j)
+                if is_spread(w, t) and w not in member_set:
+                    return ExchangeViolation(u, i, j)
+    return None
+
+
+def reference_strongly_stable_violation(ideal: MonomialIdeal,
+                                        t) -> ExchangeViolation | None:
+    """strongly_stable_violation on Monomial objects, membership by
+    `contains`: the route before the index tuples."""
+    t = SpreadVector.coerce(t)
+    for u in ideal.generators:
+        for i in u.support:
+            base = u.over_var(i)
+            for j in range(1, i):
+                w = base.times_var(j)
+                if is_spread(w, t) and not ideal.contains(w):
+                    return ExchangeViolation(u, i, j)
+    return None
+
+
+@st.composite
+def spread_ideals(draw):
+    """A spread vector with entries 0 to 3 and an ambient of 1 to 8, with the
+    ideal of a few random t-spread monomials (most of them not stable), or
+    the zero or the unit ideal."""
+    t = SpreadVector(tuple(draw(st.lists(st.integers(0, 3), min_size=1,
+                                         max_size=3))))
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(("random",) * 4 + ("zero", "unit")))
+    if kind == "zero":
+        return MonomialIdeal.zero(n), t
+    if kind == "unit":
+        return MonomialIdeal.unit_ideal(n), t
+    rng = draw(st.randoms(use_true_random=False))
+    seeds = random_spread_monomials(rng, n, t, draw(st.integers(1, 6)))
+    return MonomialIdeal.from_generators(seeds, n), t
+
+
+SPREAD_IDEAL_EXAMPLES = [
+    (MonomialIdeal.zero(5), SpreadVector((0, 2))),
+    (MonomialIdeal.unit_ideal(4), SpreadVector((1, 0, 3))),
+    (MonomialIdeal([parse_monomial(s, 4) for s in
+                    ("x1*x2", "x1*x3", "x2*x4")], 4), SpreadVector((1, 0))),
+    (MonomialIdeal([parse_monomial(s, 8) for s in
+                    ("x1^3", "x2^2*x5", "x4*x8")], 8), SpreadVector((0, 0, 3))),
+]
+
+
+def with_examples(cases):
+    def decorate(test):
+        for case in cases:
+            test = example(case)(test)
+        return test
+    return decorate
+
+
+@settings(max_examples=400, deadline=None)
+@given(spread_ideals())
+@with_examples(SPREAD_IDEAL_EXAMPLES)
+def test_predicates_match_the_monomial_loops(case):
+    ideal, t = case
+    for fast, reference in ((stable_violation, reference_stable_violation),
+                            (strongly_stable_violation,
+                             reference_strongly_stable_violation)):
+        got, want = fast(ideal, t), reference(ideal, t)
+        assert got == want
+        assert str(got) == str(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spread_ideals())
+@with_examples(SPREAD_IDEAL_EXAMPLES)
+def test_member_walk_matches_the_scan(case):
+    ideal, t = case
+    n = ideal.ambient_n
+    for degree in range(t.d + 1):
+        assert ideal.spread_member_indices(t, degree) == [
+            m.indices for m in spread_monomials(n, degree, t)
+            if ideal.contains(m)]
+        assert ideal.degreewise_members(t, degree) == [
+            m for m in spread_monomials(n, degree, t) if ideal.contains(m)]
+    with pytest.raises(ValueError):
+        ideal.spread_member_indices(t, t.d + 1)
+
+
 def _degreewise_strongly_stable(ideal: MonomialIdeal, t: SpreadVector) -> bool:
     # first-principles check on every degree slice
     for degree in range(1, t.d + 1):

@@ -24,12 +24,14 @@ from vecspread import (
     koszul_cycle_recursive,
     koszul_differential,
     monomial,
+    next_support_index,
     parse_monomial,
     remainder_split,
     simple_cycle,
     unit,
 )
 from vecspread.betti import _cycle_column, _koszul_block
+from vecspread.koszul import _subset_parity
 
 from util import (
     ex_resolution_ideal,
@@ -266,6 +268,26 @@ def test_sign_parity_base_cases():
     assert cycle_sign_parity(w4, (3,), ()) == 0
     with pytest.raises(ValueError):
         cycle_sign_parity(w4, (3,), (9,))
+
+
+def test_subset_parity_matches_cycle_sign_parity():
+    # the parity _direct_cycle reads off the successors it holds, against
+    # the public recursion on sigma, on every subset of every label
+    cases = [ex_spread_ideal(), ex_resolution_ideal()]
+    cases += [roadmap_workload(seed, (6, 7), 2) for seed in (1, 5, 9)]
+    grouped = 0
+    for ideal, t in cases:
+        top = max(len(free_indices(g, t)) for g in ideal.generators)
+        for i in range(1, top + 2):
+            for lab in homology_basis_labels(ideal, t, i):
+                u, sigma = lab.generator, lab.sigma
+                succ = [next_support_index(u, k) for k in sigma]
+                grouped += len(set(succ)) < len(succ)
+                for subset in range(1 << len(sigma)):
+                    chosen = [k for p, k in enumerate(sigma) if subset >> p & 1]
+                    assert _subset_parity(subset, succ) == cycle_sign_parity(
+                        u, sigma, chosen), (lab, chosen)
+    assert grouped  # some labels share a successor between sigma indices
 
 
 def test_recursive_matches_direct_on_fixture():
