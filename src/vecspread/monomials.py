@@ -14,8 +14,9 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
-from itertools import accumulate, compress
+from itertools import accumulate, combinations, compress
 from math import comb
+from operator import add
 from typing import Iterable, Iterator
 
 
@@ -385,28 +386,26 @@ def count_spread_monomials(n: int, degree: int, t) -> int:
     return comb(top, degree)
 
 
-def iter_spread_monomials(n: int, degree: int, t) -> Iterator[Monomial]:
+def spread_index_tuples(n: int, degree: int, t) -> Iterator[tuple[int, ...]]:
+    """The index tuples of the t-spread monomials of the given degree,
+    ascending (descending lex): j_i - (t_1 + ... + t_{i-1}) + (i - 1) maps
+    them in order onto the `combinations` of [1, top], top as in
+    `count_spread_monomials`."""
     _check_ambient(n)
     t = SpreadVector.coerce(t)
     if degree < 0:
         raise ValueError("degree must be non-negative")
     if degree > t.d:
         raise ValueError(f"degree {degree} exceeds the spread bound d={t.d}")
-    if degree == 0:
-        yield unit(n)
-        return
+    shift = [s - i for i, s in enumerate(prefix_sums(t)[:degree])]
+    top = n - shift[-1] if shift else n
+    for c in combinations(range(1, top + 1), degree):
+        yield tuple(map(add, c, shift))
 
-    idx = [0] * degree
 
-    def rec(pos: int, lo: int) -> Iterator[Monomial]:
-        if pos == degree:
-            yield Monomial(tuple(idx), n)
-            return
-        for j in range(lo, n + 1):
-            idx[pos] = j
-            yield from rec(pos + 1, j + t.entries[pos] if pos < degree - 1 else j)
-
-    yield from rec(0, 1)
+def iter_spread_monomials(n: int, degree: int, t) -> Iterator[Monomial]:
+    for u in spread_index_tuples(n, degree, t):
+        yield Monomial(u, n)
 
 
 def spread_monomials(n: int, degree: int, t) -> list[Monomial]:

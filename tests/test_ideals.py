@@ -109,6 +109,14 @@ def test_minimalize_on_mixed_ambients():
         assert minimalize(pool) == brute
 
 
+def test_minimalize_keeps_the_first_of_equal_monomials():
+    # x1 read in ambients 1 and 3 is one monomial: the first one given stays
+    x1_in_1, x1_in_3 = parse_monomial("x1", 1), parse_monomial("x1", 3)
+    x2 = parse_monomial("x2", 3)
+    assert [m.ambient_n for m in minimalize([x1_in_1, x2, x1_in_3])] == [1, 3]
+    assert [m.ambient_n for m in minimalize([x1_in_3, x2, x1_in_1])] == [3, 3]
+
+
 def test_constructor_minimality_on_mixed_ambients():
     # the first witness in stored order, found by Monomial.divides
     rng = random.Random(19)
@@ -175,11 +183,18 @@ def ideal_and_point(draw):
     return ideal, draw(st.tuples(*[st.integers(0, 5)] * n))
 
 
+def reference_generators_dividing(ideal, a):
+    """The exponent vectors of the generators dividing x^a, by a scan over
+    the generators in stored order: the route before the divisor index."""
+    return [g.exponents for g in ideal.generators
+            if all(map(le, g.exponents, a))]
+
+
 def reference_tight_masks(ideal, a, support):
     """Each divisor's tight mask summed position by position: the route the
     Koszul blocks took before the divisor index."""
     return {sum(1 << p for p, k in enumerate(support) if g[k] == a[k])
-            for g in ideal.generators_dividing(a)}
+            for g in reference_generators_dividing(ideal, a)}
 
 
 @settings(max_examples=300, deadline=None)
@@ -194,8 +209,8 @@ def test_divisor_index_matches_the_scan(case):
     bits = ideal.divisor_bits(a)
     assert bits >> len(ideal.generators) == 0
     # in the stored order, so the lowest bit is the first divisor
-    assert [g for j, g in enumerate(ideal.generators) if bits >> j & 1] == [
-        g for g in ideal.generators if all(map(le, g.exponents, a))]
+    assert [g.exponents for j, g in enumerate(ideal.generators)
+            if bits >> j & 1] == reference_generators_dividing(ideal, a)
     support = [k for k, ak in enumerate(a) if ak]
     assert ideal.tight_masks(a, support) == reference_tight_masks(
         ideal, a, support)
@@ -223,9 +238,12 @@ def exponent_pools(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(exponent_pools())
-def test_minimal_exponents_matches_minimalize(pool):
-    expected = sorted((m.exponents for m in minimalize(
-        Monomial.from_exponents(e) for e in pool)), key=lambda e: (sum(e), e))
+def test_minimal_exponents_matches_the_pairwise_filter(pool):
+    distinct = set(pool)
+    expected = sorted((e for e in distinct
+                       if not any(f != e and all(map(le, f, e))
+                                  for f in distinct)),
+                      key=lambda e: (sum(e), e))
     assert minimal_exponents(pool) == expected
 
 
@@ -389,6 +407,59 @@ def test_member_walk_matches_the_scan(case):
             m for m in spread_monomials(n, degree, t) if ideal.contains(m)]
     with pytest.raises(ValueError):
         ideal.spread_member_indices(t, t.d + 1)
+
+
+def reference_contains(ideal: MonomialIdeal, w: Monomial) -> bool:
+    return bool(reference_generators_dividing(
+        ideal, w.exponents_over(ideal.ambient_n)))
+
+
+def reference_lex_violation(ideal: MonomialIdeal,
+                            t) -> SegmentViolation | None:
+    """lex_violation on Monomial objects: every t-spread monomial of each
+    degree, read upwards in lex and tested for membership by the generator
+    scan, the route before the index tuples."""
+    t = SpreadVector.coerce(t)
+    for degree in range(1, t.d + 1):
+        last_member = None
+        for m in reversed(spread_monomials(ideal.ambient_n, degree, t)):
+            if reference_contains(ideal, m):
+                last_member = m
+            elif last_member is not None:
+                return SegmentViolation(last_member, m)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(spread_ideals(), spread_ideals()))
+@with_examples([(case, SPREAD_IDEAL_EXAMPLES[2]) for case in SPREAD_IDEAL_EXAMPLES])
+def test_index_routes_match_the_scans(cases):
+    (ideal, t), (other, _) = cases
+    got, want = lex_violation(ideal, t), reference_lex_violation(ideal, t)
+    assert got == want
+    assert str(got) == str(want)
+    # the whole ideal, one degree slice of it, and an unrelated ideal
+    n = ideal.ambient_n
+    slice_ = MonomialIdeal(ideal.degreewise_members(t, t.d), n)
+    for a, b in ((ideal, other), (other, ideal), (ideal, slice_),
+                 (slice_, ideal)):
+        assert a.contains_ideal(b) == all(
+            any(g.divides(h) for g in a.generators) for h in b.generators)
+    # spread monomials and their multiples, read in the ideal's ambient
+    words = [w for degree in range(t.d + 1) for w in spread_monomials(n, degree, t)]
+    words += [w.times_var(k) for w in words[:20] for k in range(1, n + 1)]
+    for w in words:
+        member = reference_contains(ideal, w)
+        assert ideal.contains(w) == member
+        if not admissible_shape(t):
+            with pytest.raises(ValueError, match="is not of the form"):
+                decomposition_function(ideal, t, w)
+        elif member:
+            assert decomposition_function(ideal, t, w) == Monomial.from_exponents(
+                reference_generators_dividing(ideal, w.exponents)[0])
+        else:
+            with pytest.raises(ValueError, match="is not in the ideal"):
+                decomposition_function(ideal, t, w)
 
 
 def _degreewise_strongly_stable(ideal: MonomialIdeal, t: SpreadVector) -> bool:
