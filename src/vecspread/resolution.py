@@ -12,14 +12,17 @@ decomposition of x_k u (the plex-largest generator dividing it) and
 v_k = x_k u / u_k.  Whenever sigma minus k stops being a set of free indices
 for u_k, that summand is dropped (the zero convention).
 
-Verification never trusts the formula: the complex property is expanded
-symbolically, and exactness is measured with integer ranks, one multidegree
-at a time, against the independently counted Hilbert function.
+Verification never trusts the formula: the complex property is checked on
+the differentials' scalar coefficients once their terms are found
+multigraded (symbolically otherwise), and exactness is measured with ranks,
+one multidegree at a time, against the independently counted Hilbert
+function.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from operator import add, index, sub
 from typing import Iterator, Optional
 
@@ -34,7 +37,7 @@ from .ideals import (
     minimal_exponents,
     require_strongly_stable,
 )
-from .koszul import CycleLabel, spread_labels
+from .koszul import CycleLabel
 from .linalg import FiniteComplex, lcm_lattice
 from .monomials import (
     Monomial,
@@ -234,15 +237,13 @@ def build_resolution(ideal: MonomialIdeal, t) -> Resolution:
     if ideal.is_unit:
         raise ValueError("the quotient by the unit ideal is zero")
 
+    # the labels of every position, as spread_labels lists them, from one
+    # free set per generator
+    free = {g: free_indices(g, t) for g in ideal.generators}
     bases: list[list[CycleLabel]] = []
-    if not ideal.is_zero:
-        i = 1
-        while True:
-            labels = spread_labels(ideal, t, i)
-            if not labels:
-                break
-            bases.append(labels)
-            i += 1
+    while labels := [CycleLabel(g, sigma) for g, allowed in free.items()
+                     for sigma in combinations(allowed, len(bases))]:
+        bases.append(labels)
 
     diffs: list[MonomialMatrix] = []
     n = ideal.ambient_n
@@ -273,7 +274,7 @@ def build_resolution(ideal: MonomialIdeal, t) -> Resolution:
                     w = u.times_var(k)
                     u_k = decomposition_function(ideal, t, w)
                     step = steps[u, k] = (
-                        u_k, frozenset(free_indices(u_k, t)),
+                        u_k, frozenset(free[u_k]),
                         tuple(map(sub, w.exponents, u_k.exponents)))
                 u_k, free_k, v_k = step
                 if free_k.issuperset(tau):
@@ -304,6 +305,17 @@ class ResolutionReport:
 def verify_resolution(res: Resolution, max_degree: int) -> ResolutionReport:
     """Check the complex property, minimality, graded exactness and ranks.
 
+    A negative max_degree, a d_i that is not rank(i-1) x rank(i) and an
+    entry outside its d_i are refused with ValueError before any check.
+
+    One pass over the entries checks minimality and the multigrading, and
+    reads each d_i off as sparse scalar columns: entry (r, c) contributes
+    the coefficient of its term x^(m_c - m_r), m_c and m_r the multidegrees
+    of the labels.  Once every term has that form, entry (r, c) of
+    d_i d_{i+1} is x^(m_c - m_r) times entry (r, c) of the integer product
+    of the scalar columns, so d o d = 0 is checked on those.  An input that
+    is not multigraded is composed symbolically by `MonomialMatrix.compose`.
+
     Exactness is certified multidegree by multidegree with ranks over Q:
     taken over F_2 and certified by the Euler characteristic (see
     `FiniteComplex`) once d o d = 0 has passed, and over Z otherwise.
@@ -311,9 +323,7 @@ def verify_resolution(res: Resolution, max_degree: int) -> ResolutionReport:
     generators with multidegree <= a, so it is the strand at a', the lcm of
     those multidegrees, and a' = 0 leaves position 0 alone.  Only the lcms
     of such label multidegrees of degree <= max_degree are visited:
-    exactness at a is exactness at a'.  Each strand is handed over as
-    parity rows, with its sparse integer columns built only if a rank must
-    be taken over Z (see `_strands`).
+    exactness at a is exactness at a' (see `_strands`).
 
     Position 0 is checked in two steps.  Each visited a' lies above a label,
     hence above a generator, so (S/I)_a' = 0 and the strand must have no
@@ -322,87 +332,91 @@ def verify_resolution(res: Resolution, max_degree: int) -> ResolutionReport:
     the a of degree q with no label <= a, which is the Hilbert function of
     S/L for the ideal L spanned by the label multidegrees; that is compared
     against the directly counted Hilbert function of S/I.
-
-    A negative max_degree is refused with ValueError before any check.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
+    for i in range(1, res.length + 1):
+        d = res.differential(i)
+        if (d.nrows, d.ncols) != (res.rank(i - 1), res.rank(i)):
+            raise ValueError(f"d{i} is {d.nrows}x{d.ncols}, but F{i - 1} and "
+                             f"F{i} have ranks {res.rank(i - 1)} and "
+                             f"{res.rank(i)}")
+        for r, c in d.entries:
+            if not (0 <= r < d.nrows and 0 <= c < d.ncols):
+                raise ValueError(
+                    f"d{i} entry ({r},{c}) outside {d.nrows}x{d.ncols}")
     ideal = res.ideal
     n = ideal.ambient_n
-    failures: list[str] = []
-    checks: dict[str, bool] = {}
+    mdegs = [[(0,) * n]] + [[lab.multidegree() for lab in labels]
+                            for labels in res.bases]
 
-    # (a) d compose d = 0 symbolically
-    ok = True
-    for i in range(1, res.length):
-        prod = res.differential(i).compose(res.differential(i + 1))
-        if not prod.is_zero:
-            ok = False
-            bad = sorted(prod.entries)[0]
-            failures.append(
-                f"d{i} d{i + 1} is non-zero, e.g. entry {bad} = "
-                f"{format_poly(prod.entries[bad])}")
-    checks["complex"] = ok
-
-    # (b) minimality: entries stay inside the irrelevant maximal ideal
-    ok = True
+    # (b) minimality and the multigrading, in one pass that also reads
+    # scalars[i - 1], d_i as sparse columns of (row, coefficient)
+    constant: list[str] = []
+    off_grade: list[str] = []
+    scalars: list[list[list[tuple[int, int]]]] = []
     for i in range(1, res.length + 1):
-        for (r, c), poly in res.differential(i).entries.items():
-            if any(coeff and not any(e) for e, coeff in poly.items()):
-                ok = False
-                failures.append(
-                    f"d{i} entry ({r},{c}) = {format_poly(poly)} has a "
-                    f"constant term")
-    checks["minimality"] = ok
-
-    # a label's multidegree is a multiple of its generator's, and the
-    # strands hold only the labels on minimal generators: a label on
-    # anything else would drop out of every strand unseen, so it is named.
-    # The kept basis elements of each position are renumbered 0, 1, ...
-    generators = {g.exponents for g in ideal.generators}
-    strays: list[tuple[int, ...]] = []
-    mdegs: list[list[tuple[int, ...]]] = [[(0,) * n]]
-    kept: list[dict[int, int]] = [{0: 0}]  # basis index -> kept index
-    for labels in res.bases:
-        mdegs.append([lab.multidegree() for lab in labels])
-        kept.append({})
-        for c, lab in enumerate(labels):
-            g = lab.generator.exponents
-            if g in generators:
-                kept[-1][c] = len(kept[-1])
-            elif g not in strays:
-                strays.append(g)
-
-    # multidegree bookkeeping for exactness; entries must be multihomogeneous
-    # for the blockwise ranks to mean anything, so that is checked first.
-    # columns[i - 1] is the scalar d_i between kept basis elements
-    ok = True
-    columns: list[list[list[tuple[int, int]]]] = []
-    for i in range(1, res.length + 1):
-        rows, cols = kept[i - 1], [[] for _ in kept[i]]
+        cols = [[] for _ in mdegs[i]]
         for (r, c), poly in res.differential(i).entries.items():
             want = tuple(map(sub, mdegs[i][c], mdegs[i - 1][r]))
+            unit = False
             for e, coeff in poly.items():
                 coeff = index(coeff)  # a rational would truncate in Bareiss
                 if not coeff:
                     continue
-                if e != want:
-                    ok = False
-                    failures.append(
+                unit = unit or not any(e)
+                if e == want:
+                    cols[c].append((r, coeff))
+                else:
+                    off_grade.append(
                         f"d{i} entry ({r},{c}) term {format_exponents(e)} "
                         f"breaks the multigrading")
-                elif c in kept[i] and r in rows:
-                    cols[kept[i][c]].append((rows[r], coeff))
-        columns.append(cols)
-    checks["multigraded"] = ok
+            if unit:
+                constant.append(f"d{i} entry ({r},{c}) = {format_poly(poly)} "
+                                f"has a constant term")
+        scalars.append(cols)
 
-    ok = True
-    if checks["multigraded"]:
+    # (a) d o d = 0, on the scalars once the terms are multigraded
+    failures: list[str] = []
+    for i in range(1, res.length):
+        if off_grade:
+            prod = res.differential(i).compose(res.differential(i + 1)).entries
+        else:
+            prod = {(r, c): {tuple(map(sub, mdegs[i + 1][c],
+                                       mdegs[i - 1][r])): v}
+                    for (r, c), v in _product(scalars[i - 1], scalars[i])}
+        if prod:
+            bad = min(prod)
+            failures.append(f"d{i} d{i + 1} is non-zero, e.g. entry {bad} = "
+                            f"{format_poly(prod[bad])}")
+    checks = {"complex": not failures, "minimality": not constant,
+              "multigraded": not off_grade}
+    failures += constant + off_grade
+
+    ok = checks["multigraded"]
+    if ok:
+        # a label's multidegree is a multiple of its generator's, and the
+        # strands hold only the labels on minimal generators: a label on
+        # anything else would drop out of every strand unseen, so it is
+        # named, and the kept labels of each position are renumbered 0, 1, ..
+        generators = {g.exponents for g in ideal.generators}
+        strays = dict.fromkeys(lab.generator.exponents
+                               for labels in res.bases for lab in labels
+                               if lab.generator.exponents not in generators)
         for g in strays:
             ok = False
             failures.append(f"labels on {format_exponents(g)}, not a "
                             f"minimal generator")
-        points = [[mdegs[i][c] for c in on] for i, on in enumerate(kept)]
+        points, columns = mdegs, scalars
+        if strays:
+            kept = [[0]] + [[c for c, lab in enumerate(labels)
+                             if lab.generator.exponents in generators]
+                            for labels in res.bases]
+            where = [{c: p for p, c in enumerate(keep)} for keep in kept]
+            points = [[ms[c] for c in keep] for ms, keep in zip(mdegs, kept)]
+            columns = [[[(where[i - 1][r], v) for r, v in cols[c]
+                         if r in where[i - 1]] for c in kept[i]]
+                       for i, cols in enumerate(scalars, start=1)]
         # a strand is a complex once d o d = 0 and no label was dropped from
         # it, and only then may its ranks be certified modularly
         for a, cx in _strands(points, columns, max_degree,
@@ -417,7 +431,7 @@ def verify_resolution(res: Resolution, max_degree: int) -> ResolutionReport:
         hf = hilbert_function(ideal, max_degree)
         # L = I when the label multidegrees have the generators of I as their
         # minimal elements; only otherwise is S/L counted apart
-        spanned = minimal_exponents(m for on in points[1:] for m in on)
+        spanned = minimal_exponents(m for ms in points[1:] for m in ms)
         if set(spanned) == generators:
             coker = hf
         else:
@@ -430,7 +444,6 @@ def verify_resolution(res: Resolution, max_degree: int) -> ResolutionReport:
                     f"cokernel at position 0 has dimension {coker[q]} in "
                     f"degree {q}, Hilbert function says {hf[q]}")
     else:
-        ok = False
         failures.append("exactness skipped: differentials not multigraded")
     checks["exactness"] = ok
 
@@ -447,6 +460,21 @@ def verify_resolution(res: Resolution, max_degree: int) -> ResolutionReport:
     return ResolutionReport(all(checks.values()), checks, failures)
 
 
+def _product(left: list[list[tuple[int, int]]],
+             right: list[list[tuple[int, int]]]
+             ) -> Iterator[tuple[tuple[int, int], int]]:
+    """The non-zero entries ((r, c), value) of the product of two integer
+    matrices given as sparse columns of (row, value)."""
+    for c, col in enumerate(right):
+        acc: dict[int, int] = {}
+        for m, w in col:
+            for r, v in left[m]:
+                acc[r] = acc.get(r, 0) + v * w
+        for r, v in acc.items():
+            if v:
+                yield (r, c), v
+
+
 def _strands(points: list[list[tuple[int, ...]]],
              columns: list[list[list[tuple[int, int]]]], max_degree: int,
              is_complex: bool) -> Iterator[tuple[tuple[int, ...], FiniteComplex]]:
@@ -456,23 +484,30 @@ def _strands(points: list[list[tuple[int, ...]]],
 
     points[i] lists the multidegrees of the position-i basis, and
     columns[i - 1] is d_i as sparse scalar columns over position i - 1.
-    The strand at a holds the basis elements of multidegree <= a, one
-    bitmask per position, read off a `divisor_index` of each position as n
-    ANDs.  Each column c of d_i gets its parity mask over the position-(i-1)
-    basis once, and the strand's row for c is that mask ANDed with the
-    bitmask of position i - 1: the strand's column modulo 2, its rows
-    numbered by basis index instead of strand position, which leaves every
-    rank as it is.  Sparse columns renumbered onto the strand are built
-    only if `FiniteComplex` ranks over Z.
+    One `divisor_index` covers the bases of all positions, concatenated,
+    so the strand at a is one chain of n ANDs, split into one bitmask per
+    position by shift and mask, and its sizes are the bit counts.  Each
+    column c of d_i gets its parity mask over the position-(i-1) basis
+    once, and the strand's row for c is that mask ANDed with the bitmask
+    of position i - 1: the strand's column modulo 2, its rows numbered by
+    basis index instead of strand position, which leaves every rank as it
+    is.  A position's members are listed only to pick the rows of d_i, and
+    to renumber the sparse columns onto the strand, which are built only if
+    `FiniteComplex` ranks over Z.
     """
     n = len(points[0][0])  # position 0 is S, of multidegree 0
-    below = [divisor_index(on, n)[0] for on in points]
-    full = [(1 << len(on)) - 1 for on in points]
+    le = divisor_index([m for ms in points for m in ms], n)[0]
+    masks, shift = [], 0
+    for ms in points:
+        masks.append((shift, (1 << len(ms)) - 1))
+        shift += len(ms)
+    everything = (1 << shift) - 1
     parity = [[sum(1 << r for r, v in col if v & 1) for col in cols]
               for cols in columns]
-    for a in lcm_lattice([m for on in points[1:] for m in on], max_degree):
-        active = [bits_below(le, a, bits) for le, bits in zip(below, full)]
-        members = [_set_bits(bits) for bits in active]
+    for a in lcm_lattice([m for ms in points[1:] for m in ms], max_degree):
+        below = bits_below(le, a, everything)
+        active = [below >> s & mask for s, mask in masks]
+        members = [[0]] + [_set_bits(bits) for bits in active[1:]]
         rows = [[parity[i][c] & active[i] for c in members[i + 1]]
                 for i in range(len(columns))]
 
@@ -481,8 +516,8 @@ def _strands(points: list[list[tuple[int, ...]]],
             return [[(where[r], v) for r, v in columns[i - 1][c] if r in where]
                     for c in members[i]]
 
-        yield a, FiniteComplex([len(m) for m in members], rows, exact,
-                               is_complex=is_complex)
+        yield a, FiniteComplex([bits.bit_count() for bits in active], rows,
+                               exact, is_complex=is_complex)
 
 
 def _set_bits(bits: int) -> list[int]:

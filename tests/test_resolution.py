@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from operator import le
+from operator import index, le, sub
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import vecspread.ideals
@@ -18,18 +18,22 @@ from vecspread import (
     MonomialIdeal,
     MonomialMatrix,
     Resolution,
+    ResolutionReport,
     SpreadVector,
     betti_table,
     build_resolution,
     decomposition_function,
+    format_exponents,
     format_poly,
     free_indices,
+    hilbert_function,
     homology_basis_labels,
     parse_monomial,
     variable,
     verify_homology_basis_range,
     verify_resolution,
 )
+from vecspread.ideals import minimal_exponents
 
 from util import (
     ex_resolution_ideal,
@@ -489,6 +493,89 @@ def test_negative_cap_is_refused_up_front(corrupt, monkeypatch):
         verify_resolution(res, -1)
 
 
+def out_of_shape_entry(res):
+    res.differential(3).entries[(0, 5)] = {(0, 0, 0, 2): 1}  # past 3x1
+    return res
+
+
+def too_wide_d3(res):
+    res.diffs[2] = MonomialMatrix(3, 2, res.differential(3).entries)
+    return res
+
+
+def negative_row(res):
+    res.differential(2).entries[(-1, 0)] = {(0, 0, 1, 0): 1}
+    return res
+
+
+def too_tall_d1(res):
+    res.diffs[0] = MonomialMatrix(2, 3, res.differential(1).entries)
+    return res
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (out_of_shape_entry, "d3 entry (0,5) outside 3x1"),
+    (too_wide_d3, "d3 is 3x2, but F2 and F3 have ranks 3 and 1"),
+    (negative_row, "d2 entry (-1,0) outside 3x3"),
+    (too_tall_d1, "d1 is 2x3, but F0 and F1 have ranks 1 and 3"),
+], ids=["entry-past-the-shape", "d3-too-wide", "negative-row", "d1-too-tall"])
+def test_shapes_are_checked_up_front(corrupt, message, monkeypatch):
+    # a differential that does not fit its bases is refused with one line
+    # before any check reads a coefficient or composes a product
+    ideal, t = ex_resolution_ideal()
+    res = corrupt(build_resolution(ideal, t))
+
+    def check(*args):
+        raise AssertionError("checked before the shapes")
+
+    monkeypatch.setattr(resolution, "index", check)
+    monkeypatch.setattr(MonomialMatrix, "compose", check)
+    with pytest.raises(ValueError) as caught:
+        verify_resolution(res, 6)
+    assert str(caught.value) == message
+
+
+def test_multigraded_input_is_never_composed(monkeypatch):
+    # d o d is read off the scalar coefficients once every term is
+    # multigraded; the witnesses are the pinned ones
+    def compose(*args):
+        raise AssertionError("composed a multigraded input")
+
+    w8 = build_resolution(*roadmap_workload(1, (6, 8), 3))
+    monkeypatch.setattr(MonomialMatrix, "compose", compose)
+    assert verify_resolution(w8, 8).ok
+    ideal, t = ex_resolution_ideal()
+    graded = 0
+    for corrupt, (failing, failures) in zip(CORRUPTIONS, CORRUPTION_WITNESSES):
+        if "multigraded" not in failing.split():
+            rep = verify_resolution(corrupt(build_resolution(ideal, t)), 6)
+            assert rep.failures == failures
+            graded += 1
+    assert graded == len(CORRUPTIONS) - 2
+
+
+def test_off_grade_input_is_composed(monkeypatch):
+    calls = []
+    compose = MonomialMatrix.compose
+    monkeypatch.setattr(MonomialMatrix, "compose",
+                        lambda a, b: calls.append(1) or compose(a, b))
+    ideal, t = ex_resolution_ideal()
+    rep = verify_resolution(wrong_multidegree(build_resolution(ideal, t)), 6)
+    assert len(calls) == 2  # d1 d2 and d2 d3
+    assert rep.failures == CORRUPTION_WITNESSES[
+        CORRUPTION_IDS.index("wrong-multidegree")][1]
+
+
+def test_mixed_ambient_term_is_refused_by_compose():
+    # a term of another length is off the grading, so d o d goes to
+    # compose, which refuses to multiply it
+    ideal, t = ex_resolution_ideal()
+    res = build_resolution(ideal, t)
+    res.differential(2).entries[(0, 0)][(0, 0, 1, 0, 0)] = 1
+    with pytest.raises(ValueError, match="different ambients"):
+        verify_resolution(res, 6)
+
+
 def test_verifier_never_calls_the_formula(monkeypatch):
     # the verifier reads the labels and matrices it is given; once they are
     # built, the formula's free sets, decompositions and label lists are
@@ -850,3 +937,129 @@ def test_bitset_strands_match_the_sparse_reference(monkeypatch):
             ideal.generators, str(t), cap)
         failing += not fast.checks["exactness"]
     assert failing > len(CORRUPTIONS)
+
+
+def reference_verify_resolution(res, max_degree):
+    """The verifier with d o d expanded symbolically by compose before any
+    other check, and the strands of reference_strands."""
+    if max_degree < 0:
+        raise ValueError("max_degree must be non-negative")
+    ideal = res.ideal
+    n = ideal.ambient_n
+    failures, checks = [], {}
+    ok = True
+    for i in range(1, res.length):
+        prod = res.differential(i).compose(res.differential(i + 1))
+        if not prod.is_zero:
+            ok = False
+            bad = sorted(prod.entries)[0]
+            failures.append(
+                f"d{i} d{i + 1} is non-zero, e.g. entry {bad} = "
+                f"{format_poly(prod.entries[bad])}")
+    checks["complex"] = ok
+    ok = True
+    for i in range(1, res.length + 1):
+        for (r, c), poly in res.differential(i).entries.items():
+            if any(coeff and not any(e) for e, coeff in poly.items()):
+                ok = False
+                failures.append(f"d{i} entry ({r},{c}) = {format_poly(poly)} "
+                                f"has a constant term")
+    checks["minimality"] = ok
+    generators = {g.exponents for g in ideal.generators}
+    strays, mdegs, kept = [], [[(0,) * n]], [{0: 0}]
+    for labels in res.bases:
+        mdegs.append([lab.multidegree() for lab in labels])
+        kept.append({})
+        for c, lab in enumerate(labels):
+            g = lab.generator.exponents
+            if g in generators:
+                kept[-1][c] = len(kept[-1])
+            elif g not in strays:
+                strays.append(g)
+    ok = True
+    columns = []
+    for i in range(1, res.length + 1):
+        rows, cols = kept[i - 1], [[] for _ in kept[i]]
+        for (r, c), poly in res.differential(i).entries.items():
+            want = tuple(map(sub, mdegs[i][c], mdegs[i - 1][r]))
+            for e, coeff in poly.items():
+                coeff = index(coeff)
+                if not coeff:
+                    continue
+                if e != want:
+                    ok = False
+                    failures.append(
+                        f"d{i} entry ({r},{c}) term {format_exponents(e)} "
+                        f"breaks the multigrading")
+                elif c in kept[i] and r in rows:
+                    cols[kept[i][c]].append((rows[r], coeff))
+        columns.append(cols)
+    checks["multigraded"] = ok
+    ok = True
+    if checks["multigraded"]:
+        for g in strays:
+            ok = False
+            failures.append(f"labels on {format_exponents(g)}, not a "
+                            f"minimal generator")
+        points = [[mdegs[i][c] for c in on] for i, on in enumerate(kept)]
+        for a, cx in reference_strands(points, columns, max_degree,
+                                       checks["complex"] and ok):
+            for i in range(res.length + 1):
+                if cx.homology(i):
+                    ok = False
+                    failures.append(
+                        f"not exact at position {i}, degree {sum(a)}, "
+                        f"multidegree {a}: kernel {cx.sizes[i] - cx.ranks[i]}, "
+                        f"next image {cx.ranks[i + 1]}")
+        hf = hilbert_function(ideal, max_degree)
+        spanned = minimal_exponents(m for on in points[1:] for m in on)
+        coker = hilbert_function(MonomialIdeal(
+            map(Monomial.from_exponents, spanned), n), max_degree)
+        for q in range(max_degree + 1):
+            if coker[q] != hf[q]:
+                ok = False
+                failures.append(
+                    f"cokernel at position 0 has dimension {coker[q]} in "
+                    f"degree {q}, Hilbert function says {hf[q]}")
+    else:
+        ok = False
+        failures.append("exactness skipped: differentials not multigraded")
+    checks["exactness"] = ok
+    expected = betti_table(ideal, res.t, view="quotient").entries
+    got = res.graded_rank_counts()
+    ok = got == expected
+    if not ok:
+        failures.append(
+            f"graded ranks {sorted(got.items())} differ from the Betti "
+            f"formula {sorted(expected.items())}")
+    checks["graded_ranks"] = ok
+    return ResolutionReport(all(checks.values()), checks, failures)
+
+
+def assert_matches_the_reference(res, cap):
+    fast = verify_resolution(res, cap)
+    ref = reference_verify_resolution(res, cap)
+    assert (fast.checks, fast.failures) == (ref.checks, ref.failures)
+    return fast
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=CORRUPTION_IDS)
+def test_corruptions_match_the_compose_first_reference(corrupt):
+    ideal, t = ex_resolution_ideal()
+    assert_matches_the_reference(corrupt(build_resolution(ideal, t)), 6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.integers(0, 7))
+def test_verifier_matches_the_compose_first_reference(seed, corrupted, cap):
+    # seeded admissible resolutions, intact or with one random corruption
+    rng = random.Random(seed)
+    width = rng.randint(1, 3)
+    ones = rng.randint(0, width)
+    t = SpreadVector(tuple([1] * ones + [0] * (width - ones)))
+    ideal = random_strongly_stable_ideal(rng, rng.randint(2, 6), t)
+    assume(not ideal.is_unit)
+    res = build_resolution(ideal, t)
+    if corrupted and res.length:
+        res = random_corruption(rng)(res)
+    assert_matches_the_reference(res, cap)
