@@ -65,7 +65,14 @@ class MonomialIdeal:
     @classmethod
     def from_generators(cls, generators: Iterable[Monomial],
                         ambient_n: int) -> "MonomialIdeal":
-        return cls(minimalize(generators), ambient_n)
+        """The ideal of any monomials, the first of equal ones kept.  Only a
+        set the constructor refuses is minimalised: a minimal one is indexed
+        once."""
+        pool = list(generators)
+        try:
+            return cls(pool, ambient_n)
+        except ValueError:
+            return cls(minimalize(pool), ambient_n)
 
     @classmethod
     def zero(cls, n: int) -> "MonomialIdeal":
@@ -127,7 +134,8 @@ class MonomialIdeal:
     def contains_exponents(self, exps: tuple[int, ...]) -> bool:
         """Membership of x^exps (exps of length ambient_n), memoised: the
         Koszul chains (a certify seed-1 round makes 12,945 calls on 532
-        vectors, 9,522 from the sweep's d z = 0 check), gin's per-degree
+        vectors, 9,522 from the sweep's d z = 0 check and 3,423 from the
+        cycle expansion, one per repeat-free subset), gin's per-degree
         ideals and `contains` fill the memo; without it the bench's
         probe-scaled certify `wall_s` rose from 0.383 to 0.409 s."""
         hit = self._exp_cache.get(exps)
@@ -228,17 +236,33 @@ class MonomialIdeal:
         return f"MonomialIdeal(({gens}), n={self.ambient_n})"
 
 
+# _BINARY_DIGITS[c] translates the byte c to the digit 1, any other byte to 0
+_BINARY_DIGITS = [b"0" * c + b"1" + b"0" * (255 - c) for c in range(256)]
+
+
 def divisor_index(points: Sequence[tuple[int, ...]],
                   n: int) -> tuple[list[list[int]], list[list[int]]]:
     """le[k][v] and eq[k][v], v = 0..max p_k, for exponent vectors of
     length n: the bitsets of the points with p_k <= v and with p_k = v,
-    bit j standing for points[j]."""
+    bit j standing for points[j].
+
+    Column k is read as one byte per point, the last point first, and its
+    bytes translated to the digit 1 at a value v and 0 elsewhere are the
+    bitset of v in binary, so the build is linear in the points.  An OR per
+    point copies the growing int each time; it is kept for fewer than 32
+    points, where the int is a digit or two, and for exponents past 255,
+    which no byte holds.
+    """
     le, eq = [], []
-    for k in range(n):
-        column = [p[k] for p in points]
+    for column in zip(*points) if points else [()] * n:
         eq_k = [0] * (max(column, default=0) + 1)
-        for j, v in enumerate(column):
-            eq_k[v] |= 1 << j
+        if len(column) < 32 or len(eq_k) > 256:
+            for j, v in enumerate(column):
+                eq_k[v] |= 1 << j
+        else:
+            digits = bytes(reversed(column))
+            for v in set(column):
+                eq_k[v] = int(digits.translate(_BINARY_DIGITS[v]), 2)
         le_k, below = [], 0
         for bits in eq_k:
             below |= bits
@@ -442,7 +466,8 @@ def strongly_stable_closure(monomials: Iterable[Monomial], t,
                 w = base.times_var(j)
                 if is_spread(w, t) and w not in closed:
                     frontier.append(w)
-    return MonomialIdeal.from_generators(closed, ambient_n)
+    # seldom minimal over several degrees: no first try as in from_generators
+    return MonomialIdeal(minimalize(closed), ambient_n)
 
 
 # -- standard factorization -------------------------------------------------

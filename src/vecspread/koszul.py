@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from operator import index
+from operator import add, index
 from typing import Iterable, Iterator, Optional
 
 from .ideals import MonomialIdeal, admissible_shape, require_strongly_stable
@@ -315,54 +315,48 @@ def cycle_sign_parity(u: Monomial, sigma, subset) -> int:
     return rec(sigma, chosen)
 
 
-def _subset_parity(subset: int, succ: list[int]) -> int:
-    """`cycle_sign_parity` of the subset with bit p for sigma[p], read off
-    succ[p], the next support index above sigma[p].
-
-    Successors grow with sigma, so the recursion only ever drops a top
-    segment of sigma: one element outside the subset, or the whole group
-    sharing the successor of an element inside it.
-    """
-    parity, h = 0, len(succ)
-    while subset:
-        size = subset.bit_count()
-        h -= 1
-        if subset >> h & 1:
-            top = h
-            while h and succ[h - 1] == succ[top]:
-                h -= 1
-            parity ^= ((top - h) * (size + 1) + 1) & 1
-            subset &= (1 << h) - 1
-        else:
-            parity ^= size & 1
-    return parity
-
-
 # -- cycles -------------------------------------------------------------------
 
 
 def _direct_cycle(ideal: MonomialIdeal, u: Monomial,
                   sigma: tuple[int, ...]) -> KoszulChain:
-    """Closed-form expansion over subsets F of sigma (u any t-spread member)."""
-    chain = KoszulChain(ideal, len(sigma) + 1)
-    max_u = u.max_index
-    u_prime = list(u.exponents_over(ideal.ambient_n))
+    """Closed-form expansion over the subsets F of sigma whose wedge (sigma
+    minus F) + succ(F) + max(u) repeats no index (u any t-spread member).
+
+    sigma is walked one index at a time, each entering the wedge bitmask as
+    itself or as its successor succ(k), the support index of u next above
+    k, and a branch ends at its first repeated bit.  A kept F takes at most
+    one index q from each run of sigma sharing a successor, and the sigma
+    indices between sigma_q and succ(q) are the run's members above q.
+    A term's sign is (-1) to the sorting inversions of its wedge plus
+    `cycle_sign_parity`.  For a kept F that parity is |F| plus the pairs
+    q < p with q in F and p outside it, and the inversions are the pairs
+    among those with sigma_p > succ(q).  So each q taken multiplies the
+    sign by (-1) to the number of the run's members from q up.
+    """
+    n, max_u = ideal.ambient_n, u.max_index
+    u_prime = list(u.exponents_over(n))
     u_prime[max_u - 1] -= 1
     succ = [next_support_index(u, k) for k in sigma]
-    m = len(sigma)
-    for subset in range(1 << m):
-        F = [p for p in range(m) if subset >> p & 1]
-        rest = [sigma[p] for p in range(m) if not (subset >> p & 1)]
-        wedge, sign = _wedge_mask(rest + [succ[p] for p in F] + [max_u])
-        if not sign:
-            continue
-        # with a repeat-free wedge the successor product always divides u'
-        residue = list(u_prime)
-        for p in F:
-            residue[succ[p] - 1] -= 1
-            residue[sigma[p] - 1] += 1
-        parity = _subset_parity(subset, succ)
-        chain._add(wedge, tuple(residue), -sign if parity else sign)
+    walk = [(1 << (max_u - 1), tuple(u_prime), 1)]
+    for p, (k, s) in enumerate(zip(sigma, succ)):
+        own, up = 1 << (k - 1), 1 << (s - 1)
+        # taking the successor trades x_s for x_k in the residue; on a
+        # repeat-free wedge the successors taken still divide u'
+        swap = [0] * n
+        swap[k - 1], swap[s - 1] = 1, -1
+        flip = -1 if succ[p:].count(s) & 1 else 1
+        step = []
+        for mask, residue, sign in walk:
+            if not mask & own:
+                step.append((mask | own, residue, sign))
+            if not mask & up:
+                step.append((mask | up, tuple(map(add, residue, swap)),
+                             sign * flip))
+        walk = step
+    chain = KoszulChain(ideal, len(sigma) + 1)
+    for mask, residue, sign in walk:
+        chain._add(mask, residue, sign)
     return chain
 
 

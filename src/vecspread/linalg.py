@@ -28,8 +28,10 @@ strands at lcms of generators (or of resolution labels) can differ from
 their neighbours (Gasharov-Peeva-Welker, The lcm-lattice in monomial
 resolutions), so the rank oracle, the cycle-basis sweep and the resolution
 verifier all walk an lcm lattice generated by `lcm_lattice` and measure each
-strand there as a `FiniteComplex`.  A strand is handed over as the GF(2)
-parity rows of its boundary columns, with a callable that builds its sparse
+strand there as a `FiniteComplex`.  The lattice joins each join-irreducible
+point once with every point found before it, and holds the capped points
+until it returns them sorted.  A strand is handed over as the GF(2) parity
+rows of its boundary columns, with a callable that builds its sparse
 integer columns only if a rank must be taken over Z.
 """
 
@@ -175,27 +177,29 @@ def lcm_lattice(points: Iterable[Sequence[int]],
     with coordinate sum at most max_degree, each once, by ascending degree
     and, within a degree, in ascending tuple order.
 
-    Joining p with a point not below it raises the degree, and every partial
-    lcm of a subset is below the whole, so the capped lcms are reached by
-    joining one point at a time without leaving the cap, and a degree is
-    complete once every lower degree has been joined.  Only the degrees not
-    yet reached are held.
-
     Only join-irreducible points are join partners: a point m with m - e_j
-    and m - e_k both in the set for some j != k is their join, so a join
-    through m is reached through those two, without leaving the cap, and by
-    induction on degree they are reached themselves.  m is still yielded.
+    and m - e_k both in the set for some j != k is their join, so by
+    induction on degree it is a join of partners, found as one, and so is
+    every join through it.  The partners are taken one at a time in
+    ascending order, each joined once with every point found so far: every
+    partial lcm of a subset is below the whole, so the capped lcms of the
+    first k partners are those of the first k - 1, their joins with the
+    k-th, and the k-th itself.  A partner already found is such a join,
+    and adds nothing.  So each pair of a partner and a point is joined
+    once, and every capped point is held until the walk returns, when the
+    points are sorted.
 
     The walk runs on packed words: one field of w = (2 * max_degree)
     .bit_length() + 1 bits per coordinate, the first coordinate most
     significant, so int order is tuple order.  A join of two capped points
     has degree at most 2 * max_degree, so every field value and every
     partial sum of one word fits below the field's top bit, which is a
-    guard bit, zero in every point.  With the guard bits H set in a,
-    (a | H) - b borrows within each field only and keeps its guard bit
-    exactly where a >= b, which selects the maximum field by field; the
-    degree is the top field of the product with the all-ones word.  The
-    guard bit also keeps m - e_j out of the set when m's field j is zero.
+    guard bit, zero in every point.  With the guard bits H set in g,
+    (g | H) - p borrows within each field only and keeps its guard bit ge
+    exactly where g >= p; ge - (ge >> (w - 1)) fills those fields, a mask
+    taking the maximum field by field, and the degree is the top field of
+    the product with the all-ones word.  The guard bit also keeps m - e_j
+    out of the set when m's field j is zero.
     """
     atoms = {tuple(p) for p in points if sum(p) <= max_degree}
     if not atoms:
@@ -204,27 +208,23 @@ def lcm_lattice(points: Iterable[Sequence[int]],
     w = (2 * max_degree).bit_length() + 1
     shifts = [w * (n - 1 - j) for j in range(n)]
     ones = sum(1 << s for s in shifts)
-    guards = ones << (w - 1)
-    values = guards - ones
+    guard = w - 1
+    guards = ones << guard
     top = shifts[0] if n else 0
     field = (1 << w) - 1
     packed = {sum(c << s for c, s in zip(p, shifts)) for p in atoms}
-    partners = [g for g in packed
-                if sum(g - (1 << s) in packed for s in shifts) < 2]
-    pending: dict[int, set[int]] = {}
-    for p in packed:
-        pending.setdefault(p * ones >> top & field, set()).add(p)
-    for q in range(max_degree + 1):
-        for p in sorted(pending.pop(q, ())):
-            yield tuple(p >> s & field for s in shifts)
-            high = p | guards
-            for g in partners:
-                ge = (high - g) & guards
-                mask = ge - (ge >> (w - 1))
-                m = (p & mask) | (g & (values ^ mask))
-                d = m * ones >> top & field
-                if q < d <= max_degree:
-                    pending.setdefault(d, set()).add(m)
+    found: set[int] = set()
+    for g in sorted(packed):
+        if g in found or sum(g - (1 << s) in packed for s in shifts) > 1:
+            continue
+        high = g | guards
+        joins = {p ^ ((p ^ g) & (ge - (ge >> guard)))
+                 for p in found for ge in ((high - p) & guards,)}
+        found.update([m for m in joins - found
+                      if m * ones >> top & field <= max_degree])
+        found.add(g)
+    for p in sorted(found, key=lambda p: (p * ones >> top & field, p)):
+        yield tuple(p >> s & field for s in shifts)
 
 
 class FiniteComplex:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, combinations, compress
 from math import comb
@@ -358,7 +359,7 @@ def next_support_index(m: Monomial, k: int) -> int:
         raise ValueError("the unit monomial has no support")
     if k >= m.max_index:
         raise ValueError(f"no support index of {m} exceeds {k}")
-    return min(j for j in m.support if j > k)
+    return m.indices[bisect_right(m.indices, k)]
 
 
 def free_indices(m: Monomial, t) -> tuple[int, ...]:

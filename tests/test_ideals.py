@@ -40,7 +40,7 @@ from vecspread import (
     unit,
     admissible_shape,
 )
-from vecspread.ideals import minimal_exponents
+from vecspread.ideals import divisor_index, minimal_exponents
 
 from util import (
     ex_resolution_ideal,
@@ -214,6 +214,52 @@ def test_divisor_index_matches_the_scan(case):
     support = [k for k, ak in enumerate(a) if ak]
     assert ideal.tight_masks(a, support) == reference_tight_masks(
         ideal, a, support)
+
+
+def reference_divisor_index(points, n):
+    """The divisor index by one OR per point into each bitset: the build
+    before the binary numerals, quadratic in the points."""
+    le, eq = [], []
+    for k in range(n):
+        column = [p[k] for p in points]
+        eq_k = [0] * (max(column, default=0) + 1)
+        for j, v in enumerate(column):
+            eq_k[v] |= 1 << j
+        le_k, below = [], 0
+        for bits in eq_k:
+            below |= bits
+            le_k.append(below)
+        le.append(le_k)
+        eq.append(eq_k)
+    return le, eq
+
+
+@st.composite
+def index_points(draw):
+    """Up to 80 exponent vectors, so that a column may take either build,
+    with values at the top of a byte, one past it, or far past it."""
+    n = draw(st.integers(0, 4))
+    top = draw(st.sampled_from([3, 255, 256, 600]))
+    value = st.integers(0, 3) | st.integers(min(top, 250), top)
+    size = draw(st.integers(0, 80))
+    return n, draw(st.lists(st.tuples(*[value] * n), min_size=size,
+                            max_size=size))
+
+
+@settings(max_examples=150, deadline=None)
+@given(index_points())
+def test_divisor_index_matches_the_or_loop(case):
+    n, points = case
+    assert divisor_index(points, n) == reference_divisor_index(points, n)
+
+
+def test_divisor_index_on_long_columns():
+    # 3,000 points: the first column's values pass a byte and take the OR
+    # per point, the others take the byte string
+    rng = random.Random(7)
+    points = [(rng.randrange(800), rng.randrange(3), rng.randrange(256), 0)
+              for _ in range(3000)]
+    assert divisor_index(points, 4) == reference_divisor_index(points, 4)
 
 
 @st.composite

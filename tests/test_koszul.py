@@ -31,7 +31,7 @@ from vecspread import (
     unit,
 )
 from vecspread.betti import _cycle_column, _koszul_block
-from vecspread.koszul import _subset_parity
+from vecspread.koszul import _direct_cycle, _wedge_mask
 
 from util import (
     ex_resolution_ideal,
@@ -270,8 +270,91 @@ def test_sign_parity_base_cases():
         cycle_sign_parity(w4, (3,), (9,))
 
 
+# -- the subset loop, the reference of the repeat-free walk ---------------------
+
+
+def _subset_parity(subset, succ):
+    """`cycle_sign_parity` of the subset with bit p for sigma[p], read off
+    succ[p], the next support index above sigma[p].
+
+    Successors grow with sigma, so the recursion only ever drops a top
+    segment of sigma: one element outside the subset, or the whole group
+    sharing the successor of an element inside it.
+    """
+    parity, h = 0, len(succ)
+    while subset:
+        size = subset.bit_count()
+        h -= 1
+        if subset >> h & 1:
+            top = h
+            while h and succ[h - 1] == succ[top]:
+                h -= 1
+            parity ^= ((top - h) * (size + 1) + 1) & 1
+            subset &= (1 << h) - 1
+        else:
+            parity ^= size & 1
+    return parity
+
+
+def reference_direct_cycle(ideal, u, sigma):
+    """The expansion over all 2^|sigma| subsets F of sigma, dropping each F
+    whose wedge (sigma minus F) + succ(F) + max(u) repeats an index."""
+    chain = KoszulChain(ideal, len(sigma) + 1)
+    max_u = u.max_index
+    u_prime = list(u.exponents_over(ideal.ambient_n))
+    u_prime[max_u - 1] -= 1
+    succ = [next_support_index(u, k) for k in sigma]
+    m = len(sigma)
+    for subset in range(1 << m):
+        F = [p for p in range(m) if subset >> p & 1]
+        rest = [sigma[p] for p in range(m) if not (subset >> p & 1)]
+        wedge, sign = _wedge_mask(rest + [succ[p] for p in F] + [max_u])
+        if not sign:
+            continue
+        residue = list(u_prime)
+        for p in F:
+            residue[succ[p] - 1] -= 1
+            residue[sigma[p] - 1] += 1
+        parity = _subset_parity(subset, succ)
+        chain._add(wedge, tuple(residue), -sign if parity else sign)
+    return chain
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=3),
+       st.integers(2, 7), st.randoms(use_true_random=False))
+def test_walk_matches_the_subset_loop(gaps, n, rng):
+    # every label of a random strongly stable ideal, t admissible or not,
+    # and members of the ideal that are not generators with any sigma
+    # admissible for them
+    t = SpreadVector(tuple(gaps))
+    ideal = random_strongly_stable_ideal(rng, n, t)
+    pairs = [(lab.generator, lab.sigma) for lab in _labels(ideal, t)]
+    for degree in range(1, t.d + 1):
+        for u in ideal.degreewise_members(t, degree):
+            free = free_indices(u, t)
+            pairs.append((u, tuple(k for k in free if rng.random() < 0.6)))
+    for u, sigma in pairs:
+        assert (_direct_cycle(ideal, u, sigma)._terms
+                == reference_direct_cycle(ideal, u, sigma)._terms), (u, sigma)
+
+
+def test_walk_matches_the_subset_loop_on_the_workloads():
+    # W8 and a D10 prefix: labels with long sigma and shared successors
+    for ideal, t in [roadmap_workload(1, (6, 8), 3),
+                     roadmap_workload(1, (6, 10), 3)]:
+        grouped = 0
+        for lab in _labels(ideal, t):
+            u, sigma = lab.generator, lab.sigma
+            assert (_direct_cycle(ideal, u, sigma)._terms
+                    == reference_direct_cycle(ideal, u, sigma)._terms), str(lab)
+            succ = [next_support_index(u, k) for k in sigma]
+            grouped += len(set(succ)) < len(succ)
+        assert grouped
+
+
 def test_subset_parity_matches_cycle_sign_parity():
-    # the parity _direct_cycle reads off the successors it holds, against
+    # the parity the subset loop reads off the successors it holds, against
     # the public recursion on sigma, on every subset of every label
     cases = [ex_spread_ideal(), ex_resolution_ideal()]
     cases += [roadmap_workload(seed, (6, 7), 2) for seed in (1, 5, 9)]

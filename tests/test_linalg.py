@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import lcm
 from unittest.mock import patch
 
@@ -118,6 +118,32 @@ def test_lcm_lattice_coordinate_at_the_cap(n, max_degree):
 def test_lcm_lattice_property(points, max_degree):
     assert list(lcm_lattice(points, max_degree)) == brute_lcms(points,
                                                               max_degree)
+
+
+@st.composite
+def down_closed_points(draw):
+    """A down-closed point set, where most points are the join of two
+    points below them, cut to its first points by (degree, tuple), which
+    keeps it down-closed, plus up to two arbitrary points: at most 12 in
+    all, so that brute force stays at 4,095 subsets."""
+    n = draw(st.integers(1, 4))
+    tops = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n),
+                         min_size=1, max_size=3))
+    extra = draw(st.lists(st.tuples(*[st.integers(0, 4)] * n), max_size=2))
+    closed = sorted({p for top in tops
+                     for p in product(*(range(c + 1) for c in top))},
+                    key=lambda p: (sum(p), p))
+    return draw(st.permutations(closed[:12 - len(extra)] + extra))
+
+
+@settings(max_examples=100, deadline=None)
+@given(down_closed_points())
+def test_lcm_lattice_on_down_closed_sets(points):
+    top = sum(map(max, zip(*points)))
+    every = brute_lcms(points, top)
+    for max_degree in range(-1, top + 2):
+        assert list(lcm_lattice(points, max_degree)) == [
+            m for m in every if sum(m) <= max_degree], (points, max_degree)
 
 
 # -- modular ranks as one-sided certificates -----------------------------------

@@ -285,6 +285,16 @@ def test_next_support_index_goldens():
         next_support_index(unit(4), 1)
 
 
+def test_next_support_index_matches_the_support_scan():
+    # the bisection on the sorted indices against the smallest support
+    # index above k, for every monomial of degree <= 4 in 5 variables
+    for degree in range(1, 5):
+        for u in spread_monomials(5, degree, (0, 0, 0)):
+            for k in range(u.max_index):
+                assert next_support_index(u, k) == min(
+                    j for j in u.support if j > k), (u, k)
+
+
 def test_exchange_move_preserves_spread():
     # for a spread monomial, swapping the successor of a free index down to
     # that index stays spread
