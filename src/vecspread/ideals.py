@@ -250,8 +250,8 @@ def divisor_index(points: Sequence[tuple[int, ...]],
     bytes translated to the digit 1 at a value v and 0 elsewhere are the
     bitset of v in binary, so the build is linear in the points.  An OR per
     point copies the growing int each time; it is kept for fewer than 32
-    points, where the int is a digit or two, and for exponents past 255,
-    which no byte holds.
+    points, near where the two routes time alike (24 to 40 points for 2 to
+    8 distinct values), and for exponents past 255, which no byte holds.
     """
     le, eq = [], []
     for column in zip(*points) if points else [()] * n:
@@ -466,8 +466,7 @@ def strongly_stable_closure(monomials: Iterable[Monomial], t,
                 w = base.times_var(j)
                 if is_spread(w, t) and w not in closed:
                     frontier.append(w)
-    # seldom minimal over several degrees: no first try as in from_generators
-    return MonomialIdeal(minimalize(closed), ambient_n)
+    return MonomialIdeal.from_generators(closed, ambient_n)
 
 
 # -- standard factorization -------------------------------------------------
