@@ -31,11 +31,12 @@ alone, so the oracle still never reads the formula.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from math import comb
 from typing import Optional
 
 from .ideals import MonomialIdeal, require_strongly_stable
-from .koszul import CycleLabel, _direct_cycle, koszul_differential, spread_labels
+from .koszul import CycleLabel, _direct_cycle, koszul_differential
 from .linalg import FiniteComplex, lcm_lattice
 from .monomials import SpreadVector, free_indices
 
@@ -350,28 +351,34 @@ def _sweep(ideal: MonomialIdeal, t, degrees: list[int],
     homology_counts: dict[tuple[int, int], int] = {}
     checked = 0
 
-    max_free = max((len(free_indices(u, t)) for u in ideal.generators), default=0)
+    free = {u: free_indices(u, t) for u in ideal.generators}
+    max_free = max(map(len, free.values()), default=0)
     hom_range = ([hom_filter] if hom_filter is not None
                  else list(range(1, max_free + 2)))
+    if ideal.is_unit:  # S/S = 0 has no labels
+        free = {}
 
-    # cycles grouped by multidegree
+    # cycles grouped by multidegree, the labels listed as spread_labels
+    # lists them, from one free set per generator
     by_mdeg: dict[tuple[int, ...], list[tuple[CycleLabel, object]]] = {}
-    for i in hom_range:
-        for label in spread_labels(ideal, t, i):
-            if label.internal_degree not in degree_set:
-                continue
-            # spread_labels built the label, so it needs no validation
-            chain = _direct_cycle(ideal, label.generator, label.sigma)
-            checked += 1
-            key = (i, label.internal_degree)
-            label_counts[key] = label_counts.get(key, 0) + 1
-            if chain.is_zero:
-                failures.append(f"cycle of {label} vanished")
-                continue
-            if not koszul_differential(chain).is_zero:
-                failures.append(f"differential of cycle {label} is non-zero")
-                continue
-            by_mdeg.setdefault(label.multidegree(), []).append((label, chain))
+    labels = ((i, CycleLabel(u, sigma)) for i in hom_range
+              for u, allowed in free.items()
+              for sigma in combinations(allowed, i - 1))
+    for i, label in labels:
+        if label.internal_degree not in degree_set:
+            continue
+        # the label is built from a free set, so it needs no validation
+        chain = _direct_cycle(ideal, label.generator, label.sigma)
+        checked += 1
+        key = (i, label.internal_degree)
+        label_counts[key] = label_counts.get(key, 0) + 1
+        if chain.is_zero:
+            failures.append(f"cycle of {label} vanished")
+            continue
+        if not koszul_differential(chain).is_zero:
+            failures.append(f"differential of cycle {label} is non-zero")
+            continue
+        by_mdeg.setdefault(label.multidegree(), []).append((label, chain))
 
     points = set(by_mdeg).union(
         a for a in lcm_lattice([g.exponents for g in ideal.generators],

@@ -78,11 +78,48 @@ def _need_t(t: Optional[SpreadVector], what: str) -> SpreadVector:
     return t
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_CONSTANTS = {True: "true", False: "false", None: "null"}
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True) for the values the CLI
+    prints: dicts with str keys, lists, str, int, bool and None.
+
+    With an indent the standard library's encoder runs in pure Python,
+    value by value.  Here each container is one join over its items, and a
+    str or int item is written inline, by the C encoder's string function
+    or by int's repr.
+    """
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        return "[" + inner + ("," + inner).join([
+            _encode_str(v) if type(v) is str else
+            repr(v) if type(v) is int else _json_text(v, inner)
+            for v in value]) + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        return "{" + inner + ("," + inner).join([
+            _encode_str(k) + ": " + (
+                _encode_str(v) if type(v) is str else
+                repr(v) if type(v) is int else _json_text(v, inner))
+            for k, v in sorted(value.items())]) + indent + "}"
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None or isinstance(value, bool):
+        return _CONSTANTS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} "
+                    f"is not JSON serializable")
+
+
 def _emit(obj: dict, text: str, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(obj, indent=2, sort_keys=True))
-    else:
-        print(text)
+    print(_json_text(obj) if fmt == "json" else text)
 
 
 # -- subcommands ----------------------------------------------------------------

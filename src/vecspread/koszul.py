@@ -239,8 +239,12 @@ class CycleLabel:
         return tuple(exps)
 
     def __str__(self) -> str:
-        body = ",".join(str(k) for k in self.sigma)
-        return f"({format_monomial(self.generator)}; {{{body}}})"
+        return format_label(format_monomial(self.generator), self.sigma)
+
+
+def format_label(generator: str, sigma: tuple[int, ...]) -> str:
+    """The text of the label (u, sigma), given the text of u."""
+    return f"({generator}; {{{','.join(map(str, sigma))}}})"
 
 
 def homology_basis_labels(ideal: MonomialIdeal, t, hom_degree: int) -> list[CycleLabel]:

@@ -37,12 +37,13 @@ from .ideals import (
     minimal_exponents,
     require_strongly_stable,
 )
-from .koszul import CycleLabel
+from .koszul import CycleLabel, format_label
 from .linalg import FiniteComplex, lcm_lattice
 from .monomials import (
     Monomial,
     SpreadVector,
     format_exponents,
+    format_monomial,
     free_indices,
 )
 
@@ -210,19 +211,39 @@ class Resolution:
         return "\n".join(lines)
 
     def to_json_obj(self) -> dict:
+        """Ranks, label texts and differential entries [r, c, text], sorted.
+
+        Each generator and each distinct entry polynomial is formatted once
+        per call.  A polynomial is looked up by its terms and their
+        coefficient types, so a hand-edited entry still prints as
+        `format_poly` prints it.
+        """
+        names: dict[Monomial, str] = {}
+        bases = []
+        for labels in self.bases:
+            texts = []
+            for lab in labels:
+                name = names.get(lab.generator)
+                if name is None:
+                    name = names[lab.generator] = format_monomial(lab.generator)
+                texts.append(format_label(name, lab.sigma))
+            bases.append(texts)
+        polys: dict[tuple, str] = {}
+        differentials = []
+        for d in self.diffs:
+            entries = []
+            for (r, c), poly in sorted(d.entries.items()):
+                key = (tuple(poly.items()), tuple(map(type, poly.values())))
+                text = polys.get(key)
+                if text is None:
+                    text = polys[key] = format_poly(poly)
+                entries.append([r, c, text])
+            differentials.append(
+                {"rows": d.nrows, "cols": d.ncols, "entries": entries})
         return {
             "ranks": [self.rank(i) for i in range(self.length + 1)],
-            "bases": [[str(lab) for lab in labels] for labels in self.bases],
-            "differentials": [
-                {
-                    "rows": d.nrows,
-                    "cols": d.ncols,
-                    "entries": sorted(
-                        [r, c, format_poly(poly)]
-                        for (r, c), poly in d.entries.items()),
-                }
-                for d in self.diffs
-            ],
+            "bases": bases,
+            "differentials": differentials,
         }
 
 

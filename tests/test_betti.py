@@ -386,7 +386,7 @@ def test_oracle_never_calls_the_formula(monkeypatch, fixture):
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle must not use the formula side")
 
-    for name in ("betti.betti_table", "betti.free_indices", "betti.spread_labels",
+    for name in ("betti.betti_table", "betti.free_indices",
                  "koszul.homology_basis_labels", "koszul.spread_labels"):
         monkeypatch.setattr(f"vecspread.{name}", forbidden)
     assert homology_dimensions(ideal, 6) == expected
@@ -445,8 +445,8 @@ def test_verify_basis_flags_label_off_the_lattice(monkeypatch):
     bogus = KoszulChain(ideal, 3)
     bogus.add_term((1, 2, 4), parse_monomial("1", 4), 1)
     bogus = vecspread.koszul.koszul_differential(bogus)
-    free, cycle = vecspread.koszul.free_indices, vecspread.betti._direct_cycle
-    monkeypatch.setattr(vecspread.koszul, "free_indices",
+    free, cycle = vecspread.betti.free_indices, vecspread.betti._direct_cycle
+    monkeypatch.setattr(vecspread.betti, "free_indices",
                         lambda m, t: (4,) if m == u else free(m, t))
     monkeypatch.setattr(vecspread.betti, "_direct_cycle",
                         lambda ideal, m, sigma: bogus if (m, sigma) == (u, (4,))

@@ -10,10 +10,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import vecspread
 from vecspread import cli
 from vecspread.cli import main
+
+from util import roadmap_workload
 
 FIX_A = {
     "n": 6,
@@ -541,6 +545,96 @@ def test_help_lists_every_command(run_cli):
         ["gin", "generic initial ideal (degrevlex)"],
         ["shift", "t-spread algebraic shifting"],
     ]
+
+
+# -- JSON output -----------------------------------------------------------------
+
+# quotes, backslashes, control characters, DEL and non-ASCII up to the astral
+# planes, beside whatever hypothesis draws
+json_text = st.text(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f aZ\xe9\u20ac\U0001f600')
+    | st.characters())
+json_scalars = (st.none() | st.booleans() | st.integers()
+                | st.integers(2 ** 64 - 2, 2 ** 64 + 2)
+                | st.integers(-2 ** 200, 2 ** 200) | json_text)
+json_trees = st.recursive(
+    json_scalars,
+    lambda kids: st.lists(kids, max_size=5)
+    | st.dictionaries(json_text, kids, max_size=5),
+    max_leaves=60)
+
+
+@settings(max_examples=500, deadline=None)
+@given(json_trees)
+@example([])
+@example({})
+@example({"a": [[], {}, [{"b": [[[-(2 ** 64), 2 ** 64 + 1, None, True]]]}]]})
+@example({'q"\\\n\x01\u2603\U0001f600': [False, "\x7f", 0, -1]})
+def test_json_writer_matches_the_stdlib(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [1.5, (1, 2), {1: "a"}, {"a": [object()]}],
+                         ids=["float", "tuple", "int-key", "object"])
+def test_json_writer_refuses_what_the_cli_never_prints(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)
+
+
+# every subcommand with --format json on the README's files: "A" is I.json,
+# "B" is J.json, and "N" fails all three class checks with a witness
+JSON_ARGV = [
+    ["enumerate", "--n", "5", "--deg", "4", "--t", "1,0,2"],
+    ["enumerate", "--n", "3", "--deg", "2", "--t", "3"],
+    ["verify", "--ideal", "A", "--class", "strongly-stable"],
+    ["verify", "--ideal", "N", "--class", "lex"],
+    ["betti", "--ideal", "A", "--oracle"],
+    ["betti", "--ideal", "A", "--module", "ideal"],
+    ["homology-basis", "--ideal", "A", "--i", "2", "--expand"],
+    ["homology-basis", "--ideal", "A", "--i", "9"],
+    ["resolution", "--ideal", "B", "--verify"],
+    ["resolution", "--ideal", "B"],
+    ["gin", "--ideal", "B", "--seed", "7"],
+    ["shift", "--ideal", "B", "--t", "0,0", "--seed", "7", "--verify"],
+    ["shift", "--ideal", "A", "--t", "1,0,2", "--seed", "7", "--verify"],
+]
+
+
+def assert_json_is_the_stdlib_dump(monkeypatch, run):
+    """run() gives (exit code, stdout); its stdout must be json.dumps of the
+    payload handed to _emit, and of that payload read back."""
+    payloads = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda obj, text, fmt: (
+        payloads.append(obj), emit(obj, text, fmt)))
+    code, out = run()
+    (payload,) = payloads
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    return code
+
+
+@pytest.mark.parametrize("argv", JSON_ARGV, ids=" ".join)
+def test_json_stdout_is_the_stdlib_dump(run_cli, write_ideal, monkeypatch,
+                                        argv):
+    failing = "N" in argv
+    path = write_ideal({"n": 4, "t": [1, 0], "generators": [
+        "x1*x2", "x1*x3", "x2*x4"]}, "n.json")
+    argv = [path if arg == "N" else arg for arg in argv] + ["--format", "json"]
+    code = assert_json_is_the_stdlib_dump(
+        monkeypatch, lambda: run_cli(argv)[:2])
+    assert code == (1 if failing else 0)
+
+
+def test_json_stdout_of_w8_is_the_stdlib_dump(capsys, write_ideal,
+                                              monkeypatch):
+    ideal, t = roadmap_workload(1, (6, 8), 3)
+    path = write_ideal(vecspread.ideal_to_dict(ideal, t))
+    argv = ["resolution", "--ideal", path, "--verify", "--max-degree", "5",
+            "--format", "json"]
+    code = assert_json_is_the_stdlib_dump(
+        monkeypatch, lambda: (main(argv), capsys.readouterr().out))
+    assert code == 0
 
 
 # -- a reader that leaves early ---------------------------------------------------

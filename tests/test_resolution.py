@@ -1063,3 +1063,92 @@ def test_verifier_matches_the_compose_first_reference(seed, corrupted, cap):
     if corrupted and res.length:
         res = random_corruption(rng)(res)
     assert_matches_the_reference(res, cap)
+
+
+# -- JSON --------------------------------------------------------------------
+
+
+def reference_to_json_obj(res):
+    """Resolution.to_json_obj with every label and every entry formatted
+    anew, and the entries sorted as [r, c, text] lists."""
+    return {
+        "ranks": [res.rank(i) for i in range(res.length + 1)],
+        "bases": [[str(lab) for lab in labels] for labels in res.bases],
+        "differentials": [
+            {
+                "rows": d.nrows,
+                "cols": d.ncols,
+                "entries": sorted(
+                    [r, c, format_poly(poly)]
+                    for (r, c), poly in d.entries.items()),
+            }
+            for d in res.diffs
+        ],
+    }
+
+
+def set_coefficients(*changes):
+    """A corruption writing coefficient v on exponent vector e of entry
+    (r, c) of d_i, for each (i, (r, c), e, v) in changes."""
+    def corrupt(res):
+        for i, key, e, v in changes:
+            res.differential(i).entries[key][e] = v
+        return res
+    return corrupt
+
+
+X3, X4_2 = (0, 0, 1, 0), (0, 0, 0, 2)
+JSON_CORRUPTIONS = {
+    "zero-coefficient": set_coefficients((2, (0, 0), X3, 0)),
+    "fraction": set_coefficients((2, (0, 0), X3, Fraction(1, 2)),
+                                 (2, (0, 1), X4_2, Fraction(2))),
+    "second-term": set_coefficients((2, (0, 0), X4_2, -3)),
+    "removed-entry": lambda res: zero_entry(res, 2, (0, 0)),
+    # d2's entries (0,1) and (1,2) are both x4^2: equal values of two types
+    # must not share a text
+    "int-and-float": set_coefficients((2, (0, 1), X4_2, 2),
+                                      (2, (1, 2), X4_2, 2.0)),
+}
+
+
+@pytest.mark.parametrize("corrupt", [*JSON_CORRUPTIONS.values(), *CORRUPTIONS],
+                         ids=[*JSON_CORRUPTIONS, *CORRUPTION_IDS])
+def test_json_obj_matches_the_reference_on_corruptions(corrupt):
+    ideal, t = ex_resolution_ideal()
+    res = corrupt(build_resolution(ideal, t))
+    assert res.to_json_obj() == reference_to_json_obj(res)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_json_obj_matches_the_reference_on_random_resolutions(seed,
+                                                               corrupted):
+    rng = random.Random(seed)
+    width = rng.randint(1, 3)
+    ones = rng.randint(0, width)
+    t = SpreadVector(tuple([1] * ones + [0] * (width - ones)))
+    ideal = random_strongly_stable_ideal(rng, rng.randint(2, 6), t)
+    assume(not ideal.is_unit)
+    res = build_resolution(ideal, t)
+    if corrupted and res.length:
+        res = random_corruption(rng)(res)
+    assert res.to_json_obj() == reference_to_json_obj(res)
+
+
+def test_json_obj_formats_each_piece_once(monkeypatch):
+    # on W8 each generator and each distinct entry is formatted once:
+    # 78 texts for 3,087 entries
+    res = build_resolution(*roadmap_workload(1, (6, 8), 3))
+    expected = reference_to_json_obj(res)
+    calls = {"format_poly": 0, "format_monomial": 0}
+    for name in calls:
+        def counted(arg, name=name, real=getattr(resolution, name)):
+            calls[name] += 1
+            return real(arg)
+        monkeypatch.setattr(resolution, name, counted)
+    assert res.to_json_obj() == expected
+    assert calls == {
+        "format_poly": len({tuple(p.items()) for d in res.diffs
+                            for p in d.entries.values()}),
+        "format_monomial": len(res.ideal.generators),
+    }
