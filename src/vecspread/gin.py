@@ -6,28 +6,32 @@ independent runs must agree, and the result must be strongly stable in the
 classical (0-spread) sense; otherwise the coefficient bound doubles and the
 whole procedure retries, at most MAX_RETRIES = 3 times, before giving up.
 
-Every input is a monomial ideal I, so (gI)_d is spanned by the images g(m)
-of the monomials m of I_d, and in(gI)_d is the set of leading monomials of
-an echelon form of that Macaulay matrix (Lazard 1983): no S-pairs and no
-reduction.  The echelon is taken modulo the prime `linalg.PRIME`, so its
-entries never grow.  It reads in(g_p I) for the reduction g_p of g, which
-never lies above in(gI), hence never above gin; the agreement of two
-changes and the stability check stand behind it.
+The change is drawn lower unitriangular, x_j -> x_j + sum_{k<j} a_jk x_k.
+A matrix M acts by x_j -> sum_k M[j][k] x_k, so acting by A and then by B
+is acting by AB.
+- Let b send each x_j to b_jj x_j + sum_{k>j} b_jk x_k, b_jj != 0.  Under
+  any order with x_1 > ... > x_n, b(x^a) is a non-zero multiple of x^a
+  plus smaller terms, so in(bJ) = in(J) for every ideal J.
+- A generic g factors as g = ub, u lower unitriangular and b as above
+  (LU), and acting by g is acting by u and then by b: in(gI) = in(uI).
+- So the u with in(uI) = gin(I) (Galligo; Bayer and Stillman 1987) hold
+  the factor of every generic g: a non-empty open, hence dense, part of
+  the unitriangular group (an affine space), which a random draw meets as
+  a random g meets its own.
 
-The change is invertible mod p, so g_p is an automorphism of the polynomial
-ring over F_p: it maps the distinct monomials of I_d to independent forms,
-and the Macaulay matrix mod p has full row rank.  Whether a column is a
-pivot depends only on the columns left of it, so the echelon is taken on a
-prefix of the columns (in descending degrevlex order), doubled until its
-rank is the row count: then every pivot lies in the prefix, and the images
-are only built that far.  The first prefix is as wide as the matrix is
-tall; within one `gin` call, a later change starts at the last pivot the
-previous one found, since generic changes share their pivots.  Each image
-is reduced mod p and built on packed exponent words, one field per
-variable; see `CoordinateChange.image_rows`.  The degree loop stops on an
-exact certificate, the Hilbert-function test argued in `initial_ideal`,
-and within one `gin` call each Hilbert function it compares is counted
-once.
+Every input is a monomial ideal I, so in(gI)_d is read off the pivot
+columns of the Macaulay matrix of the images g(m), m in I_d (Lazard 1983;
+no S-pairs), columns in descending degrevlex order.  The echelon is taken
+modulo the prime `linalg.PRIME`: it reads in(g_p I), never above in(gI)
+and so never above gin, and two agreeing changes stand behind it.  g_p is
+an automorphism over F_p (`CoordinateChange` checks that g is invertible
+mod p), so the matrix has full row rank, and as a column's pivot status
+depends only on the columns left of it, the echelon runs on a column
+prefix doubled until its rank is the row count, and the images (packed
+mod p, see `CoordinateChange.image_rows`) are built only that far.  A
+later change of one `gin` call starts at the last pivot the previous one
+found, since generic changes share their pivots.  The degree loop stops
+on the exact certificate argued in `initial_ideal`.
 
 Shifting composes this with a spread operator: the t-shift of I is the image
 of Gin(I) under the map that re-spaces 0-spread monomials into t-spread ones.
@@ -188,13 +192,14 @@ def _degree_pivots(change: CoordinateChange, rows: Sequence[Exps], d: int,
 class _SharedWork:
     """What the changes of one `gin` call share: the Hilbert functions of
     S/I and of S/J for each J tested, each counted once and recounted only
-    when a larger degree is asked for, and per degree the columns up to the
-    last pivot of the last change, where the next change starts (generic
-    changes share their pivots)."""
+    when a larger degree is asked for, and per degree the monomials of I_d
+    and the columns up to the last pivot of the last change, where the next
+    change starts (generic changes share their pivots)."""
 
     def __init__(self):
         self.counts: dict[MonomialIdeal, list[int]] = {}
         self.widths: dict[int, int] = {}
+        self.parts: dict[int, list[Exps]] = {}
 
     def hilbert_function(self, ideal: MonomialIdeal, last: int) -> list[int]:
         counts = self.counts.get(ideal)
@@ -230,7 +235,8 @@ def initial_ideal(ideal: MonomialIdeal, change: CoordinateChange, *,
       Hilbert series is the whole ideal.
     The test only depends on J, so it is not repeated for a degree that adds
     no generator.  `gin` hands its changes one _SharedWork, so the Hilbert
-    function of S/I, and of each J, is counted once per call.
+    function of S/I, and of each J, is counted once per call, and each I_d
+    is listed once.
     """
     shared = _shared or _SharedWork()
     n = ideal.ambient_n
@@ -244,7 +250,9 @@ def initial_ideal(ideal: MonomialIdeal, change: CoordinateChange, *,
     tested = None
     d = min(g.degree for g in ideal.generators)
     while True:
-        rows = _degree_part(ideal, d)
+        rows = shared.parts.get(d)
+        if rows is None:
+            rows = shared.parts[d] = _degree_part(ideal, d)
         columns, pivots = _degree_pivots(change, rows, d,
                                          shared.widths.get(d, len(rows)))
         shared.widths[d] = pivots[-1] + 1
@@ -262,15 +270,14 @@ def initial_ideal(ideal: MonomialIdeal, change: CoordinateChange, *,
 
 
 def random_coordinate_change(n: int, rng: random.Random, bound: int) -> CoordinateChange:
+    """A lower unitriangular change x_j -> x_j + sum_{k<j} a_jk x_k, each a_jk
+    drawn from [-bound, bound]: never singular, and generic enough for gin
+    (see the module docstring)."""
     if bound < 1:
         raise ValueError("coefficient bound must be at least 1")
-    while True:
-        matrix = tuple(tuple(rng.randint(-bound, bound) for _ in range(n))
-                       for _ in range(n))
-        try:
-            return CoordinateChange(matrix)
-        except ValueError:
-            continue  # singular draw: draw again
+    return CoordinateChange(tuple(
+        tuple(rng.randint(-bound, bound) for _ in range(j)) + (1,) + (0,) * (n - 1 - j)
+        for j in range(n)))
 
 
 def _classic_spread(ideal: MonomialIdeal) -> SpreadVector:

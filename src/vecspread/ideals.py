@@ -7,9 +7,10 @@ Hilbert function counting.
 
 Each ideal builds a divisor index of its generators when it is made, and
 every divisibility question against them reads it: minimality, membership,
-the plex-largest divisor and the spread-class predicates, which work on
-index tuples: U_l is walked with the bitset of generators that can still
-divide, and an exchange's exponent vector is n ANDs.
+the plex-largest divisor, the Hilbert function and the spread-class
+predicates, which work on index tuples.  U_l and the monomials outside I
+are walked with the bitset of generators that can still divide, and an
+exchange's exponent vector is n ANDs.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import comb
+from operator import add
 from typing import Iterable, Optional, Sequence
 
 from .monomials import (
@@ -148,6 +150,13 @@ class MonomialIdeal:
         # decide membership: w may be read in any ambient
         return self.contains_exponents(w.exponents_over(self.ambient_n))
 
+    def _no_support_past(self) -> list[int]:
+        """past[k], k = 0..n: the generators with no support past x_k."""
+        past = [(1 << len(self.generators)) - 1] * (self.ambient_n + 1)
+        for k in range(self.ambient_n - 1, -1, -1):
+            past[k] = past[k + 1] & self._divisor_index[0][k][0]
+        return past
+
     def spread_member_indices(self, t, degree: int) -> list[tuple[int, ...]]:
         """The index tuples of U_degree, the members of the ideal among the
         t-spread monomials of that degree, ascending (the order of
@@ -166,10 +175,7 @@ class MonomialIdeal:
             raise ValueError(f"degree {degree} exceeds the spread bound d={t.d}")
         n, gaps, le = self.ambient_n, t.entries, self._divisor_index[0]
         everyone = (1 << len(self.generators)) - 1
-        # past[k]: the generators with no support past variable k (1-based)
-        past = [everyone] * (n + 1)
-        for k in range(n - 1, -1, -1):
-            past[k] = past[k + 1] & le[k][0]
+        past = self._no_support_past()
         members: list[tuple[int, ...]] = []
 
         def below(k: int, e: int) -> int:  # le[k][e], k 1-based
@@ -527,48 +533,34 @@ def decomposition_function(ideal: MonomialIdeal, t, w: Monomial) -> Monomial:
 def hilbert_function(ideal: MonomialIdeal, max_degree: int) -> list[int]:
     """dim_K (S/I)_q for q = 0..max_degree, by direct monomial counting.
 
-    Counts degree-q monomials outside the ideal with a DFS over exponent
-    vectors, pruning whole subtrees once some generator is forced to divide
-    (or can no longer divide) every completion.
+    A DFS over exponent vectors carries the bitset of the generators that
+    can still divide, ANDed with le[k][e] as x_k takes exponent e.  A branch
+    stops at the first e where a live generator has no support past x_k: it
+    divides every completion, for that e and each larger one.  An empty
+    bitset adds the monomials in the variables left, a precomputed row of
+    binomials.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
-    n = ideal.ambient_n
+    n, le = ideal.ambient_n, ideal._divisor_index[0]
+    done = ideal._no_support_past()
     counts = [0] * (max_degree + 1)
+    # free[r][q]: the degree-q monomials in the last r variables
+    free = [[comb(q + r - 1, q) if r else int(q == 0)
+             for q in range(max_degree + 1)] for r in range(n + 1)]
 
-    def free_count(assigned: int, degree: int) -> None:
-        # no generator can divide any completion: count the whole subtree
-        rest = n - assigned
-        if rest == 0:
-            counts[degree] += 1
-            return
-        for r in range(max_degree - degree + 1):
-            counts[degree + r] += comb(r + rest - 1, rest - 1)
-
-    def walk(var: int, alive: list[tuple[tuple[int, ...], int]],
-             degree: int) -> None:
+    def walk(k: int, alive: int, degree: int) -> None:
         if not alive:
-            free_count(var, degree)
+            counts[degree:] = map(add, counts[degree:], free[n - k])
             return
-        if var == n:
-            counts[degree] += 1
-            return
+        le_k = le[k]
         for e in range(max_degree - degree + 1):
-            nxt = []
-            dominated = False
-            for g, last in alive:
-                if g[var] > e:
-                    continue  # this branch kills g for good
-                if last <= var:  # g has no support past var: it divides
-                    dominated = True
-                    break
-                nxt.append((g, last))
-            if not dominated:
-                walk(var + 1, nxt, degree + e)
+            live = alive & le_k[e] if e < len(le_k) else alive
+            if live & done[k + 1]:
+                break
+            walk(k + 1, live, degree + e)
 
-    # each generator with the last index of its support, -1 for the unit
-    walk(0, [(g.exponents, max((i for i, e in enumerate(g.exponents) if e),
-                               default=-1)) for g in ideal.generators], 0)
+    walk(0, (1 << len(ideal.generators)) - 1, 0)
     return counts
 
 

@@ -67,6 +67,16 @@ def format_poly(poly: Poly) -> str:
     return "".join(pieces) or "0"
 
 
+def _poly_text(texts: dict[tuple, str], poly: Poly) -> str:
+    """`format_poly(poly)`, memoised in texts on the terms and their
+    coefficient types, so that 2 and 2.0 print apart."""
+    key = (tuple(poly.items()), tuple(map(type, poly.values())))
+    text = texts.get(key)
+    if text is None:
+        text = texts[key] = format_poly(poly)
+    return text
+
+
 class MonomialMatrix:
     """A sparse matrix whose entries are polynomials with int coefficients,
     each keyed by its terms' exponent vectors.
@@ -140,17 +150,16 @@ class MonomialMatrix:
         return MonomialMatrix(self.nrows, other.ncols, sums)  # drops the zeros
 
     def ascii(self) -> str:
-        cells = [[format_poly(self.entries.get((r, c), {}))
-                  for c in range(self.ncols)] for r in range(self.nrows)]
-        if not cells or not cells[0]:
+        if not self.nrows or not self.ncols:
             return "[ ]"
-        widths = [max(len(cells[r][c]) for r in range(self.nrows))
-                  for c in range(self.ncols)]
-        lines = []
-        for row in cells:
-            body = "  ".join(cell.ljust(widths[c]) for c, cell in enumerate(row))
-            lines.append("[ " + body.rstrip() + " ]")
-        return "\n".join(lines)
+        texts: dict[tuple, str] = {}
+        cells = [["0"] * self.ncols for _ in range(self.nrows)]
+        for (r, c), poly in self.entries.items():
+            if 0 <= r < self.nrows and 0 <= c < self.ncols:
+                cells[r][c] = _poly_text(texts, poly)
+        line = "[ " + "  ".join(
+            f"{{:<{max(map(len, column))}}}" for column in zip(*cells))
+        return "\n".join(line.format(*row).rstrip() + " ]" for row in cells)
 
     def __repr__(self) -> str:
         return f"MonomialMatrix({self.nrows}x{self.ncols}, {len(self.entries)} entries)"
@@ -211,13 +220,8 @@ class Resolution:
         return "\n".join(lines)
 
     def to_json_obj(self) -> dict:
-        """Ranks, label texts and differential entries [r, c, text], sorted.
-
-        Each generator and each distinct entry polynomial is formatted once
-        per call.  A polynomial is looked up by its terms and their
-        coefficient types, so a hand-edited entry still prints as
-        `format_poly` prints it.
-        """
+        """Ranks, label texts and differential entries [r, c, text], sorted;
+        each generator and each distinct entry is formatted once per call."""
         names: dict[Monomial, str] = {}
         bases = []
         for labels in self.bases:
@@ -233,11 +237,7 @@ class Resolution:
         for d in self.diffs:
             entries = []
             for (r, c), poly in sorted(d.entries.items()):
-                key = (tuple(poly.items()), tuple(map(type, poly.values())))
-                text = polys.get(key)
-                if text is None:
-                    text = polys[key] = format_poly(poly)
-                entries.append([r, c, text])
+                entries.append([r, c, _poly_text(polys, poly)])
             differentials.append(
                 {"rows": d.nrows, "cols": d.ncols, "entries": entries})
         return {

@@ -1,6 +1,7 @@
 """Generic initial ideals by modular echelon, checked against the exact
-echelon, the packed images and prefix pivots against their reference routes,
-and the spread shift."""
+echelon under unitriangular and full coordinate changes and against the
+spread collapse, the packed images and prefix pivots against their
+reference routes, and the spread shift."""
 
 from __future__ import annotations
 
@@ -8,6 +9,8 @@ import random
 from importlib import import_module
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vecspread import (
     CoordinateChange,
@@ -159,6 +162,64 @@ def test_modular_initial_ideal_matches_exact(ideal, seed):
     for _ in range(2):
         change = random_coordinate_change(ideal.ambient_n, rng, 100)
         assert initial_ideal(ideal, change) == exact_initial_ideal(ideal, change)
+
+
+def full_coordinate_change(n, rng, bound):
+    """A change with every entry drawn from [-bound, bound], drawn again
+    while singular mod p: the draw before the unitriangular one, the
+    reference that gin reaches from a change in all of GL_n."""
+    while True:
+        matrix = tuple(tuple(rng.randint(-bound, bound) for _ in range(n))
+                       for _ in range(n))
+        try:
+            return CoordinateChange(matrix)
+        except ValueError:
+            continue
+
+
+def test_random_coordinate_change_is_unitriangular():
+    for n in range(1, 7):
+        matrix = random_coordinate_change(n, random.Random(n), 5).matrix
+        assert [row[j] for j, row in enumerate(matrix)] == [1] * n
+        assert all(row[k] == 0 for j, row in enumerate(matrix)
+                   for k in range(j + 1, n))
+    # the entries below the diagonal are all drawn, from the whole range
+    below = [a for row in random_coordinate_change(40, random.Random(0), 3).matrix
+             for a in row[:-1]]
+    assert set(below) >= set(range(-3, 4))
+
+
+@pytest.mark.parametrize("ideal, seed", ACCEPTANCE.values(), ids=ACCEPTANCE)
+def test_gin_matches_exact_under_a_full_change(ideal, seed):
+    # a unitriangular change reaches the gin that a change in all of GL_n
+    # reaches, read here by the exact echelon
+    change = full_coordinate_change(ideal.ambient_n, random.Random(seed), 100)
+    assert gin(ideal, seed=seed) == exact_initial_ideal(ideal, change)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+def test_gin_matches_exact_under_a_full_change_property(n, seed):
+    # entries from [-100, 100] make a non-generic full change about once in
+    # 200 draws (x1 -> -87*x2 gave in(g(x1^2)) = x2^2); from [-10^9, 10^9]
+    # such a draw is about 10^7 times rarer
+    rng = random.Random(seed)
+    ideal = random_monomial_ideal(rng, n)
+    change = full_coordinate_change(n, rng, 10 ** 9)
+    assert gin(ideal, seed=seed) == exact_initial_ideal(ideal, change)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5), st.lists(st.integers(0, 2), min_size=1, max_size=3),
+       st.integers(0, 2 ** 32 - 1))
+def test_gin_is_the_spread_collapse(n, t, seed):
+    # gin of a t-spread strongly stable ideal is its image under the map
+    # that collapses t-spread monomials to 0-spread ones
+    t = SpreadVector(tuple(t))
+    rng = random.Random(seed)
+    ideal = random_strongly_stable_ideal(rng, n, t)
+    expected = apply_spread_map_ideal(SpreadMap.to_zero(t), ideal, ambient_n=n)
+    assert gin(ideal, seed=rng.randrange(2 ** 32)) == expected
 
 
 # the module, not the function `gin` the package exports under its name

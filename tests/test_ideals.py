@@ -744,6 +744,74 @@ def test_hilbert_brute_force_cross_check():
             assert hf[q] == len(outside)
 
 
+def reference_hilbert_function(ideal, max_degree):
+    """dim_K (S/I)_q for q = 0..max_degree by a DFS over exponent vectors
+    that carries the list of generators still able to divide: the route
+    before the divisor index."""
+    n = ideal.ambient_n
+    counts = [0] * (max_degree + 1)
+
+    def free_count(assigned, degree):
+        # no generator can divide any completion: count the whole subtree
+        rest = n - assigned
+        if rest == 0:
+            counts[degree] += 1
+            return
+        for r in range(max_degree - degree + 1):
+            counts[degree + r] += math.comb(r + rest - 1, rest - 1)
+
+    def walk(var, alive, degree):
+        if not alive:
+            free_count(var, degree)
+            return
+        if var == n:
+            counts[degree] += 1
+            return
+        for e in range(max_degree - degree + 1):
+            nxt = []
+            dominated = False
+            for g, last in alive:
+                if g[var] > e:
+                    continue  # this branch kills g for good
+                if last <= var:  # g has no support past var: it divides
+                    dominated = True
+                    break
+                nxt.append((g, last))
+            if not dominated:
+                walk(var + 1, nxt, degree + e)
+
+    # each generator with the last index of its support, -1 for the unit
+    walk(0, [(g.exponents, max((i for i, e in enumerate(g.exponents) if e),
+                               default=-1)) for g in ideal.generators], 0)
+    return counts
+
+
+@st.composite
+def ideal_and_cap(draw):
+    """An arbitrary monomial ideal in n <= 5 variables with exponents up to
+    3, its generators often confined to the first variables, and a degree
+    cap from 0 to 10."""
+    n = draw(st.integers(1, 5))
+    used = draw(st.integers(1, n))
+    vector = st.tuples(*[st.integers(0, 3)] * used)
+    gens = [g + (0,) * (n - used) for g in draw(st.lists(vector, max_size=6))]
+    ideal = MonomialIdeal.from_generators(map(Monomial.from_exponents, gens), n)
+    return ideal, draw(st.integers(0, 10))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ideal_and_cap())
+@example((MonomialIdeal.zero(4), 10))
+@example((MonomialIdeal.zero(1), 0))
+@example((MonomialIdeal.unit_ideal(3), 10))
+@example((MonomialIdeal.unit_ideal(1), 0))
+@example((MonomialIdeal([parse_monomial(s, 5) for s in ("x1^2", "x1*x2^3")], 5), 10))
+@example((MonomialIdeal([parse_monomial("x2*x3", 6)], 6), 7))
+def test_hilbert_function_matches_the_generator_lists(case):
+    ideal, cap = case
+    assert hilbert_function(ideal, cap) == reference_hilbert_function(ideal, cap)
+
+
 # -- JSON round-trip ----------------------------------------------------------
 
 

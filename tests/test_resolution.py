@@ -1152,3 +1152,75 @@ def test_json_obj_formats_each_piece_once(monkeypatch):
                             for p in d.entries.values()}),
         "format_monomial": len(res.ideal.generators),
     }
+
+
+# -- ASCII -------------------------------------------------------------------
+
+
+def reference_ascii(matrix):
+    """MonomialMatrix.ascii by the dense loop: every cell formatted anew,
+    an empty one as format_poly({}), and padded cell by cell."""
+    cells = [[format_poly(matrix.entries.get((r, c), {}))
+              for c in range(matrix.ncols)] for r in range(matrix.nrows)]
+    if not cells or not cells[0]:
+        return "[ ]"
+    widths = [max(len(cells[r][c]) for r in range(matrix.nrows))
+              for c in range(matrix.ncols)]
+    lines = []
+    for row in cells:
+        body = "  ".join(cell.ljust(widths[c]) for c, cell in enumerate(row))
+        lines.append("[ " + body.rstrip() + " ]")
+    return "\n".join(lines)
+
+
+def reference_resolution_ascii(res):
+    ranks = ", ".join(f"F{i}={res.rank(i)}" for i in range(res.length + 1))
+    return "\n".join([f"ranks: {ranks}"] + [
+        f"\nd{i} (F{i} -> F{i - 1}):\n{reference_ascii(res.differential(i))}"
+        for i in range(1, res.length + 1)])
+
+
+def empty_entry(res):
+    res.differential(2).entries[(2, 0)] = {}
+    return res
+
+
+ASCII_CORRUPTIONS = {
+    **JSON_CORRUPTIONS,
+    "bool": set_coefficients((2, (0, 0), X3, True), (2, (1, 2), X4_2, False)),
+    "empty-entry": empty_entry,
+}
+
+
+@pytest.mark.parametrize("corrupt", [*ASCII_CORRUPTIONS.values(), *CORRUPTIONS],
+                         ids=[*ASCII_CORRUPTIONS, *CORRUPTION_IDS])
+def test_ascii_matches_the_dense_loop_on_corruptions(corrupt):
+    ideal, t = ex_resolution_ideal()
+    res = corrupt(build_resolution(ideal, t))
+    assert res.ascii() == reference_resolution_ascii(res)
+
+
+def test_ascii_of_hand_edited_coefficients():
+    # a zero coefficient shows nothing, and a bool prints as the int it is
+    ideal, t = ex_resolution_ideal()
+    res = set_coefficients((2, (0, 0), X3, 0), (2, (2, 2), X3, True))(
+        build_resolution(ideal, t))
+    assert res.differential(2).ascii() == "\n".join([
+        "[ 0    x4^2  0 ]",
+        "[ -x2  0     x4^2 ]",
+        "[ 0    -x2   x3 ]"])
+    assert MonomialMatrix(0, 3).ascii() == MonomialMatrix(2, 0).ascii() == "[ ]"
+
+
+def test_ascii_formats_each_distinct_entry_once(monkeypatch):
+    # on W8 the text is the dense loop's, byte for byte, and each matrix
+    # formats each of its distinct entries once and no empty cell
+    res = build_resolution(*roadmap_workload(1, (6, 8), 3))
+    expected = reference_resolution_ascii(res)
+    calls = []
+    real = resolution.format_poly
+    monkeypatch.setattr(resolution, "format_poly",
+                        lambda poly: calls.append(poly) or real(poly))
+    assert res.ascii() == expected
+    assert len(calls) == sum(len({tuple(p.items()) for p in d.entries.values()})
+                             for d in res.diffs)
