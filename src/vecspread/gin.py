@@ -23,15 +23,13 @@ Every input is a monomial ideal I, so in(gI)_d is read off the pivot
 columns of the Macaulay matrix of the images g(m), m in I_d (Lazard 1983;
 no S-pairs), columns in descending degrevlex order.  The echelon is taken
 modulo the prime `linalg.PRIME`: it reads in(g_p I), never above in(gI)
-and so never above gin, and two agreeing changes stand behind it.  g_p is
-an automorphism over F_p (`CoordinateChange` checks that g is invertible
-mod p), so the matrix has full row rank, and as a column's pivot status
-depends only on the columns left of it, the echelon runs on a column
-prefix doubled until its rank is the row count, and the images (packed
-mod p, see `CoordinateChange.image_rows`) are built only that far.  A
-later change of one `gin` call starts at the last pivot the previous one
-found, since generic changes share their pivots.  The degree loop stops
-on the exact certificate argued in `initial_ideal`.
+and so never above gin, and two agreeing changes stand behind it.  The
+columns are only the monomials that some image reaches with a coefficient
+non-zero mod p (see `CoordinateChange.image_rows`): a column no image
+reaches is zero, never a pivot, and leaves the pivot status of every other
+column as it is, so one echelon per degree reads the pivots of the full
+width, for any change.  The degree loop stops on the exact certificate
+argued in `initial_ideal`.
 
 Shifting composes this with a spread operator: the t-shift of I is the image
 of Gin(I) under the map that re-spaces 0-spread monomials into t-spread ones.
@@ -40,9 +38,8 @@ of Gin(I) under the map that re-spaces 0-spread monomials into t-spread ones.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
-from itertools import islice
-from math import comb
 from operator import add
 from typing import Iterator, Optional, Sequence
 
@@ -94,40 +91,31 @@ class CoordinateChange:
     def n(self) -> int:
         return len(self.matrix)
 
-    def image_rows(self, monomials: Sequence[Exps],
-                   columns: Sequence[Exps]) -> list[int]:
-        """The images g(m) mod p of monomials m of one degree d, each packed
-        by `linalg.pack_mod_p` over columns, a non-empty prefix of the
-        degree-d monomials in descending degrevlex order; terms past it are
-        dropped.
+    def image_rows(self, monomials: Sequence[Exps]) -> tuple[list[Exps], list[int]]:
+        """The Macaulay matrix mod p of the images g(m) of monomials m of one
+        degree d: its columns, the monomials that occur in some image with a
+        coefficient non-zero mod p, in descending degrevlex order, and the
+        images, each packed by `linalg.pack_mod_p` over those columns.
 
         Monomials are packed exponent words, x_1 in the lowest field and
         every field wide enough for d, so for one degree the word order is
-        the ascending order of the columns, and the prefix holds the words up
-        to that of its last column.  g(m) is g(m / x_j) times the form of
-        x_j, x_j the last variable of m, and the monomials are taken in
-        ascending order of their sorted variable lists, so the partial
-        products shared by consecutive monomials are built once.  A partial
-        product u with r forms still to come is cut to the terms v with
-        v * x_1^r, the largest monomial of v times degree r, in the prefix;
-        a form's terms ascend in word order, so each loop over one stops at
-        the first term past it.
+        the ascending order of the columns.  g(m) is g(m / x_j) times the
+        form of x_j, x_j the last variable of m, and the monomials are taken
+        in ascending order of their sorted variable lists, so the partial
+        products shared by consecutive monomials are built once.  Each
+        finished image is held as its words and coefficients until the
+        columns are known.
         """
         p = PRIME
-        d = sum(columns[0])
-        if d == 0:
-            return [1] * len(monomials)
-        units = [1 << (d.bit_length() * k) for k in range(self.n)]
-
-        def word(e: Exps) -> int:
-            return sum(c * u for c, u in zip(e, units))
-
-        position = {word(e): j for j, e in enumerate(columns)}
-        last = word(columns[-1])
+        n = self.n
+        d = sum(monomials[0]) if monomials else 0
+        bits = d.bit_length()
+        units = [1 << (bits * k) for k in range(n)]
         forms = [[(units[k], a % p) for k, a in enumerate(row) if a % p]
                  for row in self.matrix]
-        out = [0] * len(monomials)
-        # path[t]: the cut image of the first t factors of the previous m
+        images: list = [None] * len(monomials)
+        # path[t]: the image of the first t factors of the previous m, and
+        # path[d] the previous image
         path: list[dict[int, int]] = [{0: 1}]
         previous: list[int] = []
         for factors, r in sorted(
@@ -137,25 +125,26 @@ class CoordinateChange:
             while shared < len(path) - 1 and factors[shared] == previous[shared]:
                 shared += 1
             del path[shared + 1:]
-            for t in range(shared, d - 1):
-                rest = d - 1 - t
+            for t in range(shared, d):
                 product: dict[int, int] = {}
                 for u, c in path[t].items():
                     for unit, a in forms[factors[t]]:
-                        v = u + unit
-                        if v + rest > last:
-                            break
-                        product[v] = product.get(v, 0) + c * a
-                path.append({v: c % p for v, c in product.items()})
+                        product[u + unit] = product.get(u + unit, 0) + c * a
+                path.append({v: c % p for v, c in product.items() if c % p})
             previous = factors
-            values = [0] * len(columns)
-            for u, c in path[d - 1].items():
-                for unit, a in forms[factors[-1]]:
-                    if u + unit > last:
-                        break
-                    values[position[u + unit]] += c * a
-            out[r] = pack_mod_p(values)
-        return out
+            image = path[d]
+            images[r] = (tuple(image), array("Q", image.values()))
+        words = sorted(set().union(*(terms for terms, _ in images)))
+        position = {v: j for j, v in enumerate(words)}
+        rows = []
+        for terms, coefficients in images:
+            values = [0] * len(words)
+            for v, c in zip(terms, coefficients):
+                values[position[v]] = c
+            rows.append(pack_mod_p(values))
+        mask = (1 << bits) - 1
+        return [tuple(v >> (bits * k) & mask for k in range(n))
+                for v in words], rows
 
 
 def _lcm_degree(ideal: MonomialIdeal) -> int:
@@ -173,32 +162,13 @@ def _degree_part(ideal: MonomialIdeal, d: int) -> list[Exps]:
     return sorted(part)
 
 
-def _degree_pivots(change: CoordinateChange, rows: Sequence[Exps], d: int,
-                   width: int) -> tuple[list[Exps], list[int]]:
-    """The pivot columns mod p of the degree-d Macaulay matrix of rows (the
-    monomials of I_d) under change, with the column prefix they index: the
-    first prefix that reaches rank len(rows), trying width columns, twice
-    that, and so on."""
-    n = change.n
-    total = comb(d + n - 1, n - 1)
-    while True:
-        columns = list(islice(_descending_monomials(d, n), width))
-        pivots = pivot_columns_mod_p(change.image_rows(rows, columns))
-        if len(pivots) == len(rows) or width >= total:
-            return columns, pivots
-        width = min(2 * width, total)
-
-
 class _SharedWork:
     """What the changes of one `gin` call share: the Hilbert functions of
     S/I and of S/J for each J tested, each counted once and recounted only
-    when a larger degree is asked for, and per degree the monomials of I_d
-    and the columns up to the last pivot of the last change, where the next
-    change starts (generic changes share their pivots)."""
+    when a larger degree is asked for, and per degree the monomials of I_d."""
 
     def __init__(self):
         self.counts: dict[MonomialIdeal, list[int]] = {}
-        self.widths: dict[int, int] = {}
         self.parts: dict[int, list[Exps]] = {}
 
     def hilbert_function(self, ideal: MonomialIdeal, last: int) -> list[int]:
@@ -220,9 +190,8 @@ def initial_ideal(ideal: MonomialIdeal, change: CoordinateChange, *,
     generators of J.  A maximal minor that is non-zero mod p is non-zero over
     Z, so in(g_p I)_d <= in(gI)_d <= gin_d in the degree-d Plucker order: the
     modular echelon never overshoots gin, and it meets in(gI) unless p
-    divides the Plucker coordinate of in(gI)_d.  The matrix has full row
-    rank (g_p is an automorphism), so its pivots are read on the narrowest
-    doubled prefix of the columns that reaches that rank.
+    divides the Plucker coordinate of in(gI)_d.  The matrix is built on the
+    columns the images reach, which hold every pivot, and echeloned once.
 
     Once d reaches the top degree of I, the loop stops when S/J and S/I have
     the same Hilbert function up to L = max(deg lcm(gens I), deg lcm(gens J)).
@@ -253,9 +222,8 @@ def initial_ideal(ideal: MonomialIdeal, change: CoordinateChange, *,
         rows = shared.parts.get(d)
         if rows is None:
             rows = shared.parts[d] = _degree_part(ideal, d)
-        columns, pivots = _degree_pivots(change, rows, d,
-                                         shared.widths.get(d, len(rows)))
-        shared.widths[d] = pivots[-1] + 1
+        columns, images = change.image_rows(rows)
+        pivots = pivot_columns_mod_p(images)
         new = [Monomial.from_exponents(columns[j]) for j in pivots
                if not found.contains_exponents(columns[j])]
         if new:

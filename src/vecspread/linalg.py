@@ -92,9 +92,9 @@ def pivot_columns_mod_p(rows: Iterable[int]) -> list[int]:
     + (x >> 31), which keep x mod p as 2^31 = 1 mod p, bring each field to
     at most 2^31, and one conditional subtract brings it below p: the bit
     2^31 of x + 1 is set exactly when x >= p.  So a field is zero exactly
-    when its entry is 0 mod p.  Whether a column is a pivot depends only on
-    the columns left of it, so the pivots among a prefix of the columns are
-    those of the rows cut to that prefix.
+    when its entry is 0 mod p.  A zero column is never a pivot and leaves
+    the pivot status of every other column as it is, so dropping the
+    columns no row reaches changes no pivot but renumbers them.
     """
     p = PRIME
     rows = [row for row in rows if row]

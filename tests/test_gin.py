@@ -1,7 +1,7 @@
 """Generic initial ideals by modular echelon, checked against the exact
 echelon under unitriangular and full coordinate changes and against the
-spread collapse, the packed images and prefix pivots against their
-reference routes, and the spread shift."""
+spread collapse, the packed images and their pivots against the full-width
+reference route, and the spread shift."""
 
 from __future__ import annotations
 
@@ -29,7 +29,8 @@ from vecspread import (
     verify_shift_properties,
 )
 
-from vecspread.linalg import PRIME, pivot_columns, pivot_columns_mod_p, rank_int
+from vecspread.linalg import (
+    PRIME, pack_mod_p, pivot_columns, pivot_columns_mod_p, rank_int)
 from vecspread.monomials import Monomial, exponents_degrevlex_key
 
 from util import (
@@ -155,15 +156,6 @@ ACCEPTANCE = {"first-example": (ex_spread_ideal()[0], 2),
 ACCEPTANCE.update((f"draw{k}", case) for k, case in enumerate(non_stable_draws()))
 
 
-@pytest.mark.parametrize("ideal, seed", ACCEPTANCE.values(), ids=ACCEPTANCE)
-def test_modular_initial_ideal_matches_exact(ideal, seed):
-    # the two coordinate changes gin draws first from this seed
-    rng = random.Random(seed)
-    for _ in range(2):
-        change = random_coordinate_change(ideal.ambient_n, rng, 100)
-        assert initial_ideal(ideal, change) == exact_initial_ideal(ideal, change)
-
-
 def full_coordinate_change(n, rng, bound):
     """A change with every entry drawn from [-bound, bound], drawn again
     while singular mod p: the draw before the unitriangular one, the
@@ -175,6 +167,18 @@ def full_coordinate_change(n, rng, bound):
             return CoordinateChange(matrix)
         except ValueError:
             continue
+
+
+@pytest.mark.parametrize("ideal, seed", ACCEPTANCE.values(), ids=ACCEPTANCE)
+def test_modular_initial_ideal_matches_exact(ideal, seed):
+    # the two coordinate changes gin draws first from this seed, and a full
+    # one: the matrix is read on the columns the images reach, whatever the
+    # shape of the change
+    rng = random.Random(seed)
+    n = ideal.ambient_n
+    changes = [random_coordinate_change(n, rng, 100) for _ in range(2)]
+    for change in changes + [full_coordinate_change(n, rng, 100)]:
+        assert initial_ideal(ideal, change) == exact_initial_ideal(ideal, change)
 
 
 def test_random_coordinate_change_is_unitriangular():
@@ -237,17 +241,35 @@ def unpack(row, width):
             for j in range(width)]
 
 
-def gin_matrices(ideal, seed):
-    """(change, degree, rows) of every Macaulay matrix gin's first two
-    changes from this seed take, through the top generator degree of I and
-    of its initial ideal."""
+def gin_matrices(ideal, seed, draw):
+    """(change, degree, rows) of every Macaulay matrix that the first two
+    changes drawn by draw from this seed take, through the top generator
+    degree of I and of its initial ideal."""
     rng = random.Random(seed)
     for _ in range(2):
-        change = random_coordinate_change(ideal.ambient_n, rng, 100)
+        change = draw(ideal.ambient_n, rng, 100)
         top = max(g.degree for g in initial_ideal(ideal, change).generators)
         low = min(g.degree for g in ideal.generators)
         for d in range(low, max(top, max(g.degree for g in ideal.generators)) + 1):
             yield change, d, gin_module._degree_part(ideal, d)
+
+
+def images_mod_p(change, monomials):
+    """g(m) mod p for each m, as exponent vector -> coefficient, the terms
+    that vanish mod p dropped."""
+    return [{e: c % PRIME
+             for e, c in monomial_image(change, Monomial.from_exponents(m)).items()
+             if c % PRIME}
+            for m in monomials]
+
+
+def full_width_pivots(change, rows, d):
+    """The pivot columns mod p, as monomials, of the Macaulay matrix over
+    every degree-d monomial: the reference route for the occurring columns."""
+    columns = descending_columns(d, change.n)
+    packed = [pack_mod_p([image.get(e, 0) for e in columns])
+              for image in images_mod_p(change, rows)]
+    return [columns[j] for j in pivot_columns_mod_p(packed)]
 
 
 PREFIX_CASES = {"W7": (roadmap_workload(9, (6, 7), 2)[0], 0),
@@ -258,61 +280,70 @@ PREFIX_CASES.update((f"draw{k}", case)
 
 @pytest.mark.parametrize("ideal, seed", PREFIX_CASES.values(), ids=PREFIX_CASES)
 def test_prefix_pivots_match_full_width(ideal, seed):
-    n = ideal.ambient_n
-    for change, d, rows in gin_matrices(ideal, seed):
-        columns = descending_columns(d, n)
-        full = pivot_columns_mod_p(change.image_rows(rows, columns))
-        prefix, pivots = gin_module._degree_pivots(change, rows, d, len(rows))
-        assert prefix == columns[:len(prefix)]
-        assert [prefix[j] for j in pivots] == [columns[j] for j in full]
-        assert len(full) == len(rows)  # g_p is an automorphism
+    # a column no image reaches is zero and never a pivot, so the pivots on
+    # the occurring columns are those of the full width, for the
+    # unitriangular changes gin draws and for full ones
+    for draw in (random_coordinate_change, full_coordinate_change):
+        for change, d, rows in gin_matrices(ideal, seed, draw):
+            columns, images = change.image_rows(rows)
+            pivots = [columns[j] for j in pivot_columns_mod_p(images)]
+            assert pivots == full_width_pivots(change, rows, d), (draw, d)
+            assert len(pivots) == len(rows)  # g_p is an automorphism
+
+
+def check_image_rows(change, monomials):
+    """image_rows gives the monomials with a coefficient non-zero mod p in
+    some image, in descending degrevlex order, and rows that unpack to the
+    images over them."""
+    images = images_mod_p(change, monomials)
+    columns, rows = change.image_rows(monomials)
+    assert columns == sorted(set().union(*images), key=exponents_degrevlex_key,
+                             reverse=True)
+    assert [unpack(r, len(columns)) for r in rows] == [
+        [image.get(e, 0) for e in columns] for image in images]
 
 
 @pytest.mark.parametrize("ideal, seed", ACCEPTANCE.values(), ids=ACCEPTANCE)
 def test_image_rows_match_monomial_image(ideal, seed):
     n = ideal.ambient_n
-    change = random_coordinate_change(n, random.Random(seed), 100)
-    for d in range(1, max(g.degree for g in ideal.generators) + 1):
-        columns = descending_columns(d, n)
-        monomials = gin_module._degree_part(ideal, d)
-        images = [monomial_image(change, Monomial.from_exponents(m))
-                  for m in monomials]
-        expected = [[image.get(e, 0) % PRIME for e in columns]
-                    for image in images]
-        for width in {1, max(1, len(columns) // 3), len(columns)}:
-            rows = change.image_rows(monomials, columns[:width])
-            assert [unpack(r, width) for r in rows] == [
-                e[:width] for e in expected], (d, width)
+    rng = random.Random(seed)
+    for change in (random_coordinate_change(n, rng, 100),
+                   full_coordinate_change(n, rng, 100)):
+        for d in range(1, max(g.degree for g in ideal.generators) + 1):
+            check_image_rows(change, gin_module._degree_part(ideal, d))
 
 
 def test_image_rows_wide_exponent_field():
     # degree 300 needs 9 bits per exponent field: an 8-bit field would
     # carry x1^256 into x2
-    change = CoordinateChange(((3, -5), (7, 2)))
-    columns = descending_columns(300, 2)
-    (row,) = change.image_rows([(200, 100)], columns)
-    image = monomial_image(change, parse_monomial("x1^200*x2^100", 2))
-    assert unpack(row, len(columns)) == [image.get(e, 0) % PRIME
-                                         for e in columns]
+    check_image_rows(CoordinateChange(((3, -5), (7, 2))), [(200, 100)])
     ideal = MonomialIdeal([parse_monomial("x1^200*x2^100", 2)], 2)
     assert {str(g) for g in gin(ideal, seed=3).generators} == {"x1^300"}
 
 
-def test_gin_doubles_a_narrow_prefix(monkeypatch):
-    # two quadrics in four variables: in degree 3 the eight rows need
-    # pivots past column 8, so the prefix doubles to 16
-    widths = []
+def test_gin_runs_one_echelon_per_degree(monkeypatch):
+    # two quadrics in four variables: each change visits degrees 2 and 3,
+    # and runs one echelon on each, on the rows image_rows made
+    made, echeloned = [], []
     image_rows = CoordinateChange.image_rows
+    pivot_columns = gin_module.pivot_columns_mod_p
 
-    def spy(self, monomials, columns):
-        widths.append((len(monomials), len(columns)))
-        return image_rows(self, monomials, columns)
+    def spy_rows(self, monomials):
+        columns, rows = image_rows(self, monomials)
+        made.append((sum(monomials[0]), rows))
+        return columns, rows
 
-    monkeypatch.setattr(CoordinateChange, "image_rows", spy)
+    def spy_pivots(rows):
+        echeloned.append(rows)
+        return pivot_columns(rows)
+
+    monkeypatch.setattr(CoordinateChange, "image_rows", spy_rows)
+    monkeypatch.setattr(gin_module, "pivot_columns_mod_p", spy_pivots)
     ideal = MonomialIdeal([parse_monomial(s, 4) for s in ("x1^2", "x2^2")], 4)
     g = gin(ideal, seed=7)
     assert [str(u) for u in g.generators] == ["x1^2", "x1*x2", "x2^3"]
-    assert (8, 8) in widths and (8, 16) in widths
+    assert [d for d, _ in made] == [2, 3, 2, 3]
+    assert echeloned == [rows for _, rows in made]
 
 
 def test_gin_counts_each_hilbert_function_once(monkeypatch):
@@ -340,6 +371,8 @@ def test_initial_ideal_stays_below_the_exact_one():
     ideal = MonomialIdeal([parse_monomial("x2", 2)], 2)
     change = CoordinateChange(((1, 0), (PRIME, 1)))
     assert {str(g) for g in initial_ideal(ideal, change).generators} == {"x2"}
+    # x1 has the coefficient p in g(x2), so no column is made for it
+    assert change.image_rows([(0, 1)]) == ([(0, 1)], [1])
     assert {str(g) for g in exact_initial_ideal(ideal, change).generators} \
         == {"x1"}
 
