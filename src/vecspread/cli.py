@@ -199,8 +199,8 @@ def _cmd_resolution(args) -> int:
     ideal, t = parse_ideal_file(args.ideal)
     t = _need_t(t, "the resolution")
     res = build_resolution(ideal, t)
-    payload = res.to_json_obj()
-    # the text of a large resolution is megabytes: build it only to print it
+    # either form of a large resolution is megabytes: build only the printed one
+    payload = res.to_json_obj() if args.format == "json" else {}
     text = res.ascii() if args.format == "ascii" else ""
     code = 0
     if args.verify:

@@ -40,8 +40,8 @@ from __future__ import annotations
 import random
 from array import array
 from dataclasses import dataclass
-from operator import add
-from typing import Iterator, Optional, Sequence
+from itertools import combinations_with_replacement
+from typing import Optional, Sequence
 
 from .ideals import MonomialIdeal, hilbert_function, is_strongly_stable
 from .linalg import PRIME, pack_mod_p, pivot_columns_mod_p, rank_mod_p
@@ -56,18 +56,6 @@ class GenericityError(RuntimeError):
 
 
 # -- generic coordinates -------------------------------------------------------
-
-
-def _descending_monomials(total: int, n: int) -> Iterator[Exps]:
-    """Every exponent vector of length n summing to total, in descending
-    degrevlex order: ascending in the last coordinate, then in the one
-    before it, and so on."""
-    if n == 1:
-        yield (total,)
-        return
-    for last in range(total + 1):
-        for rest in _descending_monomials(total - last, n - 1):
-            yield rest + (last,)
 
 
 @dataclass(frozen=True)
@@ -153,12 +141,15 @@ def _lcm_degree(ideal: MonomialIdeal) -> int:
 
 def _degree_part(ideal: MonomialIdeal, d: int) -> list[Exps]:
     """The exponent vectors of the monomials of I_d, ascending."""
-    n = ideal.ambient_n
     part: set[Exps] = set()
     for g in ideal.generators:
         if g.degree <= d:
-            part.update(tuple(map(add, g.exponents, e))
-                        for e in _descending_monomials(d - g.degree, n))
+            for factors in combinations_with_replacement(
+                    range(ideal.ambient_n), d - g.degree):
+                e = list(g.exponents)
+                for k in factors:
+                    e[k] += 1
+                part.add(tuple(e))
     return sorted(part)
 
 

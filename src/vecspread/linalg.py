@@ -28,8 +28,8 @@ strands at lcms of generators (or of resolution labels) can differ from
 their neighbours (Gasharov-Peeva-Welker, The lcm-lattice in monomial
 resolutions), so the rank oracle, the cycle-basis sweep and the resolution
 verifier all walk an lcm lattice generated by `lcm_lattice` and measure each
-strand there as a `FiniteComplex`.  The lattice joins each join-irreducible
-point once with every point found before it, and holds the capped points
+strand there as a `FiniteComplex`.  The lattice joins each point not yet
+found once with every point found before it, and holds the capped points
 until it returns them sorted.  A strand is handed over as the GF(2) parity
 rows of its boundary columns, with a callable that builds its sparse
 integer columns only if a rank must be taken over Z.
@@ -177,15 +177,12 @@ def lcm_lattice(points: Iterable[Sequence[int]],
     with coordinate sum at most max_degree, each once, by ascending degree
     and, within a degree, in ascending tuple order.
 
-    Only join-irreducible points are join partners: a point m with m - e_j
-    and m - e_k both in the set for some j != k is their join, so by
-    induction on degree it is a join of partners, found as one, and so is
-    every join through it.  The partners are taken one at a time in
-    ascending order, each joined once with every point found so far: every
-    partial lcm of a subset is below the whole, so the capped lcms of the
-    first k partners are those of the first k - 1, their joins with the
-    k-th, and the k-th itself.  A partner already found is such a join,
-    and adds nothing.  So each pair of a partner and a point is joined
+    The points are taken one at a time in ascending order, each joined
+    once with every point found so far: every partial lcm of a subset is
+    below the whole, so the capped lcms of the first k points are those of
+    the first k - 1, their joins with the k-th, and the k-th itself.  A
+    point already found is a join of earlier ones, and is skipped: it adds
+    nothing.  So each pair of a point taken and a point found is joined
     once, and every capped point is held until the walk returns, when the
     points are sorted.
 
@@ -198,8 +195,7 @@ def lcm_lattice(points: Iterable[Sequence[int]],
     (g | H) - p borrows within each field only and keeps its guard bit ge
     exactly where g >= p; ge - (ge >> (w - 1)) fills those fields, a mask
     taking the maximum field by field, and the degree is the top field of
-    the product with the all-ones word.  The guard bit also keeps m - e_j
-    out of the set when m's field j is zero.
+    the product with the all-ones word.
     """
     atoms = {tuple(p) for p in points if sum(p) <= max_degree}
     if not atoms:
@@ -215,7 +211,7 @@ def lcm_lattice(points: Iterable[Sequence[int]],
     packed = {sum(c << s for c, s in zip(p, shifts)) for p in atoms}
     found: set[int] = set()
     for g in sorted(packed):
-        if g in found or sum(g - (1 << s) in packed for s in shifts) > 1:
+        if g in found:
             continue
         high = g | guards
         joins = {p ^ ((p ^ g) & (ge - (ge >> guard)))

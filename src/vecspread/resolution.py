@@ -419,8 +419,11 @@ def verify_resolution(res: Resolution, max_degree: int) -> ResolutionReport:
         # a label's multidegree is a multiple of its generator's, and the
         # strands hold only the labels on minimal generators: a label on
         # anything else would drop out of every strand unseen, so it is
-        # named, and the kept labels of each position are renumbered 0, 1, ..
+        # named, and keep[i] holds a bit for each kept label of position i
         generators = {g.exponents for g in ideal.generators}
+        keep = [1] + [sum(1 << c for c, lab in enumerate(labels)
+                          if lab.generator.exponents in generators)
+                      for labels in res.bases]
         strays = dict.fromkeys(lab.generator.exponents
                                for labels in res.bases for lab in labels
                                if lab.generator.exponents not in generators)
@@ -428,19 +431,9 @@ def verify_resolution(res: Resolution, max_degree: int) -> ResolutionReport:
             ok = False
             failures.append(f"labels on {format_exponents(g)}, not a "
                             f"minimal generator")
-        points, columns = mdegs, scalars
-        if strays:
-            kept = [[0]] + [[c for c, lab in enumerate(labels)
-                             if lab.generator.exponents in generators]
-                            for labels in res.bases]
-            where = [{c: p for p, c in enumerate(keep)} for keep in kept]
-            points = [[ms[c] for c in keep] for ms, keep in zip(mdegs, kept)]
-            columns = [[[(where[i - 1][r], v) for r, v in cols[c]
-                         if r in where[i - 1]] for c in kept[i]]
-                       for i, cols in enumerate(scalars, start=1)]
         # a strand is a complex once d o d = 0 and no label was dropped from
         # it, and only then may its ranks be certified modularly
-        for a, cx in _strands(points, columns, max_degree,
+        for a, cx in _strands(mdegs, scalars, keep, max_degree,
                               checks["complex"] and ok):
             for i in range(res.length + 1):
                 if cx.homology(i):
@@ -452,7 +445,8 @@ def verify_resolution(res: Resolution, max_degree: int) -> ResolutionReport:
         hf = hilbert_function(ideal, max_degree)
         # L = I when the label multidegrees have the generators of I as their
         # minimal elements; only otherwise is S/L counted apart
-        spanned = minimal_exponents(m for ms in points[1:] for m in ms)
+        spanned = minimal_exponents(m for ms, bits in zip(mdegs[1:], keep[1:])
+                                    for c, m in enumerate(ms) if bits >> c & 1)
         if set(spanned) == generators:
             coker = hf
         else:
@@ -497,36 +491,41 @@ def _product(left: list[list[tuple[int, int]]],
 
 
 def _strands(points: list[list[tuple[int, ...]]],
-             columns: list[list[list[tuple[int, int]]]], max_degree: int,
-             is_complex: bool) -> Iterator[tuple[tuple[int, ...], FiniteComplex]]:
-    """Each strand of a complex of multigraded free modules, at every point a
-    of the lcm lattice of its basis multidegrees past position 0, capped at
-    max_degree: (a, the strand as a `FiniteComplex`).
+             columns: list[list[list[tuple[int, int]]]], keep: list[int],
+             max_degree: int, is_complex: bool
+             ) -> Iterator[tuple[tuple[int, ...], FiniteComplex]]:
+    """Each strand of a complex of multigraded free modules on the kept basis
+    elements, at every point a of the lcm lattice of their multidegrees past
+    position 0, capped at max_degree: (a, the strand as a `FiniteComplex`).
 
-    points[i] lists the multidegrees of the position-i basis, and
-    columns[i - 1] is d_i as sparse scalar columns over position i - 1.
-    One `divisor_index` covers the bases of all positions, concatenated,
-    so the strand at a is one chain of n ANDs, split into one bitmask per
-    position by shift and mask, and its sizes are the bit counts.  Each
-    column c of d_i gets its parity mask over the position-(i-1) basis
-    once, and the strand's row for c is that mask ANDed with the bitmask
-    of position i - 1: the strand's column modulo 2, its rows numbered by
-    basis index instead of strand position, which leaves every rank as it
-    is.  A position's members are listed only to pick the rows of d_i, and
-    to renumber the sparse columns onto the strand, which are built only if
-    `FiniteComplex` ranks over Z.
+    points[i] lists the multidegrees of the position-i basis, columns[i - 1]
+    is d_i as sparse scalar columns over position i - 1, and bit c of
+    keep[i] is set when basis element c of position i is kept.  One
+    `divisor_index` covers the bases of all positions, concatenated, so the
+    strand at a is one chain of n ANDs from the kept bits, split into one
+    bitmask per position by shift and mask, and its sizes are the bit
+    counts.  Each column c of d_i gets its parity mask over the
+    position-(i-1) basis once, and the strand's row for c is that mask
+    ANDed with the bitmask of position i - 1: the strand's column modulo 2,
+    its rows numbered by basis index instead of strand position, which
+    leaves every rank as it is.  A position's members are listed only to
+    pick the rows of d_i, and to renumber the sparse columns onto the
+    strand, which are built only if `FiniteComplex` ranks over Z.  So an
+    element that is not kept enters no strand, as a row or as a column.
     """
     n = len(points[0][0])  # position 0 is S, of multidegree 0
     le = divisor_index([m for ms in points for m in ms], n)[0]
-    masks, shift = [], 0
-    for ms in points:
+    masks, kept, shift = [], 0, 0
+    for ms, bits in zip(points, keep):
         masks.append((shift, (1 << len(ms)) - 1))
+        kept |= bits << shift
         shift += len(ms)
-    everything = (1 << shift) - 1
     parity = [[sum(1 << r for r, v in col if v & 1) for col in cols]
               for cols in columns]
-    for a in lcm_lattice([m for ms in points[1:] for m in ms], max_degree):
-        below = bits_below(le, a, everything)
+    atoms = [m for ms, bits in zip(points[1:], keep[1:])
+             for c, m in enumerate(ms) if bits >> c & 1]
+    for a in lcm_lattice(atoms, max_degree):
+        below = bits_below(le, a, kept)
         active = [below >> s & mask for s, mask in masks]
         members = [[0]] + [_set_bits(bits) for bits in active[1:]]
         rows = [[parity[i][c] & active[i] for c in members[i + 1]]

@@ -6,6 +6,8 @@ import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vecspread.betti
 import vecspread.koszul
@@ -15,6 +17,7 @@ from vecspread import (
     KoszulChain,
     MonomialIdeal,
     SpreadVector,
+    admissible_shape,
     betti_table,
     free_indices,
     homology_basis_labels,
@@ -206,6 +209,22 @@ def test_oracle_matches_formula_random():
         assert dims == dict(betti_table(ideal, t, view="quotient").entries), (
             ideal.generators, str(t))
         done += 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_oracle_matches_formula_for_non_admissible_t(seed):
+    # the oracle never reads the formula, so they meet only in the paper's
+    # theorem, here for t-spread vectors outside the admissible shape
+    rng = random.Random(seed)
+    t = random_spread_vector(rng)
+    while admissible_shape(t):
+        t = random_spread_vector(rng)
+    ideal = random_strongly_stable_ideal(rng, rng.randint(1, 5), t)
+    expected = betti_table(ideal, t, view="quotient").entries
+    top = max((j for _, j in expected), default=0)
+    assert homology_dimensions(ideal, top) == expected, (
+        [str(g) for g in ideal.generators], str(t))
 
 
 def test_koszul_block_wedges_brute_force():
@@ -459,6 +478,43 @@ def test_verify_basis_flags_label_off_the_lattice(monkeypatch):
         "cycles at multidegree (1, 1, 0, 1), i=2 are dependent modulo boundaries",
         "cycles at multidegree (1, 1, 0, 1), i=2 do not span: "
         "kernel 1, boundaries 1, cycles 1"]
+
+
+def test_verify_basis_flags_a_label_in_a_homology_free_multidegree(
+        monkeypatch):
+    # a bogus free index 1 for x1 adds the label (x1; {1}) at x1^2, where x1
+    # divides every wedge's residue: the block is zero, and the sweep names
+    # the label instead of ranking it
+    ideal, t = ex_spread_ideal()
+    u = parse_monomial("x1", 6)
+    free, cycle = vecspread.betti.free_indices, vecspread.betti._direct_cycle
+    monkeypatch.setattr(vecspread.betti, "free_indices",
+                        lambda m, t: (1,) if m == u else free(m, t))
+    monkeypatch.setattr(vecspread.betti, "_direct_cycle",
+                        lambda ideal, m, sigma: cycle(ideal, u, ())
+                        if (m, sigma) == (u, (1,)) else cycle(ideal, m, sigma))
+    assert _koszul_block(ideal, (2, 0, 0, 0, 0, 0)) is None
+    rep = verify_homology_basis_range(ideal, t, 8)
+    assert not rep.ok
+    assert rep.failures == ["labels ['(x1; {1})'] land in a homology-free "
+                            "multidegree (2, 0, 0, 0, 0, 0)"]
+
+
+def test_cycle_column_refuses_a_wedge_outside_the_index():
+    # at x2*x3*x4^2*x6 the wedge e4 misses the tight set of x2*x3*x4*x6, so
+    # the block has no e4: x2*x3*x4*x6 e4, which only a chain over a smaller
+    # ideal holds, has the block's multidegree and no coordinates there
+    ideal, _ = ex_spread_ideal()
+    a = (0, 1, 1, 2, 0, 1)
+    _, support, index = _koszul_block(ideal, a)
+
+    def column(wedge, residue):
+        chain = KoszulChain(MonomialIdeal.zero(6), 1)
+        chain.add_term(wedge, parse_monomial(residue, 6), 1)
+        return vecspread.betti._cycle_column(support, index[1], a, chain)
+
+    assert column((4,), "x2*x3*x4*x6") is None
+    assert column((6,), "x2*x3*x4^2") == [(index[1][1 << 3], 1)]
 
 
 def sweep_with_cycles(monkeypatch, replace):

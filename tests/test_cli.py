@@ -209,6 +209,23 @@ def test_betti_with_oracle(capsys, write_ideal):
     assert "oracle: MATCH" in capsys.readouterr().out
 
 
+def test_betti_oracle_mismatch_exits_1(capsys, monkeypatch, write_ideal):
+    # an oracle that counts one class too many at (2, 4)
+    path = write_ideal(FIX_B)
+    oracle = cli.homology_dimensions
+    monkeypatch.setattr(cli, "homology_dimensions", lambda ideal, bound: {
+        **oracle(ideal, bound), (2, 4): 3})
+    assert main(["betti", "--ideal", path, "--oracle"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1] == "oracle: MISMATCH"
+    assert err == ("formula [((0, 0), 1), ((1, 2), 2), ((1, 3), 1), "
+                   "((2, 3), 1), ((2, 4), 2), ((3, 5), 1)] vs oracle "
+                   "[((0, 0), 1), ((1, 2), 2), ((1, 3), 1), ((2, 3), 1), "
+                   "((2, 4), 3), ((3, 5), 1)]\n")
+    assert main(["betti", "--ideal", path, "--oracle", "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["oracle"] == "mismatch"
+
+
 def test_betti_ideal_module(capsys, write_ideal):
     path = write_ideal(FIX_B)
     assert main(["betti", "--ideal", path, "--module", "ideal"]) == 0
@@ -308,6 +325,47 @@ def test_resolution_json_never_renders_ascii(capsys, monkeypatch, write_ideal):
     monkeypatch.setattr("vecspread.resolution.Resolution.ascii", forbidden)
     assert main(argv) == 0
     assert capsys.readouterr().out == expected
+
+
+def test_resolution_ascii_never_builds_json(capsys, monkeypatch, write_ideal):
+    path = write_ideal(FIX_B)
+    argv = ["resolution", "--ideal", path, "--verify"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+
+    def forbidden(self):
+        raise AssertionError("the ASCII path must not build the JSON object")
+
+    monkeypatch.setattr("vecspread.resolution.Resolution.to_json_obj", forbidden)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_resolution_verify_failure_exits_1(capsys, monkeypatch, write_ideal):
+    # (x1*x4^2; {3}) moved to x1*x3*x4, no minimal generator: exit 1, and
+    # each failure on its own stderr line
+    path = write_ideal(FIX_B)
+    build = cli.build_resolution
+
+    def stray_label(ideal, t):
+        res = build(ideal, t)
+        c = [str(lab) for lab in res.bases[1]].index("(x1*x4^2; {3})")
+        res.bases[1][c] = vecspread.CycleLabel(
+            vecspread.parse_monomial("x1*x3*x4", 4), (4,))
+        return res
+
+    monkeypatch.setattr(cli, "build_resolution", stray_label)
+    assert main(["resolution", "--ideal", path, "--verify",
+                 "--max-degree", "6"]) == 1
+    out, err = capsys.readouterr()
+    assert "exactness=FAIL" in out
+    assert err.splitlines() == [
+        "labels on x1*x3*x4, not a minimal generator",
+        "not exact at position 1, degree 4, multidegree (1, 0, 1, 2): "
+        "kernel 1, next image 0",
+        "not exact at position 2, degree 5, multidegree (1, 1, 1, 2): "
+        "kernel 0, next image 1",
+    ]
 
 
 def test_resolution_rejects_bad_spread(capsys, write_ideal):

@@ -5,6 +5,7 @@ reference route, and the spread shift."""
 
 from __future__ import annotations
 
+import json
 import random
 from importlib import import_module
 
@@ -29,6 +30,7 @@ from vecspread import (
     verify_shift_properties,
 )
 
+from vecspread.cli import main
 from vecspread.linalg import (
     PRIME, pack_mod_p, pivot_columns, pivot_columns_mod_p, rank_int)
 from vecspread.monomials import Monomial, exponents_degrevlex_key
@@ -365,6 +367,51 @@ def test_gin_counts_each_hilbert_function_once(monkeypatch):
     assert gin(ideal, seed=7) == g and counted.count(ideal) == 1
 
 
+def disagreeing_changes(monkeypatch):
+    """Make every change's initial ideal differ from all the others', and
+    return the bounds gin draws its changes at, in order."""
+    bounds, seen = [], []
+    draw = gin_module.random_coordinate_change
+
+    def spy_draw(n, rng, bound):
+        bounds.append(bound)
+        return draw(n, rng, bound)
+
+    def initial(ideal, change, *, _shared=None):
+        seen.append(change)
+        n = ideal.ambient_n
+        return MonomialIdeal([parse_monomial(f"x1^{len(seen)}", n)], n)
+
+    monkeypatch.setattr(gin_module, "random_coordinate_change", spy_draw)
+    monkeypatch.setattr(gin_module, "initial_ideal", initial)
+    return bounds
+
+
+def test_gin_gives_up_when_the_changes_never_agree(monkeypatch):
+    # the bound doubles from 100 after each try, two changes per try, and
+    # after MAX_RETRIES = 3 doublings gin names the last bound and gives up
+    bounds = disagreeing_changes(monkeypatch)
+    ideal, _ = ex_resolution_ideal()
+    with pytest.raises(GenericityError,
+                       match="^independent coordinate changes kept "
+                             "disagreeing up to bound 800; genericity not "
+                             "certified$"):
+        gin(ideal, seed=7)
+    assert bounds == [100, 100, 200, 200, 400, 400, 800, 800]
+
+
+def test_cli_gin_reports_giving_up_in_one_line(monkeypatch, capsys, tmp_path):
+    disagreeing_changes(monkeypatch)
+    path = tmp_path / "J.json"
+    path.write_text('{"n": 4, "t": [1, 0], '
+                    '"generators": ["x1*x2", "x1*x3", "x1*x4^2"]}')
+    assert main(["gin", "--ideal", str(path), "--seed", "7"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: independent coordinate changes kept disagreeing "
+                   "up to bound 800; genericity not certified\n")
+
+
 def test_initial_ideal_stays_below_the_exact_one():
     # g = [[1, p], [0, 1]] is the identity mod p: the modular echelon sees
     # I itself, while over Q, x2 -> p*x1 + x2 makes x1 the lead of g(x2)
@@ -518,6 +565,70 @@ def test_verify_shift_containment_precondition():
     b = MonomialIdeal([parse_monomial("x2*x3", 3)], 3)
     with pytest.raises(ValueError):
         verify_shift_properties(a, (1,), b, seed=0)
+
+
+def I3(*generators):
+    return MonomialIdeal([parse_monomial(g, 3) for g in generators], 3)
+
+
+# (ideal, t, the larger ideal or None, what shift returns call by call, the
+# flag that fails, the witnesses): each a shift that breaks one property
+BROKEN_SHIFTS = [
+    (I3("x2*x3"), (1,), None, [I3("x2*x3")], "strongly_stable",
+     ["shifted ideal MonomialIdeal((x2*x3), n=3) is not strongly stable"]),
+    (I3("x2*x3"), (1,), None, [I3("x1^2")], "strongly_stable",
+     ["shifted ideal is not t-spread: generator x1^2 is not (1)-spread"]),
+    # two strongly stable ideals with one Hilbert function
+    (I3("x1^2", "x1*x2", "x2^2"), (0, 0), None,
+     [I3("x1^2", "x1*x2", "x1*x3", "x2^3")], "fixed_point",
+     ["strongly stable input moved: MonomialIdeal((x1^2, x1*x2, x2^2), n=3) "
+      "became MonomialIdeal((x1^2, x1*x2, x1*x3, x2^3), n=3)"]),
+    (I3("x2"), (1,), None, [I3("x1", "x2")], "hilbert_function",
+     ["Hilbert functions differ in ambient 3: [1, 2, 3, 4, 5] vs "
+      "[1, 1, 1, 1, 1]"]),
+    (I3("x1*x2"), (1,), I3("x1"), [I3("x1*x2"), I3("x3")], "containment",
+     ["containment lost: MonomialIdeal((x1*x2), n=3) is not inside "
+      "MonomialIdeal((x3), n=3)"]),
+]
+BROKEN_IDS = ["not-strongly-stable", "not-t-spread", "moved-fixed-point",
+              "hilbert-function", "containment"]
+
+
+def broken_shift(monkeypatch, returned):
+    answers = iter(returned)
+    monkeypatch.setattr(gin_module, "shift",
+                        lambda ideal, t, *, seed=None: next(answers))
+
+
+@pytest.mark.parametrize("ideal, t, other, returned, flag, witnesses",
+                         BROKEN_SHIFTS, ids=BROKEN_IDS)
+def test_verify_shift_properties_names_each_witness(
+        monkeypatch, ideal, t, other, returned, flag, witnesses):
+    broken_shift(monkeypatch, returned)
+    rep = verify_shift_properties(ideal, t, other, seed=0)
+    assert not rep.ok
+    assert [k for k, v in rep.results.items() if v is False] == [flag]
+    assert rep.witnesses == witnesses
+    assert str(rep).splitlines()[1:] == [f"  {w}" for w in witnesses]
+
+
+@pytest.mark.parametrize("ideal, t, other, returned, flag, witnesses",
+                         [c for c in BROKEN_SHIFTS if c[2] is None],
+                         ids=BROKEN_IDS[:-1])
+def test_cli_shift_verify_exits_1_with_the_witnesses(
+        monkeypatch, capsys, tmp_path, ideal, t, other, returned, flag,
+        witnesses):
+    broken_shift(monkeypatch, returned)
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps({"n": 3, "t": list(t), "generators": [
+        str(g) for g in ideal.generators]}))
+    argv = ["shift", "--ideal", str(path), "--t", ",".join(map(str, t)),
+            "--seed", "0", "--verify"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err.splitlines() == witnesses
+    properties = json.loads(out)["properties"]
+    assert [k for k, v in properties.items() if v is False] == [flag]
 
 
 def test_shift_not_fixed_on_non_stable_input():

@@ -859,15 +859,17 @@ def test_builders_agree():
             assert list(d.entries.items()) == list(e.entries.items())
 
 
-def reference_strands(points, columns, max_degree, is_complex):
-    """The strands as sparse columns: at each lattice point the labels are
-    found by comparing every multidegree with a, and each column of d_i is
-    renumbered onto the strand through a row lookup; the parity rows are
-    packed from those columns."""
-    for a in linalg.lcm_lattice([m for on in points[1:] for m in on],
+def reference_strands(points, columns, keep, max_degree, is_complex):
+    """The strands as sparse columns: the kept labels are listed from the
+    keep masks, at each lattice point they are found by comparing every
+    kept multidegree with a, and each column of d_i is renumbered onto the
+    strand through a row lookup; the parity rows are packed from those
+    columns."""
+    kept = [[(c, m) for c, m in enumerate(on) if bits >> c & 1]
+            for on, bits in zip(points, keep)]
+    for a in linalg.lcm_lattice([m for on in kept[1:] for _, m in on],
                                 max_degree):
-        active = [[c for c, m in enumerate(on) if all(map(le, m, a))]
-                  for on in points]
+        active = [[c for c, m in on if all(map(le, m, a))] for on in kept]
         strand = []
         for i in range(1, len(points)):
             rlook = {r: p for p, r in enumerate(active[i - 1])}
@@ -1002,7 +1004,8 @@ def reference_verify_resolution(res, max_degree):
             failures.append(f"labels on {format_exponents(g)}, not a "
                             f"minimal generator")
         points = [[mdegs[i][c] for c in on] for i, on in enumerate(kept)]
-        for a, cx in reference_strands(points, columns, max_degree,
+        everything = [(1 << len(on)) - 1 for on in points]
+        for a, cx in reference_strands(points, columns, everything, max_degree,
                                        checks["complex"] and ok):
             for i in range(res.length + 1):
                 if cx.homology(i):
