@@ -139,6 +139,12 @@ def betti_table(ideal: MonomialIdeal, t, view: str = "ideal") -> BettiTable:
         raise ValueError(f"view must be 'ideal' or 'quotient', got {view!r}")
     t = SpreadVector.coerce(t)
     require_strongly_stable(ideal, t)
+    return _formula_table(ideal, t, view)
+
+
+def _formula_table(ideal: MonomialIdeal, t: SpreadVector,
+                   view: str) -> BettiTable:
+    """`betti_table` for an ideal already known to be strongly stable."""
     entries: dict[tuple[int, int], int] = {}
     if ideal.is_unit:
         entries[(0, 0)] = 1

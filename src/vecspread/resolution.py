@@ -12,6 +12,14 @@ decomposition of x_k u (the plex-largest generator dividing it) and
 v_k = x_k u / u_k.  Whenever sigma minus k stops being a set of free indices
 for u_k, that summand is dropped (the zero convention).
 
+Every entry of a built d_i is one term c * x^(m_c - m_r), c = +-1, for the
+multidegrees m_r and m_c of its row and column labels: -x_k is
+x^(mdeg(u; sigma) - mdeg(u; sigma minus k)), and v_k is
+x^(mdeg(u; sigma) - mdeg(u_k; sigma minus k)).  So `build_resolution`
+stores d_i as one sparse column {row: c} per label, and the resolution
+turns them into `MonomialMatrix` objects only when a caller asks for the
+matrices or edits a label.
+
 Verification never trusts the formula: the complex property is checked on
 the differentials' scalar coefficients once their terms are found
 multigraded (symbolically otherwise), and exactness is measured with ranks,
@@ -23,10 +31,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from operator import add, index, sub
+from operator import add, index, le, sub
 from typing import Iterator, Optional
 
-from .betti import betti_table
+from .betti import _formula_table, betti_table
 from .ideals import (
     MonomialIdeal,
     admissible_shape,
@@ -150,19 +158,54 @@ class MonomialMatrix:
         return MonomialMatrix(self.nrows, other.ncols, sums)  # drops the zeros
 
     def ascii(self) -> str:
-        if not self.nrows or not self.ncols:
-            return "[ ]"
         texts: dict[tuple, str] = {}
-        cells = [["0"] * self.ncols for _ in range(self.nrows)]
-        for (r, c), poly in self.entries.items():
-            if 0 <= r < self.nrows and 0 <= c < self.ncols:
-                cells[r][c] = _poly_text(texts, poly)
-        line = "[ " + "  ".join(
-            f"{{:<{max(map(len, column))}}}" for column in zip(*cells))
-        return "\n".join(line.format(*row).rstrip() + " ]" for row in cells)
+        return _grid(self.nrows, self.ncols, (
+            (r, c, _poly_text(texts, poly))
+            for (r, c), poly in self.entries.items()
+            if 0 <= r < self.nrows and 0 <= c < self.ncols))
 
     def __repr__(self) -> str:
         return f"MonomialMatrix({self.nrows}x{self.ncols}, {len(self.entries)} entries)"
+
+
+def _grid(nrows: int, ncols: int,
+          entries: Iterator[tuple[int, int, str]]) -> str:
+    """The text of an nrows x ncols matrix with the texts (r, c, text) in
+    their cells and "0" elsewhere, each column padded to its widest cell."""
+    if not nrows or not ncols:
+        return "[ ]"
+    cells = [["0"] * ncols for _ in range(nrows)]
+    for r, c, text in entries:
+        cells[r][c] = text
+    line = "[ " + "  ".join(
+        f"{{:<{max(map(len, column))}}}" for column in zip(*cells))
+    return "\n".join(line.format(*row).rstrip() + " ]" for row in cells)
+
+
+# a differential as sparse columns: column c maps row r to its coefficient
+Columns = list[dict[int, int]]
+
+
+def _signed_entries(rows: list[tuple[int, ...]], cols: list[tuple[int, ...]],
+                    columns: Columns, texts: dict[tuple, str]
+                    ) -> Iterator[tuple[int, int, str]]:
+    """(r, c, text) for each entry s * x^(m_c - m_r) of signed columns,
+    column by column, with m_r = rows[r] and m_c = cols[c]; texts memoises
+    `format_poly` on (exponents, sign)."""
+    for c, (high, col) in enumerate(zip(cols, columns)):
+        for r, s in col.items():
+            key = (tuple(map(sub, high, rows[r])), s)
+            text = texts.get(key)
+            if text is None:
+                text = texts[key] = format_poly({key[0]: s})
+            yield r, c, text
+
+
+def _multidegrees(n: int, bases: list[list[CycleLabel]]
+                  ) -> list[list[tuple[int, ...]]]:
+    """The label multidegrees of each position, position 0 (S) first."""
+    return [[(0,) * n]] + [[lab.multidegree() for lab in labels]
+                           for labels in bases]
 
 
 class Resolution:
@@ -170,6 +213,15 @@ class Resolution:
 
     Position 0 is the rank-one free module S; position i >= 1 has one basis
     element per label in bases[i-1].  diffs[i-1] is the matrix of d_i.
+
+    A resolution from `build_resolution` holds each d_i as signed columns
+    instead, one {row: +-1} per label, entry (r, c) being the coefficient of
+    x^(m_c - m_r) for the multidegrees of the labels it was built on.
+    `ascii`, `to_json_obj` and `verify_resolution` read them while every
+    label in bases is the built one.  The first read of `diffs` or
+    `differential`, or a label replaced in bases, turns them into
+    `MonomialMatrix` objects with those exponents, whose edits count from
+    then on.
     """
 
     def __init__(self, ideal: MonomialIdeal, t: SpreadVector,
@@ -179,7 +231,52 @@ class Resolution:
         self.ideal = ideal
         self.t = t
         self.bases = [list(b) for b in bases]
-        self.diffs = list(diffs)
+        self._diffs = list(diffs)
+        # build_resolution's labels and signed columns, until they turn
+        # into _diffs, and the (ideal, t) it found strongly stable
+        self._columns: Optional[tuple[list[list[CycleLabel]],
+                                      list[Columns]]] = None
+        self._stable: Optional[tuple[MonomialIdeal, SpreadVector]] = None
+
+    @classmethod
+    def _from_columns(cls, ideal: MonomialIdeal, t: SpreadVector,
+                      bases: list[list[CycleLabel]],
+                      columns: list[Columns]) -> "Resolution":
+        res = cls(ideal, t, bases, columns)
+        res._diffs, res._columns, res._stable = [], (bases, columns), (ideal, t)
+        return res
+
+    @property
+    def diffs(self) -> list[MonomialMatrix]:
+        if self._columns is not None:
+            self._materialise()
+        return self._diffs
+
+    @diffs.setter
+    def diffs(self, diffs: list[MonomialMatrix]) -> None:
+        self._diffs, self._columns = diffs, None
+
+    def _signed_columns(self) -> Optional[list[Columns]]:
+        """The built columns while every label is the built one; None once
+        the differentials are `MonomialMatrix` objects."""
+        if self._columns is not None and self.bases != self._columns[0]:
+            self._materialise()
+        return None if self._columns is None else self._columns[1]
+
+    def _built_multidegrees(self) -> list[list[tuple[int, ...]]]:
+        return _multidegrees(self._stable[0].ambient_n, self._columns[0])
+
+    def _materialise(self) -> None:
+        mdegs = self._built_multidegrees()
+        diffs = []
+        for i, columns in enumerate(self._columns[1], start=1):
+            rows = mdegs[i - 1]
+            d = MonomialMatrix(len(rows), len(columns))
+            for c, (high, col) in enumerate(zip(mdegs[i], columns)):
+                for r, s in col.items():
+                    d.entries[r, c] = {tuple(map(sub, high, rows[r])): s}
+            diffs.append(d)
+        self._diffs, self._columns = diffs, None
 
     @property
     def length(self) -> int:
@@ -213,10 +310,17 @@ class Resolution:
     def ascii(self) -> str:
         ranks = ", ".join(f"F{i}={self.rank(i)}" for i in range(self.length + 1))
         lines = [f"ranks: {ranks}"]
-        for i in range(1, self.length + 1):
-            lines.append("")
-            lines.append(f"d{i} (F{i} -> F{i - 1}):")
-            lines.append(self.differential(i).ascii())
+        columns = self._signed_columns()
+        if columns is None:
+            grids = [self.differential(i).ascii()
+                     for i in range(1, self.length + 1)]
+        else:
+            mdegs = self._built_multidegrees()
+            grids = [_grid(len(mdegs[i - 1]), len(cols), _signed_entries(
+                         mdegs[i - 1], mdegs[i], cols, {}))
+                     for i, cols in enumerate(columns, start=1)]
+        for i, grid in enumerate(grids, start=1):
+            lines += ["", f"d{i} (F{i} -> F{i - 1}):", grid]
         return "\n".join(lines)
 
     def to_json_obj(self) -> dict:
@@ -234,12 +338,24 @@ class Resolution:
             bases.append(texts)
         polys: dict[tuple, str] = {}
         differentials = []
-        for d in self.diffs:
-            entries = []
-            for (r, c), poly in sorted(d.entries.items()):
-                entries.append([r, c, _poly_text(polys, poly)])
-            differentials.append(
-                {"rows": d.nrows, "cols": d.ncols, "entries": entries})
+        columns = self._signed_columns()
+        if columns is None:
+            for d in self.diffs:
+                entries = [[r, c, _poly_text(polys, poly)]
+                           for (r, c), poly in sorted(d.entries.items())]
+                differentials.append(
+                    {"rows": d.nrows, "cols": d.ncols, "entries": entries})
+        else:
+            # bucketed by row, each row's columns ascend: sorted as (r, c)
+            mdegs = self._built_multidegrees()
+            for i, cols in enumerate(columns, start=1):
+                by_row = [[] for _ in mdegs[i - 1]]
+                for r, c, text in _signed_entries(mdegs[i - 1], mdegs[i],
+                                                  cols, polys):
+                    by_row[r].append([r, c, text])
+                differentials.append({
+                    "rows": len(by_row), "cols": len(cols),
+                    "entries": [entry for row in by_row for entry in row]})
         return {
             "ranks": [self.rank(i) for i in range(self.length + 1)],
             "bases": bases,
@@ -248,7 +364,10 @@ class Resolution:
 
 
 def build_resolution(ideal: MonomialIdeal, t) -> Resolution:
-    """Assemble the labelled resolution of S/I from the generator data."""
+    """Assemble the labelled resolution of S/I from the generator data.
+
+    Each d_i is written as one signed column {row: +-1} per label, a sum
+    that cancels keeping no row (see `Resolution`)."""
     t = SpreadVector.coerce(t)
     if not admissible_shape(t):
         raise ValueError(
@@ -266,42 +385,35 @@ def build_resolution(ideal: MonomialIdeal, t) -> Resolution:
                      for sigma in combinations(allowed, len(bases))]:
         bases.append(labels)
 
-    diffs: list[MonomialMatrix] = []
-    n = ideal.ambient_n
-    # the exponent vectors of x_1..x_n
-    xs = [None] + [tuple(int(j == k) for j in range(1, n + 1))
-                   for k in range(1, n + 1)]
-    # (u_k, free(u_k), v_k) for each (generator u, k): none depends on sigma
-    steps: dict[tuple[Monomial, int],
-                tuple[Monomial, frozenset[int], tuple[int, ...]]] = {}
-    for i in range(1, len(bases) + 1):
-        cols = bases[i - 1]
-        if i == 1:
-            d = MonomialMatrix(1, len(cols))
-            for c, lab in enumerate(cols):
-                d.add_to_entry(0, c, lab.generator.exponents, 1)
-            diffs.append(d)
-            continue
+    columns: list[Columns] = [[{0: 1} for _ in bases[0]]] if bases else []
+    # (u_k, free(u_k)) for each (generator u, k): neither depends on sigma
+    steps: dict[tuple[Monomial, int], tuple[Monomial, frozenset[int]]] = {}
+    for i in range(2, len(bases) + 1):
         rows = {(lab.generator, lab.sigma): r for r, lab in enumerate(bases[i - 2])}
-        d = MonomialMatrix(len(rows), len(cols))
-        for c, lab in enumerate(cols):
+        d = []
+        for lab in bases[i - 1]:
             u, sigma = lab.generator, lab.sigma
+            col: dict[int, int] = {}
             for pos, k in enumerate(sigma):
                 sign = -1 if pos % 2 else 1  # alpha(sigma;k) = elements below k
                 tau = sigma[:pos] + sigma[pos + 1:]
-                d.add_to_entry(rows[u, tau], c, xs[k], -sign)
+                # no earlier k wrote row (u, tau): each k leaves its own tau
+                col[rows[u, tau]] = -sign
                 step = steps.get((u, k))
                 if step is None:
-                    w = u.times_var(k)
-                    u_k = decomposition_function(ideal, t, w)
-                    step = steps[u, k] = (
-                        u_k, frozenset(free[u_k]),
-                        tuple(map(sub, w.exponents, u_k.exponents)))
-                u_k, free_k, v_k = step
+                    u_k = decomposition_function(ideal, t, u.times_var(k))
+                    step = steps[u, k] = (u_k, frozenset(free[u_k]))
+                u_k, free_k = step
                 if free_k.issuperset(tau):
-                    d.add_to_entry(rows[u_k, tau], c, v_k, sign)
-        diffs.append(d)
-    return Resolution(ideal, t, bases, diffs)
+                    r = rows[u_k, tau]
+                    v = col.get(r, 0) + sign
+                    if v:
+                        col[r] = v
+                    else:
+                        del col[r]
+            d.append(col)
+        columns.append(d)
+    return Resolution._from_columns(ideal, t, bases, columns)
 
 
 # -- verification --------------------------------------------------------------
@@ -329,10 +441,14 @@ def verify_resolution(res: Resolution, max_degree: int) -> ResolutionReport:
     A negative max_degree, a d_i that is not rank(i-1) x rank(i) and an
     entry outside its d_i are refused with ValueError before any check.
 
-    One pass over the entries checks minimality and the multigrading, and
-    reads each d_i off as sparse scalar columns: entry (r, c) contributes
-    the coefficient of its term x^(m_c - m_r), m_c and m_r the multidegrees
-    of the labels.  Once every term has that form, entry (r, c) of
+    The checks run on d_i as sparse scalar columns: entry (r, c) holds the
+    coefficient of its term x^(m_c - m_r), m_c and m_r the multidegrees of
+    the labels.  The signed columns of `build_resolution` are such columns
+    while every label is the built one: a term is then constant when
+    m_c = m_r and off the grading unless m_r <= m_c.  Otherwise, as for
+    `MonomialMatrix` differentials built or edited by hand, one pass over
+    the entries checks minimality and the multigrading and reads the
+    columns off.  Once every term has that form, entry (r, c) of
     d_i d_{i+1} is x^(m_c - m_r) times entry (r, c) of the integer product
     of the scalar columns, so d o d = 0 is checked on those.  An input that
     is not multigraded is composed symbolically by `MonomialMatrix.compose`.
@@ -352,50 +468,42 @@ def verify_resolution(res: Resolution, max_degree: int) -> ResolutionReport:
     0.  Once every visited strand has none, the cokernel in degree q counts
     the a of degree q with no label <= a, which is the Hilbert function of
     S/L for the ideal L spanned by the label multidegrees; that is compared
-    against the directly counted Hilbert function of S/I.
+    against the directly counted Hilbert function of S/I.  L = I when
+    every generator of I is the multidegree of a kept label (see
+    `_spans_the_generators`); only otherwise is S/L counted apart.
+
+    The graded ranks are compared with the Betti formula, whose strong
+    stability check is the build's own while res.ideal and res.t are the
+    objects `build_resolution` was given.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
-    for i in range(1, res.length + 1):
-        d = res.differential(i)
-        if (d.nrows, d.ncols) != (res.rank(i - 1), res.rank(i)):
-            raise ValueError(f"d{i} is {d.nrows}x{d.ncols}, but F{i - 1} and "
-                             f"F{i} have ranks {res.rank(i - 1)} and "
-                             f"{res.rank(i)}")
-        for r, c in d.entries:
-            if not (0 <= r < d.nrows and 0 <= c < d.ncols):
-                raise ValueError(
-                    f"d{i} entry ({r},{c}) outside {d.nrows}x{d.ncols}")
     ideal = res.ideal
     n = ideal.ambient_n
-    mdegs = [[(0,) * n]] + [[lab.multidegree() for lab in labels]
-                            for labels in res.bases]
+    mdegs = _multidegrees(n, res.bases)
 
-    # (b) minimality and the multigrading, in one pass that also reads
-    # scalars[i - 1], d_i as sparse columns of (row, coefficient)
+    # (b) minimality and the multigrading, on the built columns or on the
+    # matrices, whose entries are read off as scalars[i - 1], d_i as sparse
+    # columns {row: coefficient}
     constant: list[str] = []
     off_grade: list[str] = []
-    scalars: list[list[list[tuple[int, int]]]] = []
-    for i in range(1, res.length + 1):
-        cols = [[] for _ in mdegs[i]]
-        for (r, c), poly in res.differential(i).entries.items():
-            want = tuple(map(sub, mdegs[i][c], mdegs[i - 1][r]))
-            unit = False
-            for e, coeff in poly.items():
-                coeff = index(coeff)  # a rational would truncate in Bareiss
-                if not coeff:
-                    continue
-                unit = unit or not any(e)
-                if e == want:
-                    cols[c].append((r, coeff))
-                else:
-                    off_grade.append(
-                        f"d{i} entry ({r},{c}) term {format_exponents(e)} "
-                        f"breaks the multigrading")
-            if unit:
-                constant.append(f"d{i} entry ({r},{c}) = {format_poly(poly)} "
-                                f"has a constant term")
-        scalars.append(cols)
+    scalars = res._signed_columns()
+    if scalars is not None:
+        for i, cols in enumerate(scalars, start=1):
+            rows = mdegs[i - 1]
+            for c, (high, col) in enumerate(zip(mdegs[i], cols)):
+                for r, s in col.items():
+                    if rows[r] == high:
+                        constant.append(
+                            f"d{i} entry ({r},{c}) = "
+                            f"{format_poly({(0,) * n: s})} has a constant term")
+                    elif not all(map(le, rows[r], high)):
+                        off_grade.append(
+                            f"d{i} entry ({r},{c}) term "
+                            f"{format_exponents(tuple(map(sub, high, rows[r])))}"
+                            f" breaks the multigrading")
+    else:
+        scalars = _read_matrices(res, mdegs, constant, off_grade)
 
     # (a) d o d = 0, on the scalars once the terms are multigraded
     failures: list[str] = []
@@ -443,13 +551,12 @@ def verify_resolution(res: Resolution, max_degree: int) -> ResolutionReport:
                         f"multidegree {a}: kernel {cx.sizes[i] - cx.ranks[i]}, "
                         f"next image {cx.ranks[i + 1]}")
         hf = hilbert_function(ideal, max_degree)
-        # L = I when the label multidegrees have the generators of I as their
-        # minimal elements; only otherwise is S/L counted apart
-        spanned = minimal_exponents(m for ms, bits in zip(mdegs[1:], keep[1:])
-                                    for c, m in enumerate(ms) if bits >> c & 1)
-        if set(spanned) == generators:
+        if _spans_the_generators(generators, mdegs, keep):
             coker = hf
         else:
+            spanned = minimal_exponents(
+                m for ms, bits in zip(mdegs[1:], keep[1:])
+                for c, m in enumerate(ms) if bits >> c & 1)
             coker = hilbert_function(MonomialIdeal(
                 map(Monomial.from_exponents, spanned), n), max_degree)
         for q in range(max_degree + 1):
@@ -463,7 +570,10 @@ def verify_resolution(res: Resolution, max_degree: int) -> ResolutionReport:
     checks["exactness"] = ok
 
     # (d) graded ranks against the closed Betti formula
-    expected = betti_table(ideal, res.t, view="quotient").entries
+    if res._stable and res._stable[0] is ideal and res._stable[1] is res.t:
+        expected = _formula_table(ideal, res.t, "quotient").entries
+    else:
+        expected = betti_table(ideal, res.t, view="quotient").entries
     got = res.graded_rank_counts()
     ok = got == expected
     if not ok:
@@ -475,15 +585,74 @@ def verify_resolution(res: Resolution, max_degree: int) -> ResolutionReport:
     return ResolutionReport(all(checks.values()), checks, failures)
 
 
-def _product(left: list[list[tuple[int, int]]],
-             right: list[list[tuple[int, int]]]
+def _read_matrices(res: Resolution, mdegs: list[list[tuple[int, ...]]],
+                   constant: list[str], off_grade: list[str]
+                   ) -> list[Columns]:
+    """Each d_i of res as sparse scalar columns, entry (r, c) holding the
+    coefficient of x^(m_c - m_r), m_r = mdegs[i - 1][r] and m_c =
+    mdegs[i][c], in one pass over the entries that names each entry with a
+    constant term in constant and each term of another exponent in
+    off_grade.  The shapes are checked first, as
+    `verify_resolution` says."""
+    for i in range(1, res.length + 1):
+        d = res.differential(i)
+        if (d.nrows, d.ncols) != (res.rank(i - 1), res.rank(i)):
+            raise ValueError(f"d{i} is {d.nrows}x{d.ncols}, but F{i - 1} and "
+                             f"F{i} have ranks {res.rank(i - 1)} and "
+                             f"{res.rank(i)}")
+        for r, c in d.entries:
+            if not (0 <= r < d.nrows and 0 <= c < d.ncols):
+                raise ValueError(
+                    f"d{i} entry ({r},{c}) outside {d.nrows}x{d.ncols}")
+    scalars = []
+    for i in range(1, res.length + 1):
+        cols: Columns = [{} for _ in mdegs[i]]
+        for (r, c), poly in res.differential(i).entries.items():
+            want = tuple(map(sub, mdegs[i][c], mdegs[i - 1][r]))
+            unit = False
+            for e, coeff in poly.items():
+                coeff = index(coeff)  # a rational would truncate in Bareiss
+                if not coeff:
+                    continue
+                unit = unit or not any(e)
+                if e == want:
+                    cols[c][r] = coeff
+                else:
+                    off_grade.append(
+                        f"d{i} entry ({r},{c}) term {format_exponents(e)} "
+                        f"breaks the multigrading")
+            if unit:
+                constant.append(f"d{i} entry ({r},{c}) = {format_poly(poly)} "
+                                f"has a constant term")
+        scalars.append(cols)
+    return scalars
+
+
+def _spans_the_generators(generators: set[tuple[int, ...]],
+                          points: list[list[tuple[int, ...]]],
+                          keep: list[int]) -> bool:
+    """Whether every generator is the multidegree of a kept basis element,
+    points[i] and keep[i] as in `_strands`.  Each kept label's multidegree
+    lies above its own generator, so the generators are then the minimal
+    kept multidegrees, and these span I.  The positions are read in order
+    and the scan stops once none is missing: position 1 usually covers
+    them."""
+    missing = set(generators)
+    for ms, bits in zip(points[1:], keep[1:]):
+        if not missing:
+            break
+        missing.difference_update(m for c, m in enumerate(ms) if bits >> c & 1)
+    return not missing
+
+
+def _product(left: Columns, right: Columns
              ) -> Iterator[tuple[tuple[int, int], int]]:
     """The non-zero entries ((r, c), value) of the product of two integer
-    matrices given as sparse columns of (row, value)."""
+    matrices given as sparse columns {row: value}."""
     for c, col in enumerate(right):
         acc: dict[int, int] = {}
-        for m, w in col:
-            for r, v in left[m]:
+        for m, w in col.items():
+            for r, v in left[m].items():
                 acc[r] = acc.get(r, 0) + v * w
         for r, v in acc.items():
             if v:
@@ -491,7 +660,7 @@ def _product(left: list[list[tuple[int, int]]],
 
 
 def _strands(points: list[list[tuple[int, ...]]],
-             columns: list[list[list[tuple[int, int]]]], keep: list[int],
+             columns: list[Columns], keep: list[int],
              max_degree: int, is_complex: bool
              ) -> Iterator[tuple[tuple[int, ...], FiniteComplex]]:
     """Each strand of a complex of multigraded free modules on the kept basis
@@ -499,8 +668,8 @@ def _strands(points: list[list[tuple[int, ...]]],
     position 0, capped at max_degree: (a, the strand as a `FiniteComplex`).
 
     points[i] lists the multidegrees of the position-i basis, columns[i - 1]
-    is d_i as sparse scalar columns over position i - 1, and bit c of
-    keep[i] is set when basis element c of position i is kept.  One
+    is d_i as sparse scalar columns {row: value} over position i - 1, and
+    bit c of keep[i] is set when basis element c of position i is kept.  One
     `divisor_index` covers the bases of all positions, concatenated, so the
     strand at a is one chain of n ANDs from the kept bits, split into one
     bitmask per position by shift and mask, and its sizes are the bit
@@ -520,7 +689,7 @@ def _strands(points: list[list[tuple[int, ...]]],
         masks.append((shift, (1 << len(ms)) - 1))
         kept |= bits << shift
         shift += len(ms)
-    parity = [[sum(1 << r for r, v in col if v & 1) for col in cols]
+    parity = [[sum(1 << r for r, v in col.items() if v & 1) for col in cols]
               for cols in columns]
     atoms = [m for ms, bits in zip(points[1:], keep[1:])
              for c, m in enumerate(ms) if bits >> c & 1]
@@ -533,7 +702,8 @@ def _strands(points: list[list[tuple[int, ...]]],
 
         def exact(i: int, members=members) -> list[list[tuple[int, int]]]:
             where = {r: p for p, r in enumerate(members[i - 1])}
-            return [[(where[r], v) for r, v in columns[i - 1][c] if r in where]
+            return [[(where[r], v) for r, v in columns[i - 1][c].items()
+                     if r in where]
                     for c in members[i]]
 
         yield a, FiniteComplex([bits.bit_count() for bits in active], rows,

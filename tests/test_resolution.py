@@ -874,7 +874,8 @@ def reference_strands(points, columns, keep, max_degree, is_complex):
         for i in range(1, len(points)):
             rlook = {r: p for p, r in enumerate(active[i - 1])}
             strand.append([[(rlook[r], value)
-                            for r, value in columns[i - 1][c] if r in rlook]
+                            for r, value in columns[i - 1][c].items()
+                            if r in rlook]
                            for c in active[i]])
         rows = [[sum(1 << r for r, v in col if v & 1) for col in cols]
                 for cols in strand]
@@ -883,31 +884,45 @@ def reference_strands(points, columns, keep, max_degree, is_complex):
             lambda i, strand=strand: strand[i - 1], is_complex=is_complex)
 
 
-def random_corruption(rng):
-    """A seeded corruption of a resolution: one entry of some d_i deleted,
-    negated, scaled by 2 or 3, or given a second term off its multidegree,
-    or a label moved to another generator."""
+ENTRY_KINDS, LABEL_KINDS = (0, 1, 2, 3), (4, 5)
+
+
+def random_corruption(rng, kinds=ENTRY_KINDS + LABEL_KINDS):
+    """A seeded corruption of a resolution, of a kind drawn from kinds: one
+    entry of some d_i deleted (0), negated or scaled by 2 or 3 (1 and 2), or
+    given a second term off its multidegree (3); or a label moved to another
+    generator (4), or (u; sigma) moved to (u * x_k; sigma - {k}) for a k in
+    sigma (5), which keeps its multidegree but lies on no minimal
+    generator.  The label kinds edit res.bases alone, so a built
+    resolution still holds its signed columns after them."""
     def corrupt(res):
-        i = rng.randint(1, res.length)
+        kind = rng.choice(kinds)
+        # position 1 has no k in sigma to move
+        i = rng.randint(min(2, res.length) if kind == 5 else 1, res.length)
+        if kind in LABEL_KINDS:
+            labels = res.bases[i - 1]
+            c = rng.randrange(len(labels))
+            u, sigma = labels[c].generator, labels[c].sigma
+            if kind == 4:
+                labels[c] = CycleLabel(rng.choice(res.ideal.generators), sigma)
+            elif sigma:
+                k = rng.choice(sigma)
+                labels[c] = CycleLabel(u.times_var(k),
+                                       tuple(j for j in sigma if j != k))
+            return res
         entries = res.differential(i).entries
         if not entries:
             return res
         key = rng.choice(sorted(entries))
-        kind = rng.randrange(5)
         if kind == 0:
             del entries[key]
         elif kind in (1, 2):
             factor = (-1, 2, 3)[rng.randrange(3)]
             for e in entries[key]:
                 entries[key][e] *= factor
-        elif kind == 3:
+        else:
             e = next(iter(entries[key]))
             entries[key][tuple(v + 1 for v in e)] = 1
-        else:
-            labels = res.bases[i - 1]
-            c = rng.randrange(len(labels))
-            other = rng.choice(res.ideal.generators)
-            labels[c] = CycleLabel(other, labels[c].sigma)
         return res
     return corrupt
 
@@ -981,7 +996,7 @@ def reference_verify_resolution(res, max_degree):
     ok = True
     columns = []
     for i in range(1, res.length + 1):
-        rows, cols = kept[i - 1], [[] for _ in kept[i]]
+        rows, cols = kept[i - 1], [{} for _ in kept[i]]
         for (r, c), poly in res.differential(i).entries.items():
             want = tuple(map(sub, mdegs[i][c], mdegs[i - 1][r]))
             for e, coeff in poly.items():
@@ -994,7 +1009,7 @@ def reference_verify_resolution(res, max_degree):
                         f"d{i} entry ({r},{c}) term {format_exponents(e)} "
                         f"breaks the multigrading")
                 elif c in kept[i] and r in rows:
-                    cols[kept[i][c]].append((rows[r], coeff))
+                    cols[kept[i][c]][rows[r]] = coeff
         columns.append(cols)
     checks["multigraded"] = ok
     ok = True
@@ -1066,6 +1081,127 @@ def test_verifier_matches_the_compose_first_reference(seed, corrupted, cap):
     if corrupted and res.length:
         res = random_corruption(rng)(res)
     assert_matches_the_reference(res, cap)
+
+
+def random_admissible_ideal(rng):
+    """A random strongly stable ideal and an admissible t; it may be the
+    zero or the unit ideal."""
+    width = rng.randint(1, 3)
+    ones = rng.randint(0, width)
+    t = SpreadVector(tuple([1] * ones + [0] * (width - ones)))
+    return random_strongly_stable_ideal(rng, rng.randint(2, 6), t), t
+
+
+def outcomes(res, cap, verify_first):
+    """The checks, failures, JSON and ASCII of res, verified before or after
+    it is printed."""
+    if verify_first:
+        rep = verify_resolution(res, cap)
+        obj, text = res.to_json_obj(), res.ascii()
+    else:
+        obj, text = res.to_json_obj(), res.ascii()
+        rep = verify_resolution(res, cap)
+    return rep.checks, rep.failures, obj, text
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([(), ENTRY_KINDS, LABEL_KINDS]), st.integers(0, 7))
+def test_stored_columns_match_the_matrices(seed, kinds, cap):
+    # a built resolution read on its signed columns, the same one read after
+    # diffs has turned them into MonomialMatrix objects, and the
+    # compose-first reference agree on every check, failure, JSON object and
+    # text: intact, after a label move (the columns are kept until the
+    # labels are compared) and after an entry edit (which reads diffs)
+    ideal, t = random_admissible_ideal(random.Random(seed))
+    assume(not ideal.is_unit and not ideal.is_zero)
+    labels = build_resolution(ideal, t).bases
+
+    def built(force):
+        res = build_resolution(ideal, t)
+        if force:
+            assert all(isinstance(d, MonomialMatrix) for d in res.diffs)
+        if kinds:
+            random_corruption(random.Random(seed), kinds)(res)
+        assert (res._columns is None) == (force or kinds == ENTRY_KINDS)
+        return res
+
+    matrices = outcomes(built(True), cap, True)
+    for verify_first in (True, False):
+        res = built(False)
+        assert outcomes(res, cap, verify_first) == matrices
+        assert (res._columns is None) == (kinds == ENTRY_KINDS
+                                          or res.bases != labels)
+    ref = built(False)
+    rep = reference_verify_resolution(ref, cap)
+    assert matrices == (rep.checks, rep.failures, reference_to_json_obj(ref),
+                        reference_resolution_ascii(ref))
+
+
+def test_a_built_resolution_makes_no_matrix(monkeypatch):
+    # build, print and verify read the signed columns alone: no
+    # MonomialMatrix is made and no entry added, and the graded ranks reuse
+    # the build's strong-stability check until the ideal or t is replaced
+    def refuse(*args):
+        raise AssertionError("made a MonomialMatrix")
+
+    calls = []
+    check = vecspread.ideals.strongly_stable_violation
+    monkeypatch.setattr(vecspread.ideals, "strongly_stable_violation",
+                        lambda ideal, t: calls.append(t) or check(ideal, t))
+    cases = [(*ex_resolution_ideal(), 6), (*roadmap_workload(1, (6, 8), 3), 8)]
+    with monkeypatch.context() as m:
+        m.setattr(MonomialMatrix, "__init__", refuse)
+        m.setattr(MonomialMatrix, "add_to_entry", refuse)
+        for ideal, t, cap in cases:
+            calls.clear()
+            res = build_resolution(ideal, t)
+            res.to_json_obj(), res.ascii()
+            assert verify_resolution(res, cap).ok
+            assert len(calls) == 1
+    ideal, t = ex_resolution_ideal()
+    for replace in (resolve_subideal,
+                    lambda res: setattr(res, "ideal", MonomialIdeal(
+                        res.ideal.generators, res.ideal.ambient_n)) or res,
+                    lambda res: setattr(res, "t", SpreadVector((1, 0))) or res):
+        res = replace(build_resolution(ideal, t))
+        calls.clear()
+        verify_resolution(res, 6)
+        assert len(calls) == 1
+
+
+def test_generator_cover_matches_the_minimal_elements():
+    # L = I is read off "every generator is a kept label's multidegree"; the
+    # minimal kept multidegrees are the reference, on random label sets
+    # with labels dropped and labels moved off the minimal generators
+    rng = random.Random(83)
+    seen = {True: 0, False: 0}
+    while min(seen.values()) < 40:
+        ideal, t = random_admissible_ideal(rng)
+        if ideal.is_unit:
+            continue
+        generators = {g.exponents for g in ideal.generators}
+        bases = []
+        for labels in build_resolution(ideal, t).bases:
+            labels = [lab for lab in labels if rng.random() < 0.8]
+            for c, lab in enumerate(labels):
+                if lab.sigma and rng.random() < 0.2:
+                    k = rng.choice(lab.sigma)
+                    labels[c] = CycleLabel(
+                        lab.generator.times_var(k),
+                        tuple(j for j in lab.sigma if j != k))
+            bases.append(labels)
+        points = [[(0,) * ideal.ambient_n]] + [
+            [lab.multidegree() for lab in labels] for labels in bases]
+        keep = [1] + [sum(1 << c for c, lab in enumerate(labels)
+                          if lab.generator.exponents in generators)
+                      for labels in bases]
+        kept = [m for ms, bits in zip(points[1:], keep[1:])
+                for c, m in enumerate(ms) if bits >> c & 1]
+        expected = set(minimal_exponents(kept)) == generators
+        assert resolution._spans_the_generators(
+            generators, points, keep) == expected
+        seen[expected] += 1
 
 
 # -- JSON --------------------------------------------------------------------
