@@ -12,19 +12,17 @@ decomposition of x_k u (the plex-largest generator dividing it) and
 v_k = x_k u / u_k.  Whenever sigma minus k stops being a set of free indices
 for u_k, that summand is dropped (the zero convention).
 
-Every entry of a built d_i is one term c * x^(m_c - m_r), c = +-1, for the
+Every entry of d_i is one term c * x^(m_c - m_r), c = +-1, for the
 multidegrees m_r and m_c of its row and column labels: -x_k is
 x^(mdeg(u; sigma) - mdeg(u; sigma minus k)), and v_k is
-x^(mdeg(u; sigma) - mdeg(u_k; sigma minus k)).  So `build_resolution`
-stores d_i as one sparse column {row: c} per label, and the resolution
-turns them into `MonomialMatrix` objects only when a caller asks for the
-matrices or edits a label.
+x^(mdeg(u; sigma) - mdeg(u_k; sigma minus k)).  So a `Resolution` holds d_i
+as one sparse column {row: c} per label; every multigraded map between free
+modules on such bases has that form, with c any integer.
 
 Verification never trusts the formula: the complex property is checked on
-the differentials' scalar coefficients once their terms are found
-multigraded (symbolically otherwise), and exactness is measured with ranks,
-one multidegree at a time, against the independently counted Hilbert
-function.
+the differentials' scalar coefficients, whose exponents telescope along
+every product, and exactness is measured with ranks, one multidegree at a
+time, against the independently counted Hilbert function.
 """
 
 from __future__ import annotations
@@ -91,8 +89,7 @@ class MonomialMatrix:
 
     Construction and `add_to_entry` keep no zero term and no empty entry.
     `entries` is public and may be edited in place, so nothing here checks
-    the coefficients; verify_resolution rejects a non-int with TypeError and
-    ignores a zero one.
+    the coefficients.  `Resolution.differential` hands one out as a copy.
     """
 
     def __init__(self, nrows: int, ncols: int,
@@ -189,12 +186,13 @@ Columns = list[dict[int, int]]
 def _signed_entries(rows: list[tuple[int, ...]], cols: list[tuple[int, ...]],
                     columns: Columns, texts: dict[tuple, str]
                     ) -> Iterator[tuple[int, int, str]]:
-    """(r, c, text) for each entry s * x^(m_c - m_r) of signed columns,
-    column by column, with m_r = rows[r] and m_c = cols[c]; texts memoises
-    `format_poly` on (exponents, sign)."""
+    """(r, c, text) for each entry s * x^(m_c - m_r) of the columns, column
+    by column, with m_r = rows[r] and m_c = cols[c]; texts memoises
+    `format_poly` on the exponents, s and the type of s, so that 2 and 2.0
+    print apart."""
     for c, (high, col) in enumerate(zip(cols, columns)):
         for r, s in col.items():
-            key = (tuple(map(sub, high, rows[r])), s)
+            key = (tuple(map(sub, high, rows[r])), s, type(s))
             text = texts.get(key)
             if text is None:
                 text = texts[key] = format_poly({key[0]: s})
@@ -209,74 +207,30 @@ def _multidegrees(n: int, bases: list[list[CycleLabel]]
 
 
 class Resolution:
-    """Free resolution data: labelled bases and differential matrices.
+    """Free resolution data: labelled bases and differentials.
 
     Position 0 is the rank-one free module S; position i >= 1 has one basis
-    element per label in bases[i-1].  diffs[i-1] is the matrix of d_i.
-
-    A resolution from `build_resolution` holds each d_i as signed columns
-    instead, one {row: +-1} per label, entry (r, c) being the coefficient of
-    x^(m_c - m_r) for the multidegrees of the labels it was built on.
-    `ascii`, `to_json_obj` and `verify_resolution` read them while every
-    label in bases is the built one.  The first read of `diffs` or
-    `differential`, or a label replaced in bases, turns them into
-    `MonomialMatrix` objects with those exponents, whose edits count from
-    then on.
+    element per label in bases[i-1].  columns[i-1] is d_i as one sparse
+    column {row: coefficient} per label of position i, and entry (r, c) of
+    d_i is coefficient * x^(m_c - m_r) for the multidegrees m_r and m_c of
+    the current labels of row r and column c.  `differential(i)` hands out
+    d_i as a new `MonomialMatrix`, whose edits leave the resolution as it
+    is.
     """
 
     def __init__(self, ideal: MonomialIdeal, t: SpreadVector,
-                 bases: list[list[CycleLabel]], diffs: list[MonomialMatrix]):
-        if len(bases) != len(diffs):
+                 bases: list[list[CycleLabel]], columns: list[Columns]):
+        if len(bases) != len(columns):
             raise ValueError("one differential is needed per positive position")
+        if any(isinstance(d, MonomialMatrix) for d in columns):
+            raise TypeError("a differential is a list of sparse columns "
+                            "{row: coefficient}, not a MonomialMatrix")
         self.ideal = ideal
         self.t = t
         self.bases = [list(b) for b in bases]
-        self._diffs = list(diffs)
-        # build_resolution's labels and signed columns, until they turn
-        # into _diffs, and the (ideal, t) it found strongly stable
-        self._columns: Optional[tuple[list[list[CycleLabel]],
-                                      list[Columns]]] = None
+        self.columns = list(columns)
+        # the (ideal, t) that build_resolution found strongly stable
         self._stable: Optional[tuple[MonomialIdeal, SpreadVector]] = None
-
-    @classmethod
-    def _from_columns(cls, ideal: MonomialIdeal, t: SpreadVector,
-                      bases: list[list[CycleLabel]],
-                      columns: list[Columns]) -> "Resolution":
-        res = cls(ideal, t, bases, columns)
-        res._diffs, res._columns, res._stable = [], (bases, columns), (ideal, t)
-        return res
-
-    @property
-    def diffs(self) -> list[MonomialMatrix]:
-        if self._columns is not None:
-            self._materialise()
-        return self._diffs
-
-    @diffs.setter
-    def diffs(self, diffs: list[MonomialMatrix]) -> None:
-        self._diffs, self._columns = diffs, None
-
-    def _signed_columns(self) -> Optional[list[Columns]]:
-        """The built columns while every label is the built one; None once
-        the differentials are `MonomialMatrix` objects."""
-        if self._columns is not None and self.bases != self._columns[0]:
-            self._materialise()
-        return None if self._columns is None else self._columns[1]
-
-    def _built_multidegrees(self) -> list[list[tuple[int, ...]]]:
-        return _multidegrees(self._stable[0].ambient_n, self._columns[0])
-
-    def _materialise(self) -> None:
-        mdegs = self._built_multidegrees()
-        diffs = []
-        for i, columns in enumerate(self._columns[1], start=1):
-            rows = mdegs[i - 1]
-            d = MonomialMatrix(len(rows), len(columns))
-            for c, (high, col) in enumerate(zip(mdegs[i], columns)):
-                for r, s in col.items():
-                    d.entries[r, c] = {tuple(map(sub, high, rows[r])): s}
-            diffs.append(d)
-        self._diffs, self._columns = diffs, None
 
     @property
     def length(self) -> int:
@@ -297,7 +251,13 @@ class Resolution:
     def differential(self, i: int) -> MonomialMatrix:
         if not 1 <= i <= self.length:
             raise ValueError(f"no differential d_{i}")
-        return self.diffs[i - 1]
+        rows, cols = _multidegrees(self.ideal.ambient_n,
+                                   self.bases[max(i - 2, 0):i])[-2:]
+        d = MonomialMatrix(len(rows), len(cols))
+        for c, (high, col) in enumerate(zip(cols, self.columns[i - 1])):
+            for r, s in col.items():
+                d.entries[r, c] = {tuple(map(sub, high, rows[r])): s}
+        return d
 
     def graded_rank_counts(self) -> dict[tuple[int, int], int]:
         counts = {(0, 0): 1}
@@ -310,17 +270,11 @@ class Resolution:
     def ascii(self) -> str:
         ranks = ", ".join(f"F{i}={self.rank(i)}" for i in range(self.length + 1))
         lines = [f"ranks: {ranks}"]
-        columns = self._signed_columns()
-        if columns is None:
-            grids = [self.differential(i).ascii()
-                     for i in range(1, self.length + 1)]
-        else:
-            mdegs = self._built_multidegrees()
-            grids = [_grid(len(mdegs[i - 1]), len(cols), _signed_entries(
-                         mdegs[i - 1], mdegs[i], cols, {}))
-                     for i, cols in enumerate(columns, start=1)]
-        for i, grid in enumerate(grids, start=1):
-            lines += ["", f"d{i} (F{i} -> F{i - 1}):", grid]
+        mdegs = _multidegrees(self.ideal.ambient_n, self.bases)
+        for i, cols in enumerate(self.columns, start=1):
+            lines += ["", f"d{i} (F{i} -> F{i - 1}):", _grid(
+                len(mdegs[i - 1]), len(cols),
+                _signed_entries(mdegs[i - 1], mdegs[i], cols, {}))]
         return "\n".join(lines)
 
     def to_json_obj(self) -> dict:
@@ -338,24 +292,16 @@ class Resolution:
             bases.append(texts)
         polys: dict[tuple, str] = {}
         differentials = []
-        columns = self._signed_columns()
-        if columns is None:
-            for d in self.diffs:
-                entries = [[r, c, _poly_text(polys, poly)]
-                           for (r, c), poly in sorted(d.entries.items())]
-                differentials.append(
-                    {"rows": d.nrows, "cols": d.ncols, "entries": entries})
-        else:
+        mdegs = _multidegrees(self.ideal.ambient_n, self.bases)
+        for i, cols in enumerate(self.columns, start=1):
             # bucketed by row, each row's columns ascend: sorted as (r, c)
-            mdegs = self._built_multidegrees()
-            for i, cols in enumerate(columns, start=1):
-                by_row = [[] for _ in mdegs[i - 1]]
-                for r, c, text in _signed_entries(mdegs[i - 1], mdegs[i],
-                                                  cols, polys):
-                    by_row[r].append([r, c, text])
-                differentials.append({
-                    "rows": len(by_row), "cols": len(cols),
-                    "entries": [entry for row in by_row for entry in row]})
+            by_row = [[] for _ in mdegs[i - 1]]
+            for r, c, text in _signed_entries(mdegs[i - 1], mdegs[i], cols,
+                                              polys):
+                by_row[r].append([r, c, text])
+            differentials.append({
+                "rows": len(by_row), "cols": len(cols),
+                "entries": [entry for row in by_row for entry in row]})
         return {
             "ranks": [self.rank(i) for i in range(self.length + 1)],
             "bases": bases,
@@ -413,7 +359,9 @@ def build_resolution(ideal: MonomialIdeal, t) -> Resolution:
                         del col[r]
             d.append(col)
         columns.append(d)
-    return Resolution._from_columns(ideal, t, bases, columns)
+    res = Resolution(ideal, t, bases, columns)
+    res._stable = (ideal, t)
+    return res
 
 
 # -- verification --------------------------------------------------------------
@@ -438,20 +386,19 @@ class ResolutionReport:
 def verify_resolution(res: Resolution, max_degree: int) -> ResolutionReport:
     """Check the complex property, minimality, graded exactness and ranks.
 
-    A negative max_degree, a d_i that is not rank(i-1) x rank(i) and an
-    entry outside its d_i are refused with ValueError before any check.
+    A negative max_degree, a differential count other than the number of
+    positions past 0, a d_i without one column per label of position i and
+    a row outside 0..rank(i-1)-1 are refused with ValueError before any
+    check.  Each value is read through `operator.index`, so a non-int one
+    raises TypeError, and a zero one is no term.
 
-    The checks run on d_i as sparse scalar columns: entry (r, c) holds the
-    coefficient of its term x^(m_c - m_r), m_c and m_r the multidegrees of
-    the labels.  The signed columns of `build_resolution` are such columns
-    while every label is the built one: a term is then constant when
-    m_c = m_r and off the grading unless m_r <= m_c.  Otherwise, as for
-    `MonomialMatrix` differentials built or edited by hand, one pass over
-    the entries checks minimality and the multigrading and reads the
-    columns off.  Once every term has that form, entry (r, c) of
+    Entry (r, c) of d_i is the value times x^(m_c - m_r), m_r and m_c the
+    multidegrees of the labels, so it has a constant term when m_r = m_c
+    and breaks the multigrading unless m_r <= m_c, printed then as a Laurent
+    monomial such as x2*x3*x4^-2.  Along any product the exponents
+    telescope, (m_m - m_r) + (m_c - m_m) = m_c - m_r, so entry (r, c) of
     d_i d_{i+1} is x^(m_c - m_r) times entry (r, c) of the integer product
-    of the scalar columns, so d o d = 0 is checked on those.  An input that
-    is not multigraded is composed symbolically by `MonomialMatrix.compose`.
+    of the columns, and d o d = 0 is checked on those.
 
     Exactness is certified multidegree by multidegree with ranks over Q:
     taken over F_2 and certified by the Euler characteristic (see
@@ -478,46 +425,56 @@ def verify_resolution(res: Resolution, max_degree: int) -> ResolutionReport:
     """
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
+    if len(res.columns) != res.length:
+        raise ValueError("one differential is needed per positive position")
+    for i, cols in enumerate(res.columns, start=1):
+        nrows, ncols = res.rank(i - 1), res.rank(i)
+        if len(cols) != ncols:
+            raise ValueError(f"d{i} has {len(cols)} columns, but F{i} has "
+                             f"rank {ncols}")
+        for c, col in enumerate(cols):
+            for r in col:
+                if not 0 <= r < nrows:
+                    raise ValueError(
+                        f"d{i} entry ({r},{c}) outside {nrows}x{ncols}")
     ideal = res.ideal
     n = ideal.ambient_n
     mdegs = _multidegrees(n, res.bases)
 
-    # (b) minimality and the multigrading, on the built columns or on the
-    # matrices, whose entries are read off as scalars[i - 1], d_i as sparse
-    # columns {row: coefficient}
+    # (b) minimality and the multigrading, while scalars[i - 1] takes d_i
+    # with every value an int (a rational would truncate in Bareiss) and no
+    # zero
     constant: list[str] = []
     off_grade: list[str] = []
-    scalars = res._signed_columns()
-    if scalars is not None:
-        for i, cols in enumerate(scalars, start=1):
-            rows = mdegs[i - 1]
-            for c, (high, col) in enumerate(zip(mdegs[i], cols)):
-                for r, s in col.items():
-                    if rows[r] == high:
-                        constant.append(
-                            f"d{i} entry ({r},{c}) = "
-                            f"{format_poly({(0,) * n: s})} has a constant term")
-                    elif not all(map(le, rows[r], high)):
-                        off_grade.append(
-                            f"d{i} entry ({r},{c}) term "
-                            f"{format_exponents(tuple(map(sub, high, rows[r])))}"
-                            f" breaks the multigrading")
-    else:
-        scalars = _read_matrices(res, mdegs, constant, off_grade)
+    scalars: list[Columns] = []
+    for i, cols in enumerate(res.columns, start=1):
+        rows, read = mdegs[i - 1], []
+        for c, (high, col) in enumerate(zip(mdegs[i], cols)):
+            read.append(kept := {})
+            for r, s in col.items():
+                if not (v := index(s)):
+                    continue
+                kept[r] = v
+                if rows[r] == high:
+                    constant.append(
+                        f"d{i} entry ({r},{c}) = "
+                        f"{format_poly({(0,) * n: v})} has a constant term")
+                elif not all(map(le, rows[r], high)):
+                    off_grade.append(
+                        f"d{i} entry ({r},{c}) term "
+                        f"{format_exponents(tuple(map(sub, high, rows[r])))}"
+                        f" breaks the multigrading")
+        scalars.append(read)
 
-    # (a) d o d = 0, on the scalars once the terms are multigraded
+    # (a) d o d = 0, on the scalars
     failures: list[str] = []
     for i in range(1, res.length):
-        if off_grade:
-            prod = res.differential(i).compose(res.differential(i + 1)).entries
-        else:
-            prod = {(r, c): {tuple(map(sub, mdegs[i + 1][c],
-                                       mdegs[i - 1][r])): v}
-                    for (r, c), v in _product(scalars[i - 1], scalars[i])}
-        if prod:
-            bad = min(prod)
-            failures.append(f"d{i} d{i + 1} is non-zero, e.g. entry {bad} = "
-                            f"{format_poly(prod[bad])}")
+        lowest = min(_product(scalars[i - 1], scalars[i]), default=None)
+        if lowest:
+            (r, c), v = lowest
+            term = tuple(map(sub, mdegs[i + 1][c], mdegs[i - 1][r]))
+            failures.append(f"d{i} d{i + 1} is non-zero, e.g. entry {(r, c)} "
+                            f"= {format_poly({term: v})}")
     checks = {"complex": not failures, "minimality": not constant,
               "multigraded": not off_grade}
     failures += constant + off_grade
@@ -583,49 +540,6 @@ def verify_resolution(res: Resolution, max_degree: int) -> ResolutionReport:
     checks["graded_ranks"] = ok
 
     return ResolutionReport(all(checks.values()), checks, failures)
-
-
-def _read_matrices(res: Resolution, mdegs: list[list[tuple[int, ...]]],
-                   constant: list[str], off_grade: list[str]
-                   ) -> list[Columns]:
-    """Each d_i of res as sparse scalar columns, entry (r, c) holding the
-    coefficient of x^(m_c - m_r), m_r = mdegs[i - 1][r] and m_c =
-    mdegs[i][c], in one pass over the entries that names each entry with a
-    constant term in constant and each term of another exponent in
-    off_grade.  The shapes are checked first, as
-    `verify_resolution` says."""
-    for i in range(1, res.length + 1):
-        d = res.differential(i)
-        if (d.nrows, d.ncols) != (res.rank(i - 1), res.rank(i)):
-            raise ValueError(f"d{i} is {d.nrows}x{d.ncols}, but F{i - 1} and "
-                             f"F{i} have ranks {res.rank(i - 1)} and "
-                             f"{res.rank(i)}")
-        for r, c in d.entries:
-            if not (0 <= r < d.nrows and 0 <= c < d.ncols):
-                raise ValueError(
-                    f"d{i} entry ({r},{c}) outside {d.nrows}x{d.ncols}")
-    scalars = []
-    for i in range(1, res.length + 1):
-        cols: Columns = [{} for _ in mdegs[i]]
-        for (r, c), poly in res.differential(i).entries.items():
-            want = tuple(map(sub, mdegs[i][c], mdegs[i - 1][r]))
-            unit = False
-            for e, coeff in poly.items():
-                coeff = index(coeff)  # a rational would truncate in Bareiss
-                if not coeff:
-                    continue
-                unit = unit or not any(e)
-                if e == want:
-                    cols[c][r] = coeff
-                else:
-                    off_grade.append(
-                        f"d{i} entry ({r},{c}) term {format_exponents(e)} "
-                        f"breaks the multigrading")
-            if unit:
-                constant.append(f"d{i} entry ({r},{c}) = {format_poly(poly)} "
-                                f"has a constant term")
-        scalars.append(cols)
-    return scalars
 
 
 def _spans_the_generators(generators: set[tuple[int, ...]],
