@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from operator import add, index, le, sub
+from operator import index, le, sub
 from typing import Iterator, Optional
 
 from .betti import _formula_table, betti_table
@@ -71,98 +71,6 @@ def format_poly(poly: Poly) -> str:
         else:
             pieces.append(("+" if coeff > 0 else "-") + body)
     return "".join(pieces) or "0"
-
-
-def _poly_text(texts: dict[tuple, str], poly: Poly) -> str:
-    """`format_poly(poly)`, memoised in texts on the terms and their
-    coefficient types, so that 2 and 2.0 print apart."""
-    key = (tuple(poly.items()), tuple(map(type, poly.values())))
-    text = texts.get(key)
-    if text is None:
-        text = texts[key] = format_poly(poly)
-    return text
-
-
-class MonomialMatrix:
-    """A sparse matrix whose entries are polynomials with int coefficients,
-    each keyed by its terms' exponent vectors.
-
-    Construction and `add_to_entry` keep no zero term and no empty entry.
-    `entries` is public and may be edited in place, so nothing here checks
-    the coefficients.  `Resolution.differential` hands one out as a copy.
-    """
-
-    def __init__(self, nrows: int, ncols: int,
-                 entries: Optional[dict[tuple[int, int], Poly]] = None):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.entries: dict[tuple[int, int], Poly] = {}
-        if entries:
-            for (r, c), poly in entries.items():
-                self._check_index(r, c)
-                poly = {exps: coeff for exps, coeff in poly.items() if coeff}
-                if poly:
-                    self.entries[(r, c)] = poly
-
-    def _check_index(self, r: int, c: int) -> None:
-        if not (0 <= r < self.nrows and 0 <= c < self.ncols):
-            raise ValueError(
-                f"entry ({r},{c}) outside {self.nrows}x{self.ncols}")
-
-    def entry(self, r: int, c: int) -> Poly:
-        return dict(self.entries.get((r, c), {}))
-
-    def add_to_entry(self, r: int, c: int, exps: tuple[int, ...], coeff) -> None:
-        self._check_index(r, c)
-        poly = self.entries.setdefault((r, c), {})
-        new = poly.get(exps, 0) + coeff
-        if new:
-            poly[exps] = new
-        else:
-            poly.pop(exps, None)
-            if not poly:
-                del self.entries[(r, c)]
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def compose(self, other: "MonomialMatrix") -> "MonomialMatrix":
-        """Matrix product self @ other (apply other first).
-
-        Terms are multiplied and summed on exponent vectors, and zero sums
-        are dropped.  Multiplying two terms of unequal length raises
-        ValueError.
-        """
-        if self.ncols != other.nrows:
-            raise ValueError(
-                f"cannot compose {self.nrows}x{self.ncols} with "
-                f"{other.nrows}x{other.ncols}")
-        by_row: dict[int, list[tuple[int, Poly]]] = {}
-        for (m, c), q in other.entries.items():
-            by_row.setdefault(m, []).append((c, q))
-        sums: dict[tuple[int, int], Poly] = {}
-        for (r, m), p in self.entries.items():
-            for c, q in by_row.get(m, ()):
-                acc = sums.setdefault((r, c), {})
-                for e1, c1 in p.items():
-                    for e2, c2 in q.items():
-                        if len(e1) != len(e2):
-                            raise ValueError("cannot multiply monomials with "
-                                             "different ambients")
-                        e = tuple(map(add, e1, e2))
-                        acc[e] = acc.get(e, 0) + c1 * c2
-        return MonomialMatrix(self.nrows, other.ncols, sums)  # drops the zeros
-
-    def ascii(self) -> str:
-        texts: dict[tuple, str] = {}
-        return _grid(self.nrows, self.ncols, (
-            (r, c, _poly_text(texts, poly))
-            for (r, c), poly in self.entries.items()
-            if 0 <= r < self.nrows and 0 <= c < self.ncols))
-
-    def __repr__(self) -> str:
-        return f"MonomialMatrix({self.nrows}x{self.ncols}, {len(self.entries)} entries)"
 
 
 def _grid(nrows: int, ncols: int,
@@ -214,17 +122,19 @@ class Resolution:
     column {row: coefficient} per label of position i, and entry (r, c) of
     d_i is coefficient * x^(m_c - m_r) for the multidegrees m_r and m_c of
     the current labels of row r and column c.  `differential(i)` hands out
-    d_i as a new `MonomialMatrix`, whose edits leave the resolution as it
-    is.
+    d_i as a new dict {(r, c): {m_c - m_r: coefficient}}, whose edits leave
+    the resolution as it is.  Each reader refuses a differential that does
+    not fit its bases with one line (see `_check_shape`).
     """
 
     def __init__(self, ideal: MonomialIdeal, t: SpreadVector,
                  bases: list[list[CycleLabel]], columns: list[Columns]):
         if len(bases) != len(columns):
             raise ValueError("one differential is needed per positive position")
-        if any(isinstance(d, MonomialMatrix) for d in columns):
-            raise TypeError("a differential is a list of sparse columns "
-                            "{row: coefficient}, not a MonomialMatrix")
+        for d in columns:
+            if not isinstance(d, list):
+                raise TypeError("a differential is a list of sparse columns "
+                                f"{{row: coefficient}}, not a {type(d).__name__}")
         self.ideal = ideal
         self.t = t
         self.bases = [list(b) for b in bases]
@@ -248,16 +158,15 @@ class Resolution:
             raise ValueError(f"no labelled basis at position {i}")
         return list(self.bases[i - 1])
 
-    def differential(self, i: int) -> MonomialMatrix:
+    def differential(self, i: int) -> dict[tuple[int, int], Poly]:
         if not 1 <= i <= self.length:
             raise ValueError(f"no differential d_{i}")
+        _check_shape(self)
         rows, cols = _multidegrees(self.ideal.ambient_n,
                                    self.bases[max(i - 2, 0):i])[-2:]
-        d = MonomialMatrix(len(rows), len(cols))
-        for c, (high, col) in enumerate(zip(cols, self.columns[i - 1])):
-            for r, s in col.items():
-                d.entries[r, c] = {tuple(map(sub, high, rows[r])): s}
-        return d
+        return {(r, c): {tuple(map(sub, high, rows[r])): s}
+                for c, (high, col) in enumerate(zip(cols, self.columns[i - 1]))
+                for r, s in col.items()}
 
     def graded_rank_counts(self) -> dict[tuple[int, int], int]:
         counts = {(0, 0): 1}
@@ -268,6 +177,7 @@ class Resolution:
         return counts
 
     def ascii(self) -> str:
+        _check_shape(self)
         ranks = ", ".join(f"F{i}={self.rank(i)}" for i in range(self.length + 1))
         lines = [f"ranks: {ranks}"]
         mdegs = _multidegrees(self.ideal.ambient_n, self.bases)
@@ -280,6 +190,7 @@ class Resolution:
     def to_json_obj(self) -> dict:
         """Ranks, label texts and differential entries [r, c, text], sorted;
         each generator and each distinct entry is formatted once per call."""
+        _check_shape(self)
         names: dict[Monomial, str] = {}
         bases = []
         for labels in self.bases:
@@ -307,6 +218,24 @@ class Resolution:
             "bases": bases,
             "differentials": differentials,
         }
+
+
+def _check_shape(res: Resolution) -> None:
+    """Refuse with one line a differential count other than the number of
+    positions past 0, a d_i without one column per label of position i, or
+    a row outside 0..rank(i-1)-1, the first one in column order."""
+    if len(res.columns) != res.length:
+        raise ValueError("one differential is needed per positive position")
+    for i, cols in enumerate(res.columns, start=1):
+        nrows, ncols = res.rank(i - 1), res.rank(i)
+        if len(cols) != ncols:
+            raise ValueError(f"d{i} has {len(cols)} columns, but F{i} has "
+                             f"rank {ncols}")
+        for c, col in enumerate(cols):
+            for r in col:
+                if not 0 <= r < nrows:
+                    raise ValueError(
+                        f"d{i} entry ({r},{c}) outside {nrows}x{ncols}")
 
 
 def build_resolution(ideal: MonomialIdeal, t) -> Resolution:
@@ -386,11 +315,10 @@ class ResolutionReport:
 def verify_resolution(res: Resolution, max_degree: int) -> ResolutionReport:
     """Check the complex property, minimality, graded exactness and ranks.
 
-    A negative max_degree, a differential count other than the number of
-    positions past 0, a d_i without one column per label of position i and
-    a row outside 0..rank(i-1)-1 are refused with ValueError before any
-    check.  Each value is read through `operator.index`, so a non-int one
-    raises TypeError, and a zero one is no term.
+    A negative max_degree and a differential that does not fit its bases
+    (see `_check_shape`) are refused with ValueError before any check.  Each
+    value is read through `operator.index`, so a non-int one raises
+    TypeError, and a zero one is no term.
 
     Entry (r, c) of d_i is the value times x^(m_c - m_r), m_r and m_c the
     multidegrees of the labels, so it has a constant term when m_r = m_c
@@ -425,18 +353,7 @@ def verify_resolution(res: Resolution, max_degree: int) -> ResolutionReport:
     """
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
-    if len(res.columns) != res.length:
-        raise ValueError("one differential is needed per positive position")
-    for i, cols in enumerate(res.columns, start=1):
-        nrows, ncols = res.rank(i - 1), res.rank(i)
-        if len(cols) != ncols:
-            raise ValueError(f"d{i} has {len(cols)} columns, but F{i} has "
-                             f"rank {ncols}")
-        for c, col in enumerate(cols):
-            for r in col:
-                if not 0 <= r < nrows:
-                    raise ValueError(
-                        f"d{i} entry ({r},{c}) outside {nrows}x{ncols}")
+    _check_shape(res)
     ideal = res.ideal
     n = ideal.ambient_n
     mdegs = _multidegrees(n, res.bases)

@@ -16,7 +16,6 @@ from vecspread import (
     CycleLabel,
     Monomial,
     MonomialIdeal,
-    MonomialMatrix,
     Resolution,
     ResolutionReport,
     SpreadVector,
@@ -37,15 +36,13 @@ from vecspread import (
 from vecspread.ideals import minimal_exponents
 
 from util import (
+    add_term,
     ex_resolution_ideal,
+    grid,
     random_strongly_stable_ideal,
+    reference_compose,
     roadmap_workload,
 )
-
-
-def grid(matrix):
-    return [[format_poly(matrix.entry(r, c)) for c in range(matrix.ncols)]
-            for r in range(matrix.nrows)]
 
 
 # -- golden matrices ----------------------------------------------------------
@@ -57,13 +54,13 @@ def test_golden_differentials(n):
     res = build_resolution(ideal, t)
     assert res.length == 3
     assert [res.rank(i) for i in range(4)] == [1, 3, 3, 1]
-    assert grid(res.differential(1)) == [["x1*x2", "x1*x3", "x1*x4^2"]]
-    assert grid(res.differential(2)) == [
+    assert grid(res, 1) == [["x1*x2", "x1*x3", "x1*x4^2"]]
+    assert grid(res, 2) == [
         ["x3", "x4^2", "0"],
         ["-x2", "0", "x4^2"],
         ["0", "-x2", "-x3"],
     ]
-    assert grid(res.differential(3)) == [["-x4^2"], ["x3"], ["-x2"]]
+    assert grid(res, 3) == [["-x4^2"], ["x3"], ["-x2"]]
 
 
 def test_golden_basis_order():
@@ -539,15 +536,34 @@ def test_shapes_are_checked_up_front(corrupt, message, monkeypatch):
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("reader", [
+    lambda res: verify_resolution(res, 6), Resolution.ascii,
+    Resolution.to_json_obj, lambda res: res.differential(2)],
+    ids=["verify", "ascii", "json", "differential"])
+@pytest.mark.parametrize("row", [-1, 5])
+def test_every_reader_refuses_a_row_outside_the_shape(row, reader):
+    # the printers and the copies refuse the verifier's way: unchecked, a
+    # row -1 would print in the last row of the grid and a row 5 would
+    # raise IndexError
+    ideal, t = ex_resolution_ideal()
+    res = build_resolution(ideal, t)
+    res.columns[1][0][row] = 1
+    with pytest.raises(ValueError) as caught:
+        reader(res)
+    assert str(caught.value) == f"d2 entry ({row},0) outside 3x3"
+
+
 def test_multigraded_input_is_never_composed(monkeypatch):
     # d o d is read off the integer columns, so no input is composed,
-    # multigraded or not; the witnesses are the pinned ones
-    def compose(*args):
-        raise AssertionError("composed a differential")
+    # multigraded or not, and neither the verifier nor the printers read a
+    # differential(i) copy; the witnesses are the pinned ones
+    def copy(*args):
+        raise AssertionError("read a differential(i) copy")
 
     w8 = build_resolution(*roadmap_workload(1, (6, 8), 3))
-    monkeypatch.setattr(MonomialMatrix, "compose", compose)
+    monkeypatch.setattr(Resolution, "differential", copy)
     assert verify_resolution(w8, 8).ok
+    w8.ascii(), w8.to_json_obj()
     ideal, t = ex_resolution_ideal()
     for corrupt, (_, failures) in zip(CORRUPTIONS, CORRUPTION_WITNESSES):
         rep = verify_resolution(corrupt(build_resolution(ideal, t)), 6)
@@ -555,29 +571,29 @@ def test_multigraded_input_is_never_composed(monkeypatch):
 
 
 def test_matrix_differentials_are_refused():
-    # a resolution holds its differentials as columns only
+    # a resolution holds its differentials as columns only: the dicts that
+    # differential(i) hands out are refused with one line
     ideal, t = ex_resolution_ideal()
     res = build_resolution(ideal, t)
     matrices = [res.differential(i) for i in range(1, res.length + 1)]
     with pytest.raises(TypeError) as caught:
         Resolution(ideal, t, res.bases, matrices)
     assert str(caught.value) == ("a differential is a list of sparse columns "
-                                 "{row: coefficient}, not a MonomialMatrix")
+                                 "{row: coefficient}, not a dict")
 
 
 def test_differential_hands_out_a_copy():
-    # each call makes a new MonomialMatrix; editing it changes nothing the
-    # resolution prints or verifies
+    # each call makes a new dict of new entries; editing it changes nothing
+    # the resolution prints or verifies
     ideal, t = ex_resolution_ideal()
     res = build_resolution(ideal, t)
     before = res.to_json_obj(), res.ascii()
     d2 = res.differential(2)
     assert d2 is not res.differential(2)
-    d2.entries[(0, 0)][(0, 0, 1, 0)] = 5
-    d2.add_to_entry(2, 0, (0, 0, 0, 0), 1)
-    del d2.entries[(1, 0)]
-    assert res.differential(2).entries == build_resolution(
-        ideal, t).differential(2).entries
+    d2[(0, 0)][(0, 0, 1, 0)] = 5
+    d2[(2, 0)] = {(0, 0, 0, 0): 1}
+    del d2[(1, 0)]
+    assert res.differential(2) == build_resolution(ideal, t).differential(2)
     assert (res.to_json_obj(), res.ascii()) == before
     assert verify_resolution(res, 6).ok
 
@@ -638,8 +654,8 @@ def test_complex_property_random():
             continue
         res = build_resolution(ideal, t)
         for i in range(1, res.length):
-            prod = res.differential(i).compose(res.differential(i + 1))
-            assert prod.is_zero
+            assert not reference_compose(res.differential(i),
+                                         res.differential(i + 1))
         # the differentials only carry +-x_k and +-v_k, with int signs
         assert all(type(coeff) is int and coeff in (1, -1)
                    for d in res.columns for col in d
@@ -667,23 +683,17 @@ def test_column_support_bound():
     ideal, t = ex_resolution_ideal()
     res = build_resolution(ideal, t)
     for i in range(2, res.length + 1):
-        m = res.differential(i)
-        for c in range(m.ncols):
-            nonzero = sum(1 for r in range(m.nrows) if m.entry(r, c))
+        d = res.differential(i)
+        for c in range(res.rank(i)):
+            nonzero = sum(1 for r in range(res.rank(i - 1)) if (r, c) in d)
             assert nonzero <= 2 * (i - 1)
 
 
 def test_zero_terms_are_dropped():
     x1, x2 = (1, 0), (0, 1)
-    zero = MonomialMatrix(1, 1, {(0, 0): {x1: 0}})
-    assert zero.is_zero and zero.ascii() == "[ 0 ]"
-    assert MonomialMatrix(1, 1, {(0, 0): {x1: 0, x2: -1}}).entries == {
-        (0, 0): {x2: -1}}
     assert format_poly({x1: 0}) == "0" and format_poly({x1: 0, x2: -1}) == "-x2"
     # a product that cancels keeps no entry
-    a = MonomialMatrix(1, 2, {(0, 0): {x1: 1}, (0, 1): {x2: 1}})
-    b = MonomialMatrix(2, 1, {(0, 0): {x2: 1}, (1, 0): {x1: -1}})
-    assert a.compose(b).is_zero
+    assert not list(resolution._product([{0: 1}, {0: 1}], [{0: 1, 1: -1}]))
     # a zero written into a column by hand is no term, even between labels
     # of equal or incomparable multidegrees
     ideal, t = ex_resolution_ideal()
@@ -696,30 +706,6 @@ def test_zero_terms_are_dropped():
     res.columns[1][0][2] = 0
     rep = verify_resolution(res, 6)
     assert rep.ok, rep.failures
-
-
-def test_add_to_entry_checks_the_index():
-    # as the constructor does: an entry past the shape would be dropped by
-    # ascii but printed by JSON and read by compose
-    m = MonomialMatrix(1, 1)
-    for r, c in ((5, 5), (1, 0), (0, 1), (-1, 0)):
-        with pytest.raises(ValueError, match=r"outside 1x1"):
-            m.add_to_entry(r, c, (1,), 1)
-    assert m.is_zero
-    with pytest.raises(ValueError, match=r"outside 1x1"):
-        MonomialMatrix(1, 1, {(5, 5): {(1,): 1}})
-
-
-def test_matrix_compose_shapes():
-    a = MonomialMatrix(2, 1)
-    a.add_to_entry(0, 0, (1, 0, 0), 1)
-    b = MonomialMatrix(1, 2)
-    b.add_to_entry(0, 1, (0, 1, 0), 3)
-    ab = a.compose(b)
-    assert ab.nrows == 2 and ab.ncols == 2
-    assert format_poly(ab.entry(0, 1)) == "3*x1*x2"
-    with pytest.raises(ValueError):
-        a.compose(a)  # 2x1 cannot follow 2x1
 
 
 # -- domain restrictions ---------------------------------------------------------
@@ -765,32 +751,15 @@ def test_accessor_errors():
 
 # -- reference routes ------------------------------------------------------------
 #
-# The product multiplied term by term as Monomials, and the differentials
-# with u_k, free(u_k) and v_k found anew for every label and every k in its
-# sigma: the two routes the library's compose and build_resolution must
-# agree with.
-
-
-def reference_compose(a, b):
-    if a.ncols != b.nrows:
-        raise ValueError(
-            f"cannot compose {a.nrows}x{a.ncols} with {b.nrows}x{b.ncols}")
-    by_row = {}
-    for (m, c), q in b.entries.items():
-        by_row.setdefault(m, []).append((c, q))
-    out = MonomialMatrix(a.nrows, b.ncols)
-    for (r, m), p in a.entries.items():
-        for c, q in by_row.get(m, ()):
-            for e1, c1 in p.items():
-                for e2, c2 in q.items():
-                    product = Monomial.from_exponents(e1).mul(
-                        Monomial.from_exponents(e2))
-                    out.add_to_entry(r, c, product.exponents, c1 * c2)
-    return out
+# The differentials with u_k, free(u_k) and v_k found anew for every label
+# and every k in its sigma, the route build_resolution must agree with, and
+# the verifier and printers on the `differential(i)` copies, which
+# `util.reference_compose` multiplies term by term.
 
 
 def reference_build_resolution(ideal, t):
-    """The labels of every position and the MonomialMatrix of every d_i."""
+    """The labels of every position and every d_i as a `differential(i)`
+    dict."""
     bases = []
     while not ideal.is_zero:
         labels = homology_basis_labels(ideal, t, len(bases) + 1)
@@ -801,69 +770,27 @@ def reference_build_resolution(ideal, t):
     diffs = []
     for i, cols in enumerate(bases, start=1):
         if i == 1:
-            d = MonomialMatrix(1, len(cols))
+            d = {}
             for c, lab in enumerate(cols):
-                d.add_to_entry(0, c, lab.generator.exponents, 1)
+                add_term(d, 0, c, lab.generator.exponents, 1)
             diffs.append(d)
             continue
         rows = {lab: r for r, lab in enumerate(bases[i - 2])}
-        d = MonomialMatrix(len(rows), len(cols))
+        d = {}
         for c, lab in enumerate(cols):
             u, sigma = lab.generator, lab.sigma
             for pos, k in enumerate(sigma):
                 sign = -1 if pos % 2 else 1
                 tau = sigma[:pos] + sigma[pos + 1:]
-                d.add_to_entry(rows[CycleLabel(u, tau)], c,
-                               variable(k, n).exponents, -sign)
+                add_term(d, rows[CycleLabel(u, tau)], c,
+                         variable(k, n).exponents, -sign)
                 w = u.times_var(k)
                 u_k = decomposition_function(ideal, t, w)
                 if set(tau) <= set(free_indices(u_k, t)):
-                    d.add_to_entry(rows[CycleLabel(u_k, tau)], c,
-                                   w.divide(u_k).exponents, sign)
+                    add_term(d, rows[CycleLabel(u_k, tau)], c,
+                             w.divide(u_k).exponents, sign)
         diffs.append(d)
     return bases, diffs
-
-
-@st.composite
-def matrix_pairs(draw):
-    """Two sparse polynomial matrices over a few variables, written into
-    entries by hand: zero coefficients and, when `mixed`, exponent vectors
-    one longer included; the inner sizes agree unless `misfit`."""
-    n = draw(st.integers(1, 3))
-    mixed, misfit = draw(st.booleans()), draw(st.integers(0, 4)) == 0
-    rows, inner, cols = (draw(st.integers(1, 3)) for _ in range(3))
-
-    def matrix(nrows, ncols):
-        out = MonomialMatrix(nrows, ncols)
-        keys = draw(st.sets(st.tuples(st.integers(0, nrows - 1),
-                                      st.integers(0, ncols - 1))))
-        for key in sorted(keys):
-            terms = draw(st.lists(st.tuples(
-                st.lists(st.integers(1, n), max_size=2), st.integers(-2, 2),
-                st.booleans()), min_size=1, max_size=3))
-            out.entries[key] = {
-                Monomial(sorted(idx), n + (mixed and other)).exponents: coeff
-                for idx, coeff, other in terms}
-        return out
-
-    return matrix(rows, inner), matrix(inner + misfit, cols)
-
-
-def compose_outcome(compose, a, b):
-    """The error text, or the shape and the entries."""
-    try:
-        prod = compose(a, b)
-    except ValueError as exc:
-        return str(exc)
-    return prod.nrows, prod.ncols, prod.entries
-
-
-@settings(max_examples=300, deadline=None)
-@given(matrix_pairs())
-def test_compose_matches_reference(pair):
-    a, b = pair
-    assert (compose_outcome(MonomialMatrix.compose, a, b)
-            == compose_outcome(reference_compose, a, b))
 
 
 def test_builders_agree():
@@ -881,9 +808,7 @@ def test_builders_agree():
         bases, diffs = reference_build_resolution(ideal, t)
         assert new.bases == bases
         for i, e in enumerate(diffs, start=1):
-            d = new.differential(i)
-            assert (d.nrows, d.ncols) == (e.nrows, e.ncols)
-            assert list(d.entries.items()) == list(e.entries.items())
+            assert list(new.differential(i).items()) == list(e.items())
 
 
 def reference_strands(points, columns, keep, max_degree, is_complex):
@@ -995,17 +920,17 @@ def reference_verify_resolution(res, max_degree):
     failures, checks = [], {}
     ok = True
     for i in range(1, res.length):
-        prod = res.differential(i).compose(res.differential(i + 1))
-        if not prod.is_zero:
+        prod = reference_compose(res.differential(i), res.differential(i + 1))
+        if prod:
             ok = False
-            bad = sorted(prod.entries)[0]
+            bad = min(prod)
             failures.append(
                 f"d{i} d{i + 1} is non-zero, e.g. entry {bad} = "
-                f"{format_poly(prod.entries[bad])}")
+                f"{format_poly(prod[bad])}")
     checks["complex"] = ok
     ok = True
     for i in range(1, res.length + 1):
-        for (r, c), poly in res.differential(i).entries.items():
+        for (r, c), poly in res.differential(i).items():
             if any(coeff and not any(e) for e, coeff in poly.items()):
                 ok = False
                 failures.append(f"d{i} entry ({r},{c}) = {format_poly(poly)} "
@@ -1026,7 +951,7 @@ def reference_verify_resolution(res, max_degree):
     columns = []
     for i in range(1, res.length + 1):
         rows, cols = kept[i - 1], [{} for _ in kept[i]]
-        for (r, c), poly in res.differential(i).entries.items():
+        for (r, c), poly in res.differential(i).items():
             for e, coeff in poly.items():
                 coeff = index(coeff)
                 if not coeff:
@@ -1212,13 +1137,12 @@ def reference_to_json_obj(res):
         "bases": [[str(lab) for lab in labels] for labels in res.bases],
         "differentials": [
             {
-                "rows": d.nrows,
-                "cols": d.ncols,
+                "rows": res.rank(i - 1),
+                "cols": res.rank(i),
                 "entries": sorted(
-                    [r, c, format_poly(poly)]
-                    for (r, c), poly in d.entries.items()),
+                    [r, c, format_poly(poly)] for (r, c), poly in d.items()),
             }
-            for d in differentials(res)
+            for i, d in enumerate(differentials(res), start=1)
         ],
     }
 
@@ -1282,7 +1206,7 @@ def test_json_obj_formats_each_piece_once(monkeypatch):
     assert res.to_json_obj() == expected
     assert calls == {
         "format_poly": len({tuple(p.items()) for d in differentials(res)
-                            for p in d.entries.values()}),
+                            for p in d.values()}),
         "format_monomial": len(res.ideal.generators),
     }
 
@@ -1290,15 +1214,14 @@ def test_json_obj_formats_each_piece_once(monkeypatch):
 # -- ASCII -------------------------------------------------------------------
 
 
-def reference_ascii(matrix):
-    """MonomialMatrix.ascii by the dense loop: every cell formatted anew,
-    an empty one as format_poly({}), and padded cell by cell."""
-    cells = [[format_poly(matrix.entries.get((r, c), {}))
-              for c in range(matrix.ncols)] for r in range(matrix.nrows)]
+def reference_ascii(res, i):
+    """The grid of d_i by the dense loop over the `differential(i)` dict:
+    every cell formatted anew, an empty one as format_poly({}), and padded
+    cell by cell."""
+    cells = grid(res, i)
     if not cells or not cells[0]:
         return "[ ]"
-    widths = [max(len(cells[r][c]) for r in range(matrix.nrows))
-              for c in range(matrix.ncols)]
+    widths = [max(len(row[c]) for row in cells) for c in range(len(cells[0]))]
     lines = []
     for row in cells:
         body = "  ".join(cell.ljust(widths[c]) for c, cell in enumerate(row))
@@ -1309,7 +1232,7 @@ def reference_ascii(matrix):
 def reference_resolution_ascii(res):
     ranks = ", ".join(f"F{i}={res.rank(i)}" for i in range(res.length + 1))
     return "\n".join([f"ranks: {ranks}"] + [
-        f"\nd{i} (F{i} -> F{i - 1}):\n{reference_ascii(res.differential(i))}"
+        f"\nd{i} (F{i} -> F{i - 1}):\n{reference_ascii(res, i)}"
         for i in range(1, res.length + 1)])
 
 
@@ -1336,9 +1259,12 @@ def test_ascii_of_hand_edited_coefficients():
         "[ 0    x4^2  0 ]",
         "[ -x2  0     x4^2 ]",
         "[ 0    -x2   x3 ]"])
-    assert res.differential(2).ascii() == d2
+    assert reference_ascii(res, 2) == d2
     assert f"d2 (F2 -> F1):\n{d2}\n" in res.ascii()
-    assert MonomialMatrix(0, 3).ascii() == MonomialMatrix(2, 0).ascii() == "[ ]"
+    # a differential with no row or no column prints as an empty bracket
+    res.bases[1], res.columns[1], res.columns[2] = [], [], [{}]
+    assert res.ascii().endswith("d2 (F2 -> F1):\n[ ]\n\nd3 (F3 -> F2):\n[ ]")
+    assert res.ascii() == reference_resolution_ascii(res)
 
 
 def test_ascii_formats_each_distinct_entry_once(monkeypatch):
@@ -1351,5 +1277,5 @@ def test_ascii_formats_each_distinct_entry_once(monkeypatch):
     monkeypatch.setattr(resolution, "format_poly",
                         lambda poly: calls.append(poly) or real(poly))
     assert res.ascii() == expected
-    assert len(calls) == sum(len({tuple(p.items()) for p in d.entries.values()})
+    assert len(calls) == sum(len({tuple(p.items()) for p in d.values()})
                              for d in differentials(res))

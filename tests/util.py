@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+from operator import add
 
 from vecspread import (
     MonomialIdeal,
     SpreadVector,
+    format_poly,
     minimalize,
     monomial,
     parse_monomial,
@@ -85,3 +87,41 @@ def roadmap_workload(seed, sizes, max_gens):
     for n in sizes:
         ideal = random_strongly_stable_ideal(rng, n, t, max_gens=max_gens)
     return ideal, t
+
+
+def grid(res, i):
+    """The text of every cell of d_i, rows by columns, read off the
+    `differential(i)` dict; an empty cell prints as format_poly({})."""
+    d = res.differential(i)
+    return [[format_poly(d.get((r, c), {})) for c in range(res.rank(i))]
+            for r in range(res.rank(i - 1))]
+
+
+def add_term(d, r, c, exps, coeff):
+    """Add coeff * x^exps to entry (r, c) of a `differential(i)`-style dict,
+    keeping no zero term and no empty entry."""
+    poly = d.setdefault((r, c), {})
+    new = poly.get(exps, 0) + coeff
+    if new:
+        poly[exps] = new
+    else:
+        poly.pop(exps, None)
+        if not poly:
+            del d[(r, c)]
+
+
+def reference_compose(a, b):
+    """The product a @ b (apply b first) of two `differential(i)` dicts
+    {(r, c): {exponents: coefficient}}, expanded term by term with the
+    exponent vectors added, so a Laurent term multiplies too; sums that
+    cancel keep no term and no entry."""
+    by_row = {}
+    for (m, c), q in b.items():
+        by_row.setdefault(m, []).append((c, q))
+    out = {}
+    for (r, m), p in a.items():
+        for c, q in by_row.get(m, ()):
+            for e1, c1 in p.items():
+                for e2, c2 in q.items():
+                    add_term(out, r, c, tuple(map(add, e1, e2)), c1 * c2)
+    return out
